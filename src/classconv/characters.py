@@ -17,7 +17,7 @@ from functools import cache
 from math import factorial
 from typing import Iterator
 
-from .class_algebra import ClassVector
+from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions, falling_factorial
 
 

@@ -1,12 +1,22 @@
 """The invariant class algebra: structure constants, products, polynomials.
 
 Basis elements A_rho are indexed by partitions of arbitrary size; the
-structure constants g count pairs of partial permutations multiplying to
-a fixed representative.  The fast engine enumerates one factor class and
-derives the other factor by composition, reducing the second support
-choice to a single binomial coefficient.  A naive double enumeration and
-a brute-force group-algebra convolution stay available as independent
-verification routes and are never consulted by the fast path.
+structure constant g_{sigma,tau}^rho counts pairs of partial permutations
+of types sigma, tau multiplying to a fixed representative of type rho.
+
+The production route reads them off characters of symmetric groups.  The
+evaluation isomorphism sends A_rho to p#_rho / z_rho, so for each level m
+with max(|sigma|,|tau|) <= m <= |sigma|+|tau| column orthogonality of the
+character table of S_m gives, for every mu of size m, the integer
+
+    T_m(mu) = (m)_s (m)_t sum_lam chi^lam_mu chi^lam_{sigma 1^(m-s)}
+              chi^lam_{tau 1^(m-t)} H_lam / (z_sigma z_tau (m!)^2)
+            = sum_j C(m_1(mu), j) g^{mu minus j unit parts},
+
+with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
+leaves g^mu; every step is exact integer arithmetic.  A naive double
+enumeration and a brute-force group-algebra convolution stay available as
+independent verification routes and are never consulted by this one.
 
 All values are immutable and the memo caches only grow, so concurrent
 readers are safe; inserts are plain dict assignments (atomic under the
@@ -19,12 +29,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, Mapping
+from operator import mul
+from typing import Iterable
 
+from .characters import _char, _dim
+from .class_vector import ClassVector
 from .partial_perm import permutations_of_type
-from .partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
-
-Coeff = int | Fraction
+from .partitions import (Partition, enumerate_partitions, falling_factorial,
+                         partitions_up_to)
 
 ORACLE_DEFAULT_BOUND = 7
 
@@ -60,26 +72,6 @@ def _cycle_type_tuple(w: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _nontrivial_type(w: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
-    """Cycle lengths >= 2 (sorted decreasingly) and the non-fixed-point mask."""
-    seen = 0
-    mask = 0
-    parts = []
-    for i in range(r):
-        if w[i] == i + 1 or (seen >> i) & 1:
-            continue
-        ln = 0
-        x = i + 1
-        while not (seen >> (x - 1)) & 1:
-            seen |= 1 << (x - 1)
-            mask |= 1 << (x - 1)
-            ln += 1
-            x = w[x - 1]
-        parts.append(ln)
-    parts.sort(reverse=True)
-    return tuple(parts), mask
-
-
 @lru_cache(maxsize=None)
 def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All of A_{parts;r} as (support mask, image tuple over {1..r}) pairs."""
@@ -98,100 +90,69 @@ def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int,
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _reps_inv(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Like _class_tuples but storing the inverse image tuple."""
-    out = []
-    for mask, w in _class_tuples(parts, r):
-        inv = [0] * r
-        for i in range(r):
-            inv[w[i] - 1] = i + 1
-        out.append((mask, tuple(inv)))
-    return tuple(out)
-
-
-def _rep_count(parts: tuple[int, ...], r: int) -> int:
-    s = sum(parts)
-    return comb(r, s) * factorial(s) // Partition(parts).centralizer_size()
-
-
 # ---------------------------------------------------------------------------
-# the structure-constant engine
+# the structure-constant route
 
 _PAIR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[Partition, int]] = {}
 
 
-def _buckets(reps, w_rho: tuple[int, ...], r: int, enum_is_first: bool) -> dict:
-    """One pass over an enumerated factor class against a fixed target.
-
-    Buckets count enumerated elements by (nontrivial type of the derived
-    cofactor, size of its forced support core); the cofactor support then
-    varies only through a binomial choice of extra fixed points.
-    """
-    full = (1 << r) - 1
-    out: dict[tuple[tuple[int, ...], int], int] = {}
-    rng = range(r)
-    for mask, inv in reps:
-        if enum_is_first:
-            w = tuple(inv[w_rho[i] - 1] for i in rng)
-        else:
-            w = tuple(w_rho[inv[i] - 1] for i in rng)
-        nt, nonfixed = _nontrivial_type(w, r)
-        forced = nonfixed | (full & ~mask)
-        key = (nt, forced.bit_count())
-        out[key] = out.get(key, 0) + 1
-    return out
+@lru_cache(maxsize=None)
+def _level(m: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], tuple[int, ...]],
+                            tuple[int, ...]]:
+    """The labels of S_m's classes in canonical order, each class's character
+    column (chi^lam_mu over lam in that order, keyed by mu's parts) and the
+    hook products m!/dim lam."""
+    labels = tuple(enumerate_partitions(m))
+    columns = {mu.parts: tuple(_char(lam.parts, mu.parts) for lam in labels)
+               for mu in labels}
+    hooks = tuple(factorial(m) // _dim(lam.parts) for lam in labels)
+    return labels, columns, hooks
 
 
-def _g_from_buckets(buckets: Mapping, r: int, obar: tuple[int, ...], osize: int) -> int:
-    g = 0
-    for (nt, fs), count in buckets.items():
-        if nt == obar and osize >= fs:
-            g += count * comb(r - fs, osize - fs)
-    return g
+def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """All nonzero g_{sigma,tau}^rho, level by level from the S_m characters.
 
-
-def _expand_pair(sigma: Partition, tau: Partition, side: str = "auto") -> dict[Partition, int]:
-    """All nonzero g_{sigma,tau}^rho, enumerating the cheaper factor class.
-
-    `side` forces which tensor factor is enumerated ("first"/"second");
-    both give the same ordered-pair count, so "auto" picks by cost.
+    Each mu first gets T_m(mu) (module docstring), then loses the binomial
+    multiples of the constants found at lower levels.  A division that
+    leaves a remainder raises RuntimeError instead of rounding.
     """
     s, t = sigma.size(), tau.size()
+    zz = sigma.centralizer_size() * tau.centralizer_size()
+    found: dict[tuple[int, ...], int] = {}
     out: dict[Partition, int] = {}
-    for r in range(max(s, t), s + t + 1):
-        if side == "auto":
-            use_first = _rep_count(sigma.parts, r) <= _rep_count(tau.parts, r)
-        elif side == "first":
-            use_first = True
-        elif side == "second":
-            use_first = False
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        enum_parts = sigma if use_first else tau
-        other = tau if use_first else sigma
-        reps = _reps_inv(enum_parts.parts, r)
-        obar = other.strip_ones().parts
-        osize = other.size()
-        for rho in enumerate_partitions(r):
-            w_rho = _canonical_images(rho.parts, r)
-            g = _g_from_buckets(_buckets(reps, w_rho, r, use_first), r, obar, osize)
+    for m in range(max(s, t), s + t + 1):
+        labels, columns, hooks = _level(m)
+        weights = [a * b * h for a, b, h in zip(columns[sigma.parts + (1,) * (m - s)],
+                                                columns[tau.parts + (1,) * (m - t)], hooks)]
+        scale = falling_factorial(m, s) * falling_factorial(m, t)
+        den = zz * factorial(m) ** 2
+        for mu in labels:
+            g, rem = divmod(scale * sum(map(mul, columns[mu.parts], weights)), den)
+            if rem:
+                raise RuntimeError(
+                    f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
+            parts = mu.parts
+            m1 = parts.count(1)
+            for j in range(1, m1 + 1):
+                g -= comb(m1, j) * found.get(parts[:len(parts) - j], 0)
             if g:
-                out[rho] = g
+                found[parts] = g
+                out[mu] = g
     return out
 
 
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """Nonzero g_{sigma,tau}^rho for all rho, cached per unordered pair.
 
-    The cache key is order-normalized; the commutativity this relies on is
-    exercised by the test suite through forced-side raw expansions.
+    Keys come in ascending size, reverse-lexicographically within a size.
+    The cache key is order-normalized; the tests check that the uncached
+    route is commutative and that it matches the double enumeration.
     """
     a, b = sorted((sigma.parts, tau.parts))
     key = (a, b)
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = _expand_pair(Partition(a), Partition(b))
+        hit = _expand(Partition(a), Partition(b))
         _PAIR_CACHE[key] = hit
     return hit
 
@@ -227,116 +188,23 @@ def g_constant_naive(sigma: Partition, tau: Partition, rho: Partition) -> int:
 
 
 def g_table(bound: int) -> dict[tuple[Partition, Partition], dict[Partition, int]]:
-    """All expansions for |sigma|, |tau| <= bound, batching shared passes.
+    """All expansions for |sigma|, |tau| <= bound, one per unordered pair.
 
-    For a fixed enumerated class and target representative, one bucket
-    pass serves every cofactor partition at once; this is what makes the
-    bound-5 filtration scan cheap.  Results prime the pair cache.
+    Entries follow the pairs (a, b) with a at or before b in the canonical
+    order; each key lists the partition with the smaller parts tuple first.
+    The values are the cached product_expansion dicts.
     """
     parts_all = partitions_up_to(bound)
-
-    def cost_key(p: Partition, r: int) -> tuple:
-        return (_rep_count(p.parts, r), p.sort_key())
-
-    for enum in parts_all:
-        targets = []
-        for tau in parts_all:
-            key = tuple(sorted((enum.parts, tau.parts)))
-            if key in _PAIR_CACHE:
-                continue
-            r_top = enum.size() + tau.size()
-            if cost_key(enum, r_top) <= cost_key(tau, r_top):
-                targets.append(tau)
-        if not targets:
-            continue
-        results: dict[Partition, dict[Partition, int]] = {tau: {} for tau in targets}
-        r_min = min(max(enum.size(), tau.size()) for tau in targets)
-        r_max = max(enum.size() + tau.size() for tau in targets)
-        for r in range(r_min, r_max + 1):
-            relevant = [tau for tau in targets
-                        if max(enum.size(), tau.size()) <= r <= enum.size() + tau.size()]
-            if not relevant:
-                continue
-            reps = _reps_inv(enum.parts, r)
-            for rho in enumerate_partitions(r):
-                w_rho = _canonical_images(rho.parts, r)
-                buckets = _buckets(reps, w_rho, r, True)
-                for tau in relevant:
-                    g = _g_from_buckets(buckets, r, tau.strip_ones().parts, tau.size())
-                    if g:
-                        results[tau][rho] = g
-        for tau, exp in results.items():
-            key = tuple(sorted((enum.parts, tau.parts)))
-            _PAIR_CACHE[key] = exp
-
     table = {}
     for i, a in enumerate(parts_all):
         for b in parts_all[i:]:
-            key = tuple(sorted((a.parts, b.parts)))
-            table[(Partition(key[0]), Partition(key[1]))] = _PAIR_CACHE[key]
+            x, y = sorted((a.parts, b.parts))
+            table[(Partition(x), Partition(y))] = product_expansion(a, b)
     return table
 
 
 # ---------------------------------------------------------------------------
-# class vectors
-
-
-class ClassVector:
-    """Sparse rational combination of basis partitions.
-
-    `level` is the truncation: when present every key satisfies
-    |rho| <= level and the vector lives in A_level; when absent the vector
-    is stable (valid in every A_n with n >= the largest key).  Equality
-    compares coefficients only.
-    """
-
-    __slots__ = ("terms", "level")
-
-    def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
-        self.terms = {p: Fraction(c) for p, c in terms.items() if c}
-        self.level = level
-        if level is not None:
-            for p in self.terms:
-                if p.size() > level:
-                    raise ValueError(f"|{p}| exceeds truncation level {level}")
-
-    @classmethod
-    def unit(cls, level: int | None = None) -> "ClassVector":
-        return cls({EMPTY: Fraction(1)}, level)
-
-    @classmethod
-    def basis(cls, rho: Partition, level: int | None = None) -> "ClassVector":
-        return cls({rho: Fraction(1)}, level)
-
-    def coefficient(self, rho: Partition) -> Fraction:
-        return self.terms.get(rho, Fraction(0))
-
-    def support(self) -> list[Partition]:
-        return sorted(self.terms, key=Partition.sort_key)
-
-    def items(self) -> list[tuple[Partition, Fraction]]:
-        return [(p, self.terms[p]) for p in self.support()]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        lv = [x for x in (self.level, other.level) if x is not None]
-        return ClassVector(out, min(lv) if lv else None)
-
-    def __rmul__(self, scalar: Coeff) -> "ClassVector":
-        return ClassVector({p: Fraction(scalar) * c for p, c in self.terms.items()},
-                           self.level)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClassVector) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c} A({p})" for p, c in self.items())
-        return f"ClassVector({body or '0'}, level={self.level})"
+# products of class vectors
 
 
 def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVector:

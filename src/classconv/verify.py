@@ -181,6 +181,12 @@ def suite_fillings(max_size: int = 4) -> SuiteResult:
 
 
 def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
+    """F-multiplicativity, F(x_mu) = s*_mu and the vanishing of s*.
+
+    The structure constants are themselves computed through the
+    characters behind F, so the first check no longer pins products
+    independently; the oracle, fillings and section 6/11 golden suites do.
+    """
     start = time.time()
     checks = []
     lambdas = partitions_up_to(max_lambda)

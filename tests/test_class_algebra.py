@@ -1,14 +1,17 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from classconv.class_algebra import (BinomialPolynomial, ClassVector,
-                                     _expand_pair, convolve_C_classes,
-                                     f_constant, g_constant, g_constant_naive,
-                                     g_table, multiply, oracle_convolve,
-                                     product_expansion, product_expansion_a,
-                                     psi_image, q_polynomial, to_C_basis)
+from classconv import class_algebra
+from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
+                                     convolve_C_classes, f_constant, g_constant,
+                                     g_constant_naive, g_table, multiply,
+                                     oracle_convolve, product_expansion,
+                                     product_expansion_a, psi_image,
+                                     q_polynomial, to_C_basis)
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import class_element, truncate
 
@@ -44,13 +47,18 @@ def test_g_top_term_binomial_product():
 
 
 def test_g_fast_matches_naive():
-    for sigma in partitions_up_to(3):
-        for tau in partitions_up_to(3):
+    # every triple with |sigma|+|tau| <= 7 and rho in the support range (2482)
+    shapes = partitions_up_to(7)
+    for sigma in shapes:
+        for tau in shapes:
+            s, t = sigma.size(), tau.size()
+            if s + t > 7 or sigma.parts > tau.parts:
+                continue
             exp = product_expansion(sigma, tau)
-            for r in range(max(sigma.size(), tau.size()),
-                           sigma.size() + tau.size() + 1):
+            for r in range(max(s, t), s + t + 1):
                 for rho in enumerate_partitions(r):
-                    assert exp.get(rho, 0) == g_constant_naive(sigma, tau, rho)
+                    assert exp.get(rho, 0) == g_constant_naive(sigma, tau, rho), \
+                        (sigma, tau, rho)
 
 
 def test_g_naive_spot_checks_larger():
@@ -73,41 +81,92 @@ def test_g_naive_spot_checks_larger():
 
 
 def test_g_symmetry_forced_sides():
-    # both orders computed independently with the first factor enumerated,
-    # exhaustively for |sigma|, |tau| <= 4; this is what justifies the
+    # both orders computed independently through the uncached route,
+    # exhaustively for |sigma|, |tau| <= 5; this is what justifies the
     # order-normalized cache in product_expansion
-    for sigma in partitions_up_to(4):
-        for tau in partitions_up_to(4):
-            assert (_expand_pair(sigma, tau, side="first")
-                    == _expand_pair(tau, sigma, side="first")), (sigma, tau)
-
-
-def test_g_symmetry_batched_size_5():
-    # same forced-first computation, batched over the cofactor so the full
-    # |sigma|, |tau| <= 5 range stays affordable: g_{sigma,tau} via
-    # sigma-enumeration must match g_{tau,sigma} via tau-enumeration
-    from classconv.class_algebra import (_buckets, _canonical_images,
-                                         _g_from_buckets, _reps_inv)
     shapes = partitions_up_to(5)
-    table: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    for enum in shapes:
-        s = enum.size()
-        for r in range(s, s + 6):
-            relevant = [tau for tau in shapes
-                        if max(s, tau.size()) <= r <= s + tau.size()]
-            if not relevant:
-                continue
-            reps = _reps_inv(enum.parts, r)
-            for rho in enumerate_partitions(r):
-                buckets = _buckets(reps, _canonical_images(rho.parts, r), r, True)
-                for tau in relevant:
-                    g = _g_from_buckets(buckets, r,
-                                        tau.strip_ones().parts, tau.size())
-                    if g:
-                        table.setdefault((enum, tau), {})[rho] = g
+    for i, sigma in enumerate(shapes):
+        for tau in shapes[i + 1:]:
+            assert _expand(sigma, tau) == _expand(tau, sigma), (sigma, tau)
+
+
+def test_g_symmetry_batched_size_5(monkeypatch):
+    # the batched g_table(5), built on an empty cache, must give each
+    # unordered pair the uncached expansion of either factor order
+    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+    table = g_table(5)
+    assert len(table) == 19 * 20 // 2
+    for (sigma, tau), expansion in table.items():
+        assert expansion == _expand(sigma, tau) == _expand(tau, sigma), (sigma, tau)
+
+
+def test_g_table_keys_and_order():
+    shapes = partitions_up_to(5)
+    table = g_table(5)
+    want = []
     for i, a in enumerate(shapes):
         for b in shapes[i:]:
-            assert table.get((a, b), {}) == table.get((b, a), {}), (a, b)
+            want.append((a, b) if a.parts <= b.parts else (b, a))
+    assert list(table) == want
+    assert len(want) == 19 * 20 // 2
+    assert list(table)[:4] == [(EMPTY, EMPTY), (EMPTY, P(1)), (EMPTY, P(2)),
+                               (EMPTY, P(1, 1))]
+    assert (P(1, 1), P(2)) in table and (P(2), P(1, 1)) not in table
+    for (sigma, tau), expansion in table.items():
+        assert expansion is product_expansion(tau, sigma)
+
+
+def test_route_raises_on_inexact_division(monkeypatch):
+    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+    _, columns, _ = class_algebra._level(3)
+    spoiled = list(columns[(2, 1)])
+    spoiled[0] += 1
+    monkeypatch.setitem(columns, (2, 1), tuple(spoiled))
+    with pytest.raises(RuntimeError, match="non-integral"):
+        product_expansion(P(2), P(2))
+    assert not class_algebra._PAIR_CACHE
+
+
+small = st.sampled_from(partitions_up_to(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, small, small)
+def test_g_associative(sigma, tau, upsilon):
+    def combine(outer, inner_pairs):
+        out: dict[Partition, int] = {}
+        for rho, g in outer.items():
+            for pi, h in inner_pairs(rho).items():
+                out[pi] = out.get(pi, 0) + g * h
+        return {pi: c for pi, c in out.items() if c}
+
+    left = combine(product_expansion(sigma, tau),
+                   lambda rho: product_expansion(rho, upsilon))
+    right = combine(product_expansion(tau, upsilon),
+                    lambda rho: product_expansion(sigma, rho))
+    assert left == right
+
+
+@settings(max_examples=60, deadline=None)
+@given(small, small, st.integers(min_value=0, max_value=10))
+def test_g_mass_identity(sigma, tau, n):
+    # counting all elements is a homomorphism from B_n to Q; #A_{rho;n}
+    # is C(n, |rho|) |rho|! / z_rho
+    def mass(rho):
+        return Fraction(comb(n, rho.size()) * factorial(rho.size()),
+                        rho.centralizer_size())
+
+    total = sum(g * mass(rho) for rho, g in product_expansion(sigma, tau).items())
+    assert mass(sigma) * mass(tau) == total
+
+
+@settings(max_examples=60, deadline=None)
+@given(small, small)
+def test_g_positive_integers_in_support(sigma, tau):
+    s, t = sigma.size(), tau.size()
+    for rho, g in product_expansion(sigma, tau).items():
+        assert type(g) is int and g > 0
+        assert max(s, t) <= rho.size() <= s + t
 
 
 def test_g_support_bound():
