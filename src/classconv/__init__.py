@@ -10,8 +10,8 @@ from .characters import (CharacterTable, F_eval, character, dimension, p_sharp,
 from .fillings import Filling, canonical_filling, convolve, enumerate_F
 from .filtrations import (DegreeFunction, check_filtration,
                           check_gamma_inequalities, limit_ratio)
-from .partial_perm import (PartialPermutation, canonical_rep, conjugate,
-                           cycle_type, enumerate_class, product)
+from .partial_perm import (PartialPermutation, canonical_rep, enumerate_class,
+                           product)
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .semigroup_algebra import (GroupAlgebraElement, SemigroupAlgebraElement,
                                 center_dimension, class_element, epsilon,

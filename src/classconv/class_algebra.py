@@ -157,15 +157,13 @@ def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     return hit
 
 
-def g_constant(sigma: Partition, tau: Partition, rho: Partition, method: str = "fast") -> int:
+def g_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
     """The structure constant g_{sigma,tau}^rho.
 
     Counts pairs of partial permutations of types sigma, tau whose product
     is the canonical representative of rho; zero unless
     max(|sigma|,|tau|) <= |rho| <= |sigma|+|tau|.
     """
-    if method == "naive":
-        return g_constant_naive(sigma, tau, rho)
     if rho.size() > sigma.size() + tau.size():
         return 0
     return product_expansion(sigma, tau).get(rho, 0)
@@ -386,14 +384,6 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
 # brute-force convolution oracle
 
 
-@lru_cache(maxsize=None)
-def _full_class_tuples(padded: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    rho = Partition(padded)
-    return tuple(
-        tuple(m[i] for i in range(1, n + 1))
-        for m in permutations_of_type(range(1, n + 1), rho))
-
-
 def oracle_convolve(sigma: Partition, tau: Partition, n: int,
                     bound: int = ORACLE_DEFAULT_BOUND) -> ClassVector:
     """Convolve the psi images by explicit enumeration over S_n.
@@ -408,8 +398,9 @@ def oracle_convolve(sigma: Partition, tau: Partition, n: int,
             f"oracle bound exceeded: n={n} > {bound} (cost grows like n! per factor)")
     if sigma.size() > n or tau.size() > n:
         return ClassVector({}, n)
-    c1 = _full_class_tuples(sigma.pad(n).parts, n)
-    c2 = _full_class_tuples(tau.pad(n).parts, n)
+    # padded to size n, each class has the one support {1..n}
+    c1 = [w for _, w in _class_tuples(sigma.pad(n).parts, n)]
+    c2 = [w for _, w in _class_tuples(tau.pad(n).parts, n)]
     b1, _ = psi_image(sigma, n)
     b2, _ = psi_image(tau, n)
     conv: dict[tuple[int, ...], int] = {}

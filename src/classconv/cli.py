@@ -9,12 +9,12 @@ partitions are integer arrays and rationals are {num, den} objects.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
 
 from . import class_algebra as ca
-from . import filtrations as fl
 from . import verify as vf
 from .characters import F_eval, p_sharp, s_star
 from .fillings import FILLINGS_DEFAULT_MAX, Filling, convolve, enumerate_F
@@ -41,14 +41,15 @@ def _parse_filling(text: str, flag: str) -> Filling:
         raise UsageError(f"malformed filling string for {flag}: {exc}") from exc
 
 
-def _check_size(total: int, max_size: int, what: str) -> None:
+def _check_size(total: int, max_size: int, what: str,
+                default: int = DEFAULT_SIZE_BOUND) -> None:
     if total > max_size:
         raise UsageError(
             f"size bounds exceeded: {what} = {total} > {max_size} "
             "(raise --max-size explicitly to override)")
-    if max_size > DEFAULT_SIZE_BOUND:
+    if max_size > default:
         print(f"warning: --max-size {max_size} above default "
-              f"{DEFAULT_SIZE_BOUND}; this may take a long time", file=sys.stderr)
+              f"{default}; this may take a long time", file=sys.stderr)
 
 
 def _jsonable(value):
@@ -82,6 +83,8 @@ def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
 def _cmd_mult(args) -> int:
     lhs = _parse_partition(args.lhs, "--lhs")
     rhs = _parse_partition(args.rhs, "--rhs")
+    if args.n is not None and args.n < 0:
+        raise UsageError(f"truncation level --n must be nonnegative, got {args.n}")
     _check_size(lhs.size() + rhs.size(), args.max_size, "|lhs|+|rhs|")
     if args.basis == "A":
         expansion = ca.product_expansion(lhs, rhs)
@@ -105,10 +108,10 @@ def _cmd_gconst(args) -> int:
     tau = _parse_partition(args.tau, "--tau")
     rho = _parse_partition(args.rho, "--rho")
     _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
-    g = ca.g_constant(sigma, tau, rho, method="naive" if args.naive else "fast")
+    g = ca.g_constant(sigma, tau, rho)
     doc = {"command": "gconst",
            "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
-                      "rho": _jsonable(rho), "naive": bool(args.naive)},
+                      "rho": _jsonable(rho)},
            "results": g}
     _emit(args, doc, [str(g)])
     return 0
@@ -177,14 +180,8 @@ def _cmd_fillings_count(args) -> int:
     sigma = _parse_partition(args.sigma, "--sigma")
     tau = _parse_partition(args.tau, "--tau")
     rho = _parse_partition(args.rho, "--rho")
-    if max(sigma.size(), tau.size()) > args.max_size:
-        raise UsageError(
-            f"size bounds exceeded: filling enumeration needs |sigma|,|tau| <= "
-            f"{args.max_size} (raise --max-size explicitly to override)")
-    if args.max_size > FILLINGS_DEFAULT_MAX:
-        print(f"warning: --max-size {args.max_size} above default "
-              f"{FILLINGS_DEFAULT_MAX}; enumeration cost grows factorially",
-              file=sys.stderr)
+    _check_size(max(sigma.size(), tau.size()), args.max_size, "max(|sigma|,|tau|)",
+                FILLINGS_DEFAULT_MAX)
     pairs = enumerate_F(sigma, tau, rho, max_size=args.max_size)
     doc = {"command": "fillings-count",
            "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
@@ -249,34 +246,24 @@ def _cmd_feval(args) -> int:
     return 0
 
 
-_SUITE_DEFAULTS = {"oracle": 7, "fillings": 4, "filtrations": 5, "gamma": 8,
-                   "semigroup": 3, "homomorphism": 4}
-
-
 def _cmd_verify(args) -> int:
     if args.suite not in vf.SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {sorted(vf.SUITES)}")
     options = {}
     if args.max_size is not None:
-        if args.suite not in _SUITE_DEFAULTS:
+        params = list(inspect.signature(vf.SUITES[args.suite]).parameters.values())
+        if not params:
             raise UsageError(f"suite {args.suite!r} does not take --max-size")
-        default = _SUITE_DEFAULTS[args.suite]
-        if args.max_size > default:
+        bound = params[0]
+        if args.max_size < bound.default:
+            raise UsageError(
+                f"--max-size {args.max_size} below suite default {bound.default}; "
+                "it can only raise a suite's bound")
+        if args.max_size > bound.default:
             print(f"warning: --max-size {args.max_size} above suite default "
-                  f"{default}; this may take a long time", file=sys.stderr)
-        if args.suite == "oracle":
-            options = {"max_total": args.max_size, "bound": args.max_size}
-        elif args.suite == "fillings":
-            options = {"max_size": args.max_size}
-        elif args.suite == "filtrations":
-            options = {"bound": args.max_size, "allow_large": True}
-        elif args.suite == "gamma":
-            options = {"K": args.max_size}
-        elif args.suite == "semigroup":
-            options = {"max_n": args.max_size}
-        elif args.suite == "homomorphism":
-            options = {"max_factor": args.max_size}
+                  f"{bound.default}; this may take a long time", file=sys.stderr)
+        options = {bound.name: args.max_size}
     result = vf.run_suite(args.suite, **options)
     doc = {"command": "verify",
            "inputs": {"suite": args.suite, "max_size": args.max_size},
@@ -316,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", required=True)
         p.add_argument("--rho", required=True)
         p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-        if name == "gconst":
-            p.add_argument("--naive", action="store_true",
-                           help="use the double-enumeration guard route")
 
     p = add("csn-mult", _cmd_csn_mult, "convolve conjugacy classes of S_n")
     p.add_argument("--sigma", required=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, permutations as _itertools_perms
 from typing import Iterable, Iterator
 
-from .partial_perm import PartialPermutation, canonical_rep, product
+from .partial_perm import PartialPermutation, product
 from .partitions import Partition
 
 FILLINGS_DEFAULT_MAX = 4
@@ -86,10 +86,6 @@ class Filling:
         except ValueError as exc:
             raise ValueError(f"malformed filling string {text!r}") from exc
         return cls(rows)
-
-
-def to_partial_perm(filling: Filling) -> PartialPermutation:
-    return filling.to_partial_perm()
 
 
 def convolve(s: Filling, t: Filling) -> Filling:
@@ -195,24 +191,18 @@ def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filli
 
 
 def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
-                method: str = "fast",
                 max_size: int = FILLINGS_DEFAULT_MAX) -> list[tuple[Filling, Filling]]:
     """All pairs (S, T) of shapes (sigma, tau) whose convolution is the
     canonical filling of rho.
 
-    The fast route constrains T: once S is fixed, the product forces the
-    permutation of T on a core support, leaving a binomial choice of extra
-    fixed entries and the usual row/rotation freedom.  The naive route
-    loops over both factors and is the enumeration oracle in tests.
+    T is constrained: once S is fixed, the product forces the permutation
+    of T on a core support, leaving a binomial choice of extra fixed
+    entries and the usual row/rotation freedom.  enumerate_F_naive is the
+    independent route that tests compare against.
     """
     if sigma.size() > max_size or tau.size() > max_size:
         raise ValueError(
             f"filling enumeration size exceeds bound {max_size}; raise max_size explicitly")
-    if method == "naive":
-        return _enumerate_F_naive(sigma, tau, rho)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
-
     r = rho.size()
     target = canonical_filling(rho)
     w_rho = target.to_partial_perm()
@@ -240,8 +230,10 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     return out
 
 
-def _enumerate_F_naive(sigma: Partition, tau: Partition,
-                       rho: Partition) -> list[tuple[Filling, Filling]]:
+def enumerate_F_naive(sigma: Partition, tau: Partition,
+                      rho: Partition) -> list[tuple[Filling, Filling]]:
+    """Guard route: the pairs of enumerate_F, found by convolving every
+    S-filling with every T-filling on {1..|rho|}."""
     r = rho.size()
     target = canonical_filling(rho)
     points = range(1, r + 1)

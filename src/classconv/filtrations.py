@@ -86,10 +86,6 @@ class DegreeFunction:
         return f"DegreeFunction({self.label()})"
 
 
-def degree(theta: DegreeFunction, rho: Partition) -> int:
-    return theta(rho)
-
-
 @dataclass(frozen=True)
 class Violation:
     sigma: Partition
@@ -103,18 +99,18 @@ class Violation:
                 f"theta_rho={self.theta_rho} bound={self.theta_bound}")
 
 
-def check_filtration(theta: DegreeFunction, bound: int = 5, *,
-                     max_bound: int = FILTRATION_DEFAULT_MAX_BOUND,
-                     allow_large: bool = False) -> list[Violation]:
+def check_filtration(theta: DegreeFunction,
+                     bound: int = FILTRATION_DEFAULT_MAX_BOUND, *,
+                     max_bound: int = FILTRATION_DEFAULT_MAX_BOUND) -> list[Violation]:
     """Scan all sigma, tau up to the size bound for filtration violations.
 
     Consumes the cached structure-constant table; every rho with a nonzero
     constant is tested against theta(sigma) + theta(tau).
     """
-    if bound > max_bound and not allow_large:
+    if bound > max_bound:
         raise ValueError(
             f"scan bound {bound} exceeds configured maximum {max_bound}; "
-            "pass allow_large to override")
+            "raise max_bound to override")
     out = []
     for (sigma, tau), expansion in sorted(
             g_table(bound).items(),
@@ -155,6 +151,8 @@ def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolatio
     gamma_{2k+1} <= 2 gamma_{k+1}.
     """
     g = [int(x) for x in gamma]
+    if K < 1:
+        raise ValueError("K must be at least 1")
     if len(g) < K:
         raise ValueError(f"need at least K={K} entries, got {len(g)}")
 

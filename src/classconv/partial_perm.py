@@ -143,14 +143,6 @@ def product(a: PartialPermutation, b: PartialPermutation) -> PartialPermutation:
     return PartialPermutation({x: a(b(x)) for x in sup})
 
 
-def cycle_type(a: PartialPermutation) -> Partition:
-    return a.cycle_type()
-
-
-def conjugate(a: PartialPermutation, v: PartialPermutation) -> PartialPermutation:
-    return a.conjugate(v)
-
-
 def canonical_rep(rho: Partition) -> PartialPermutation:
     """The fixed representative on {1..|rho|} with consecutive cycles."""
     m: dict[int, int] = {}

@@ -85,15 +85,6 @@ class SemigroupAlgebraElement:
         if self.n != other.n:
             raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
 
-    def phi_x(self, x: Iterable[int]) -> "GroupAlgebraElement":
-        return phi_x(self, x)
-
-    def truncate(self, m: int) -> "SemigroupAlgebraElement":
-        return truncate(self, m)
-
-    def forget_support(self) -> "GroupAlgebraElement":
-        return forget_support(self)
-
     def dump(self) -> list[tuple[tuple[int, ...], str, Fraction]]:
         """Structured record list sorted by (support size, support, cycle form)."""
         rows = []

@@ -2,7 +2,8 @@
 
 Each suite returns a SuiteResult with one Check per claim; the CLI
 renders them as lines and the acceptance tests assert on them.  All
-comparisons are exact.
+comparisons are exact.  A suite's first parameter, if it has any, is its
+size bound, and its default is the bound the CLI runs at.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import class_algebra as ca
 from . import filtrations as fl
 from . import golden
 from .characters import F_eval, s_star, x_mu
-from .fillings import Filling, canonical_filling, convolve, enumerate_F
+from .fillings import FILLINGS_DEFAULT_MAX, Filling, convolve, enumerate_F
 from .partial_perm import PartialPermutation, enumerate_semigroup, semigroup_size
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from .semigroup_algebra import (GroupAlgebraElement, SemigroupAlgebraElement,
@@ -123,11 +124,9 @@ def _fmt_terms(terms) -> str:
     return ", ".join(f"({p}): {c}" for p, c in items)
 
 
-def suite_oracle(max_total: int = 7, bound: int | None = None) -> SuiteResult:
+def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> SuiteResult:
     """g-route convolution against brute force in Q[S_n] at n = |sigma|+|tau|."""
     start = time.time()
-    if bound is None:
-        bound = max(max_total, ca.ORACLE_DEFAULT_BOUND)
     checks = []
     for total in range(max_total + 1):
         pairs = 0
@@ -139,7 +138,7 @@ def suite_oracle(max_total: int = 7, bound: int | None = None) -> SuiteResult:
                     via_g = ca.to_C_basis(
                         ca.multiply(ca.ClassVector.basis(sigma),
                                     ca.ClassVector.basis(tau), n=n), n)
-                    via_oracle = ca.oracle_convolve(sigma, tau, n, bound=bound)
+                    via_oracle = ca.oracle_convolve(sigma, tau, n, bound=max_total)
                     pairs += 1
                     if via_g != via_oracle:
                         bad.append((sigma, tau))
@@ -151,7 +150,7 @@ def suite_oracle(max_total: int = 7, bound: int | None = None) -> SuiteResult:
     return SuiteResult("oracle", checks, time.time() - start)
 
 
-def suite_fillings(max_size: int = 4) -> SuiteResult:
+def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> SuiteResult:
     start = time.time()
     checks = []
     s = Filling.from_string("3,4,5,6,9;2,1,7")
@@ -226,7 +225,7 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
     return SuiteResult("homomorphism", checks, time.time() - start)
 
 
-def suite_filtrations(bound: int = 5, allow_large: bool = False) -> SuiteResult:
+def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResult:
     start = time.time()
     checks = []
     named = [("deg1", fl.DegreeFunction.deg1()),
@@ -237,12 +236,12 @@ def suite_filtrations(bound: int = 5, allow_large: bool = False) -> SuiteResult:
         theta = fl.DegreeFunction.theta_J(J)
         named.append((theta.label(), theta))
     for label, theta in named:
-        violations = fl.check_filtration(theta, bound, allow_large=allow_large)
+        violations = fl.check_filtration(theta, bound, max_bound=bound)
         checks.append(Check(f"{label} is a filtration at bound {bound}",
                             not violations,
                             "" if not violations else violations[0].line()))
     bad_theta = fl.DegreeFunction.additive((0,) + (1,) * (2 * bound - 1))
-    violations = fl.check_filtration(bad_theta, bound, allow_large=allow_large)
+    violations = fl.check_filtration(bad_theta, bound, max_bound=bound)
     target = (Partition((4,)), Partition((5,)), Partition((2, 2, 2)))
     hit = any((v.sigma, v.tau, v.rho) == target or (v.tau, v.sigma, v.rho) == target
               for v in violations)

@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from classconv import verify as vf
 from classconv.cli import main
 from classconv.partitions import Partition
 
@@ -46,9 +48,6 @@ def test_mult_json_roundtrip(capsys):
 
 def test_gconst_and_fconst(capsys):
     code, out, _ = run(capsys, "gconst", "--sigma", "2", "--tau", "2", "--rho", "3")
-    assert (code, out) == (0, "3\n")
-    code, out, _ = run(capsys, "gconst", "--sigma", "2", "--tau", "2", "--rho", "3",
-                       "--naive")
     assert (code, out) == (0, "3\n")
     code, out, _ = run(capsys, "fconst", "--sigma", "2", "--tau", "2", "--rho", "3")
     assert (code, out) == (0, "4\n")
@@ -110,6 +109,9 @@ def test_usage_errors(capsys):
     assert code == 2 and "malformed partition string" in err
     code, _, err = run(capsys, "mult", "--basis", "A", "--lhs", "6,6", "--rhs", "5,5")
     assert code == 2 and "size bounds exceeded" in err
+    code, out, err = run(capsys, "mult", "--basis", "A", "--lhs", "2", "--rhs", "2",
+                         "--n", "-1")
+    assert code == 2 and out == "" and "must be nonnegative" in err
     code, _, err = run(capsys, "fillings-count", "--sigma", "5", "--tau", "2",
                        "--rho", "5,2")
     assert code == 2 and "size bounds exceeded" in err
@@ -134,6 +136,32 @@ def test_verify_suites_exit_codes(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True and "violations" not in doc
     assert all(c["ok"] for c in doc["results"])
+
+
+@pytest.mark.parametrize("suite", sorted(vf.SUITES))
+def test_verify_max_size_only_raises_a_suite_bound(capsys, monkeypatch, suite):
+    ran = []
+
+    def fake_run(name, **options):
+        ran.append(options)
+        return vf.SuiteResult(name)
+
+    monkeypatch.setattr(vf, "run_suite", fake_run)
+    params = list(inspect.signature(vf.SUITES[suite]).parameters.values())
+    if not params:
+        code, _, err = run(capsys, "verify", "--suite", suite, "--max-size", "1")
+        assert code == 2 and "does not take --max-size" in err
+        assert ran == []
+        return
+    bound = params[0]
+    for below in sorted({bound.default - 1, 0, -1}):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-size", str(below))
+        assert code == 2 and out == "" and "below suite default" in err
+    assert ran == []
+    code, _, err = run(capsys, "verify", "--suite", suite,
+                       "--max-size", str(bound.default))
+    assert code == 0 and err == ""
+    assert ran == [{bound.name: bound.default}]
 
 
 def test_verify_override_warns(capsys):

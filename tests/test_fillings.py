@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from classconv.class_algebra import f_constant
 from classconv.fillings import (Filling, canonical_filling, convolve,
-                                enumerate_F, fillings_of_perm,
-                                fillings_of_shape, to_partial_perm)
+                                enumerate_F, enumerate_F_naive,
+                                fillings_of_perm, fillings_of_shape)
 from classconv.partial_perm import PartialPermutation, canonical_rep, product
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 
@@ -74,8 +74,8 @@ def test_canonical_filling():
 @given(fillings(), fillings())
 @settings(max_examples=150)
 def test_convolution_is_semigroup_homomorphism(s, t):
-    assert to_partial_perm(convolve(s, t)) == product(
-        to_partial_perm(s), to_partial_perm(t))
+    assert convolve(s, t).to_partial_perm() == product(
+        s.to_partial_perm(), t.to_partial_perm())
 
 
 @given(fillings(max_point=6), fillings(max_point=6), fillings(max_point=6))
@@ -83,7 +83,7 @@ def test_convolution_is_semigroup_homomorphism(s, t):
 def test_convolution_associative_after_projection(a, b, c):
     left = convolve(convolve(a, b), c)
     right = convolve(a, convolve(b, c))
-    assert to_partial_perm(left) == to_partial_perm(right)
+    assert left.to_partial_perm() == right.to_partial_perm()
     assert left.shape == right.shape
 
 
@@ -98,7 +98,7 @@ def test_convolution_not_associative_on_the_nose():
     assert left == Filling([[3, 2, 1]])
     assert right == Filling([[1, 3, 2]])
     assert left != right
-    assert to_partial_perm(left) == to_partial_perm(right)
+    assert left.to_partial_perm() == right.to_partial_perm()
 
 
 def test_fiber_sizes_and_filling_counts():
@@ -149,14 +149,14 @@ def test_enumerate_F_fast_matches_naive():
                            sigma.size() + tau.size() + 1):
                 for rho in enumerate_partitions(r):
                     fast = enumerate_F(sigma, tau, rho)
-                    naive = enumerate_F(sigma, tau, rho, method="naive")
+                    naive = enumerate_F_naive(sigma, tau, rho)
                     assert sorted(map(str, (s for s, _ in fast))) == sorted(
                         map(str, (s for s, _ in naive)))
                     assert len(fast) == len(naive)
     spot = [(P(3), P(2), P(4)), (P(2, 1), P(2), P(2, 2, 1)), (P(3), P(3), P(2, 2))]
     for sigma, tau, rho in spot:
         assert (len(enumerate_F(sigma, tau, rho))
-                == len(enumerate_F(sigma, tau, rho, method="naive")))
+                == len(enumerate_F_naive(sigma, tau, rho)))
 
 
 def test_enumerate_F_bound_guard():

@@ -73,6 +73,11 @@ def test_gamma_inequalities_violations():
     assert any(v.rule in {"split", "chain", "double"} for v in out)
     with pytest.raises(ValueError):
         check_gamma_inequalities((1, 2), 8)
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            check_gamma_inequalities((), K)
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            check_gamma_inequalities((1, 2, 3), K)
 
 
 def test_limit_ratio():
