@@ -1,11 +1,17 @@
 """Symmetric-group characters and shifted-symmetric evaluations.
 
 Characters come from the Murnaghan-Nakayama recursion over border-strip
-removals (computed on beta numbers); dimensions from the hook length
-formula; skew dimensions from corner-removal recursion.  On top of these
-sit the shifted power sums p#, the shifted Schur values s* obtained from
-p# by character orthogonality, the evaluation isomorphism F, and the
-class vectors x_mu whose F-images are the s*.
+removals.  Each shape is encoded as a bitmask of its beta numbers, where a
+strip removal is one bead moved down to an empty position, and the values
+are memoized per remaining cycle-type suffix ({rho_rest: {mask: chi}}), so
+a suffix is stored once rather than in every key.  Whole tables come from
+one builder, shared with the structure-constant route in class_algebra,
+that encodes each shape once and takes each entry one recursion step into
+that memo.  Dimensions come from the hook length formula, skew dimensions
+from corner-removal recursion.  On top of these sit the shifted power
+sums p#, the shifted Schur values s* obtained from p# by character
+orthogonality, the evaluation isomorphism F, and the class vectors x_mu
+whose F-images are the s*.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -15,45 +21,78 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterator
 
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions, falling_factorial
 
+# Each shape is held as its beta set in an int: bit lam_i + len(lam) - 1 - i
+# is set for every part, so the parts are positive exactly when bit 0 is
+# clear.  A border strip of size k is a bead moved from b down to an empty
+# b - k, and its height is the number of beads strictly between.
+_MEMO: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-def _border_strip_removals(lam: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Ways to remove a border strip of size k, as (new shape, height)."""
+
+def _beads(lam: tuple[int, ...]) -> int:
     ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    bset = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        nbeta = sorted((x for x in beta if x != b), reverse=True)
-        nbeta.append(nb)
-        nbeta.sort(reverse=True)
-        parts = tuple(nbeta[j] - (ell - 1 - j) for j in range(ell))
-        yield tuple(x for x in parts if x), height
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + ell - 1 - i)
+    return mask
 
 
-@cache
-def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    if not rho:
-        return 1
-    k = rho[0]
+def _strip_sum(mask: int, k: int, rest: tuple[int, ...]) -> int:
+    """Sum over the size-k border strips of mask of (-1)^height chi^(mask minus
+    strip) on rest: one Murnaghan-Nakayama step."""
+    sub = _MEMO.setdefault(rest, {})
+    between = (1 << (k - 1)) - 1
+    move = (1 << k) | 1
+    targets = (mask >> k) & ~mask
     total = 0
-    for mu, height in _border_strip_removals(lam, k):
-        total += (-1) ** height * _char(mu, rho[1:])
+    while targets:
+        low = targets & -targets
+        targets ^= low
+        t = low.bit_length() - 1
+        new = mask ^ (move << t)
+        if not t:
+            # beads at 0, 1, ... stand for zero parts: drop them
+            new >>= ((new + 1) & ~new).bit_length() - 1
+        chi = sub.get(new)
+        if chi is None:
+            chi = sub[new] = _strip_sum(new, rest[0], rest[1:])
+        if ((mask >> (t + 1)) & between).bit_count() & 1:
+            total -= chi
+        else:
+            total += chi
     return total
+
+
+def _chi(mask: int, rho: tuple[int, ...]) -> int:
+    """chi^lam_rho for the shape lam with beta set mask, memoized per rho."""
+    memo = _MEMO.setdefault(rho, {})
+    chi = memo.get(mask)
+    if chi is None:
+        chi = memo[mask] = _strip_sum(mask, rho[0], rho[1:])
+    return chi
 
 
 def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam on the class of cycle type rho."""
     if lam.size() != rho.size():
         raise ValueError(f"|{lam}| != |{rho}|")
-    return _char(lam.parts, rho.parts)
+    return _chi(_beads(lam.parts), rho.parts)
+
+
+def _table(n: int) -> tuple[list[Partition], list[tuple[int, ...]]]:
+    """The partitions of n in canonical order and, for each as a class, the
+    column chi^lam_rho over lam in that order.  Each shape is encoded once
+    and each entry is one Murnaghan-Nakayama step into the memo, which does
+    not store the entries themselves."""
+    labels = enumerate_partitions(n)
+    if not n:
+        return labels, [(1,)]
+    masks = [_beads(lam.parts) for lam in labels]
+    return labels, [tuple(_strip_sum(mask, rho.parts[0], rho.parts[1:]) for mask in masks)
+                    for rho in labels]
 
 
 @cache
@@ -99,19 +138,19 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
 class CharacterTable:
     """The full character table of S_n in the canonical partition order."""
 
-    __slots__ = ("n", "labels", "matrix")
+    __slots__ = ("n", "labels", "matrix", "_index")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.labels = enumerate_partitions(n)
-        self.matrix = [[character(lam, rho) for rho in self.labels]
-                       for lam in self.labels]
+        self.labels, columns = _table(n)
+        self.matrix = [list(row) for row in zip(*columns)]
+        self._index = {lam: i for i, lam in enumerate(self.labels)}
 
     def value(self, lam: Partition, rho: Partition) -> int:
-        return self.matrix[self.labels.index(lam)][self.labels.index(rho)]
+        return self.matrix[self._index[lam]][self._index[rho]]
 
     def dimensions(self) -> list[int]:
-        one_col = self.labels.index(Partition((1,) * self.n)) if self.n else 0
+        one_col = self._index[Partition((1,) * self.n)]
         return [row[one_col] for row in self.matrix]
 
 
@@ -121,18 +160,26 @@ def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if r > n:
         return Fraction(0)
-    chi = character(lam, rho.pad(n))
-    return Fraction(falling_factorial(n, r) * chi, dimension(lam))
+    chi = _chi(_beads(lam.parts), rho.parts + (1,) * (n - r))
+    return Fraction(falling_factorial(n, r) * chi, _dim(lam.parts))
 
 
 def s_star(mu: Partition, lam: Partition) -> Fraction:
-    """Shifted Schur value, inverted from p# by character orthogonality."""
-    total = Fraction(0)
-    for rho in enumerate_partitions(mu.size()):
-        chi = character(mu, rho)
+    """Shifted Schur value, inverted from p# by character orthogonality:
+    (n)_r / (r! dim lam) times sum_rho chi^mu_rho (r!/z_rho) chi^lam_{rho 1^(n-r)}."""
+    r = mu.size()
+    n = lam.size()
+    if r > n:
+        return Fraction(0)
+    mu_mask, lam_mask = _beads(mu.parts), _beads(lam.parts)
+    ones = (1,) * (n - r)
+    r_fact = factorial(r)
+    total = 0
+    for rho in enumerate_partitions(r):
+        chi = _chi(mu_mask, rho.parts)
         if chi:
-            total += Fraction(chi, rho.centralizer_size()) * p_sharp(rho, lam)
-    return total
+            total += chi * (r_fact // rho.centralizer_size()) * _chi(lam_mask, rho.parts + ones)
+    return Fraction(falling_factorial(n, r) * total, r_fact * _dim(lam.parts))
 
 
 def F_eval(v: ClassVector, lam: Partition) -> Fraction:

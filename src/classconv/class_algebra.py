@@ -32,11 +32,10 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .characters import _char, _dim
+from .characters import _dim, _table
 from .class_vector import ClassVector
 from .partial_perm import permutations_of_type
-from .partitions import (Partition, enumerate_partitions, falling_factorial,
-                         partitions_up_to)
+from .partitions import Partition, falling_factorial, partitions_up_to
 
 ORACLE_DEFAULT_BOUND = 7
 
@@ -102,11 +101,9 @@ def _level(m: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], tuple[i
     """The labels of S_m's classes in canonical order, each class's character
     column (chi^lam_mu over lam in that order, keyed by mu's parts) and the
     hook products m!/dim lam."""
-    labels = tuple(enumerate_partitions(m))
-    columns = {mu.parts: tuple(_char(lam.parts, mu.parts) for lam in labels)
-               for mu in labels}
+    labels, columns = _table(m)
     hooks = tuple(factorial(m) // _dim(lam.parts) for lam in labels)
-    return labels, columns, hooks
+    return tuple(labels), {mu.parts: col for mu, col in zip(labels, columns)}, hooks
 
 
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:

@@ -8,7 +8,9 @@ under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from typing import Iterator
 
 from classconv.partitions import Partition, enumerate_partitions
 
@@ -87,6 +89,35 @@ def _perm_character(lam: Partition, rho: Partition) -> int:
         return total
 
     return place(0)
+
+
+def _border_strip_removals(lam: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Ways to remove a border strip of size k, as (new shape, height)."""
+    ell = len(lam)
+    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
+    bset = set(beta)
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        nbeta = sorted((x for x in beta if x != b), reverse=True)
+        nbeta.append(nb)
+        nbeta.sort(reverse=True)
+        parts = tuple(nbeta[j] - (ell - 1 - j) for j in range(ell))
+        yield tuple(x for x in parts if x), height
+
+
+@cache
+def character_beta_tuples(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama on beta-number lists, one memo entry per
+    (shape, cycle type) pair: fast enough for tables through S_14."""
+    if not rho:
+        return 1
+    total = 0
+    for mu, height in _border_strip_removals(lam, rho[0]):
+        total += (-1) ** height * character_beta_tuples(mu, rho[1:])
+    return total
 
 
 def character_table_bruteforce(n: int) -> dict[tuple[Partition, Partition], int]:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
+from classconv import class_algebra
 from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, skew_dimension, x_mu)
 from classconv.class_algebra import ClassVector, multiply
@@ -10,8 +12,8 @@ from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
 from classconv.semigroup_algebra import SemigroupAlgebraElement, class_element
-from oracles import (character_table_bruteforce, skew_syt_count_brute,
-                     syt_count_brute)
+from oracles import (character_beta_tuples, character_table_bruteforce,
+                     skew_syt_count_brute, syt_count_brute)
 
 P = lambda *parts: Partition(parts)
 
@@ -61,12 +63,41 @@ def test_orthogonality():
                 assert col == want
 
 
+def test_tables_match_beta_tuple_route():
+    for n in range(15):
+        t = CharacterTable(n)
+        assert t.labels == enumerate_partitions(n)
+        assert t.matrix == [[character_beta_tuples(lam.parts, rho.parts) for rho in t.labels]
+                            for lam in t.labels]
+    for m in range(12):
+        labels, columns, _ = class_algebra._level(m)
+        assert labels == tuple(enumerate_partitions(m))
+        assert columns == {mu.parts: tuple(character_beta_tuples(lam.parts, mu.parts)
+                                           for lam in labels) for mu in labels}
+
+
+def test_table_column_orthogonality():
+    for n in range(13):
+        t = CharacterTable(n)
+        columns = list(zip(*t.matrix))
+        for i, r1 in enumerate(t.labels):
+            for j in range(i, len(t.labels)):
+                dot = sum(map(mul, columns[i], columns[j]))
+                assert dot == (r1.centralizer_size() if i == j else 0), (n, r1, t.labels[j])
+
+
 def test_character_table_object():
     t = CharacterTable(4)
     assert t.value(P(2, 1, 1), P(2, 2)) == -1
     assert t.value(P(2, 2), P(2, 1, 1)) == 0
     assert t.value(P(4), P(2, 1, 1)) == 1
     assert t.dimensions() == [dimension(lam) for lam in t.labels]
+    for n in range(8):
+        t = CharacterTable(n)
+        assert t.dimensions() == [dimension(lam) for lam in t.labels]
+        for lam in t.labels:
+            for rho in t.labels:
+                assert t.value(lam, rho) == character(lam, rho)
 
 
 def test_skew_dimension():
@@ -110,6 +141,17 @@ def test_s_star():
             continue
         for lam in partitions_up_to(mu.size() - 1):
             assert s_star(mu, lam) == 0
+
+
+def test_s_star_matches_fraction_sum():
+    # the integer-numerator form against the sum of p# over classes
+    for mu in partitions_up_to(6):
+        rhos = enumerate_partitions(mu.size())
+        for lam in partitions_up_to(10):
+            want = sum((Fraction(character(mu, rho), rho.centralizer_size()) * p_sharp(rho, lam)
+                        for rho in rhos), Fraction(0))
+            got = s_star(mu, lam)
+            assert isinstance(got, Fraction) and got == want, (mu, lam)
 
 
 def test_shifted_schur_chain():
