@@ -103,31 +103,19 @@ def _cmd_mult(args) -> int:
     return 0
 
 
-def _cmd_gconst(args) -> int:
+def _cmd_constant(args) -> int:
+    """gconst and fconst: one value of the structure-constant function bound
+    to the subcommand."""
     sigma = _parse_partition(args.sigma, "--sigma")
     tau = _parse_partition(args.tau, "--tau")
     rho = _parse_partition(args.rho, "--rho")
     _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
-    g = ca.g_constant(sigma, tau, rho)
-    doc = {"command": "gconst",
+    value = args.constant(sigma, tau, rho)
+    doc = {"command": args.command,
            "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
                       "rho": _jsonable(rho)},
-           "results": g}
-    _emit(args, doc, [str(g)])
-    return 0
-
-
-def _cmd_fconst(args) -> int:
-    sigma = _parse_partition(args.sigma, "--sigma")
-    tau = _parse_partition(args.tau, "--tau")
-    rho = _parse_partition(args.rho, "--rho")
-    _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
-    f = ca.f_constant(sigma, tau, rho)
-    doc = {"command": "fconst",
-           "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
-                      "rho": _jsonable(rho)},
-           "results": f}
-    _emit(args, doc, [str(f)])
+           "results": value}
+    _emit(args, doc, [str(value)])
     return 0
 
 
@@ -296,9 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="truncation level")
     p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
 
-    for name, func in [("gconst", _cmd_gconst), ("fconst", _cmd_fconst),
-                       ("qpoly", _cmd_qpoly)]:
+    for name, func, constant in [("gconst", _cmd_constant, ca.g_constant),
+                                 ("fconst", _cmd_constant, ca.f_constant),
+                                 ("qpoly", _cmd_qpoly, None)]:
         p = add(name, func, f"compute one {name} value")
+        p.set_defaults(constant=constant)
         p.add_argument("--sigma", required=True)
         p.add_argument("--tau", required=True)
         p.add_argument("--rho", required=True)

@@ -6,14 +6,21 @@ cycles of a partial permutation.  Convolution reads the union of the
 supports in a fixed order and re-emits the cycles of the product, which
 realizes the product of partial permutations with enough extra rigidity
 to count the rescaled structure constants by direct enumeration.
+
+A filling is held as its tuple of row tuples.  Its partial permutation is
+the image dict {x: next x in its row} that ``_images`` reads off the rows;
+convolution and the enumeration of filling pairs compose and invert such
+dicts directly, and build a ``PartialPermutation`` only when asked for one.
+Fillings made here from rows that are valid by construction skip the
+validation that ``Filling(rows)`` applies to outside input.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _itertools_perms
+from itertools import accumulate, combinations, permutations, product
 from typing import Iterable, Iterator
 
-from .partial_perm import PartialPermutation, product
+from .partial_perm import PartialPermutation
 from .partitions import Partition
 
 FILLINGS_DEFAULT_MAX = 4
@@ -44,6 +51,13 @@ class Filling:
                 seen.add(x)
         self.rows = rs
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "Filling":
+        """A filling of rows already known to be valid, unchecked."""
+        f = object.__new__(cls)
+        f.rows = rows
+        return f
+
     @property
     def support(self) -> frozenset[int]:
         return frozenset(x for row in self.rows for x in row)
@@ -57,11 +71,7 @@ class Filling:
 
     def to_partial_perm(self) -> PartialPermutation:
         """Each row (r1,...,rk) becomes the cycle r1 -> r2 -> ... -> rk -> r1."""
-        m: dict[int, int] = {}
-        for row in self.rows:
-            for i, x in enumerate(row):
-                m[x] = row[(i + 1) % len(row)]
-        return PartialPermutation(m)
+        return PartialPermutation(_images(self.rows))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Filling) and self.rows == other.rows
@@ -88,6 +98,26 @@ class Filling:
         return cls(rows)
 
 
+def _images(rows: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """{x: next x in its row}, each row read as a cycle."""
+    return {x: y for row in rows for x, y in zip(row, row[1:] + row[:1])}
+
+
+def _cycles(images: dict[int, int], order: Iterable[int]) -> list[tuple[int, ...]]:
+    """The cycles of a bijection, each started at its first point in the
+    order, in that order.  Empties the dict."""
+    out = []
+    for start in order:
+        if start in images:
+            cyc = [start]
+            x = images.pop(start)
+            while x != start:
+                cyc.append(x)
+                x = images.pop(x)
+            out.append(tuple(cyc))
+    return out
+
+
 def convolve(s: Filling, t: Filling) -> Filling:
     """Convolution S*T: read supports in order, emit product cycles, resort.
 
@@ -97,52 +127,47 @@ def convolve(s: Filling, t: Filling) -> Filling:
     unused element, starting there; finally rows are reordered by
     decreasing length, stably.
     """
-    order: list[int] = []
-    seen: set[int] = set()
-    for x in s.reading_order() + t.reading_order():
-        if x not in seen:
-            order.append(x)
-            seen.add(x)
-    prod = product(s.to_partial_perm(), t.to_partial_perm())
-    used: set[int] = set()
-    rows: list[tuple[int, ...]] = []
-    for start in order:
-        if start in used:
-            continue
-        cyc = [start]
-        x = prod(start)
-        while x != start:
-            cyc.append(x)
-            x = prod(x)
-        used.update(cyc)
-        rows.append(tuple(cyc))
+    s_img, t_img = _images(s.rows), _images(t.rows)
+    prod = {x: s_img.get(y, y) for x, y in t_img.items()}
+    for x, y in s_img.items():
+        prod.setdefault(x, y)
+    rows = _cycles(prod, dict.fromkeys(s.reading_order() + t.reading_order()))
     rows.sort(key=len, reverse=True)
-    return Filling(rows)
+    return Filling._of(tuple(rows))
 
 
 def canonical_filling(rho: Partition) -> Filling:
     """Row i holds consecutive integers continuing from row i-1."""
-    rows = []
-    start = 1
-    for part in rho:
-        rows.append(tuple(range(start, start + part)))
-        start += part
-    return Filling(rows)
+    cuts = list(accumulate(rho.parts, initial=1))
+    return Filling._of(tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:])))
 
 
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
     pts = sorted(points)
     k = shape.size()
-    lens = shape.parts
+    if 0 < k <= len(pts) and (pts[0] < 1 or (k > 1 and len(set(pts)) < len(pts))):
+        raise ValueError(f"points must be distinct positive integers, got {pts}")
+    cuts = list(accumulate(shape.parts, initial=0))
+    spans = list(zip(cuts, cuts[1:]))
     for chosen in combinations(pts, k):
-        for arrangement in _itertools_perms(chosen):
-            rows = []
-            i = 0
-            for ln in lens:
-                rows.append(arrangement[i:i + ln])
-                i += ln
-            yield Filling(rows)
+        for arrangement in permutations(chosen):
+            yield Filling._of(tuple(arrangement[a:b] for a, b in spans))
+
+
+def _fillings_of_cycles(cycles: list[tuple[int, ...]]) -> Iterator[Filling]:
+    """Every placement of the cycles as rows, longest first: equal-length
+    cycles permuted among their rows, each row started at any of its points.
+    Cycles of one length keep their given order in the first placement."""
+    by_len: dict[int, list[tuple[int, ...]]] = {}
+    for cyc in cycles:
+        by_len.setdefault(len(cyc), []).append(cyc)
+    groups = [[tuple(c[i:] + c[:i] for c, i in zip(order, starts))
+               for order in permutations(group)
+               for starts in product(range(ln), repeat=len(group))]
+              for ln, group in sorted(by_len.items(), reverse=True)]
+    for choice in product(*groups):
+        yield Filling._of(sum(choice, ()))
 
 
 def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filling]:
@@ -152,42 +177,8 @@ def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filli
     each row may start at any point of its cycle, giving the centralizer
     order z_shape many fillings in total.
     """
-    if pp.cycle_type() != shape:
-        return
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in pp.cycles():
-        by_len.setdefault(len(cyc), []).append(cyc)
-    row_slots: dict[int, list[int]] = {}
-    for idx, ln in enumerate(shape.parts):
-        row_slots.setdefault(ln, []).append(idx)
-
-    def rotations(cyc: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-
-    def assign(lengths: list[int], rows: list) -> Iterator[list]:
-        if not lengths:
-            yield rows
-            return
-        ln = lengths[0]
-        slots = row_slots[ln]
-        for perm in _itertools_perms(by_len[ln]):
-            choices: list[list[tuple[int, ...]]] = [rotations(c) for c in perm]
-
-            def fill(i: int) -> Iterator[list]:
-                if i == len(slots):
-                    yield from assign(lengths[1:], rows)
-                    return
-                for rot in choices[i]:
-                    rows[slots[i]] = rot
-                    yield from fill(i + 1)
-                rows[slots[i]] = None
-
-            yield from fill(0)
-
-    lengths = sorted(by_len, reverse=True)
-    base: list = [None] * shape.length()
-    for rows in assign(lengths, base):
-        yield Filling(list(rows))
+    if pp.cycle_type() == shape:
+        yield from _fillings_of_cycles(list(pp.cycles()))
 
 
 def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
@@ -197,34 +188,35 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
 
     T is constrained: once S is fixed, the product forces the permutation
     of T on a core support, leaving a binomial choice of extra fixed
-    entries and the usual row/rotation freedom.  enumerate_F_naive is the
-    independent route that tests compare against.
+    entries and the usual row/rotation freedom.  There are no pairs unless
+    max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.  enumerate_F_naive is
+    the independent route that tests compare against.
     """
     if sigma.size() > max_size or tau.size() > max_size:
         raise ValueError(
             f"filling enumeration size exceeds bound {max_size}; raise max_size explicitly")
     r = rho.size()
+    if not max(sigma.size(), tau.size()) <= r <= sigma.size() + tau.size():
+        return []
     target = canonical_filling(rho)
-    w_rho = target.to_partial_perm()
-    points = frozenset(range(1, r + 1))
+    rho_img = _images(target.rows)
+    core_type = tau.strip_ones().parts
     out: list[tuple[Filling, Filling]] = []
-    for s in fillings_of_shape(sigma, points):
-        ws = s.to_partial_perm()
-        ws_inv = ws.inverse()
-        forced_map = {x: ws_inv(w_rho(x)) for x in points}
-        nonfixed = {x for x, y in forced_map.items() if x != y}
-        forced = nonfixed | (points - s.support)
-        core_type = Partition(sorted(
-            (len(c) for c in PartialPermutation(
-                {x: forced_map[x] for x in forced}).cycles() if len(c) > 1),
-            reverse=True))
-        if core_type != tau.strip_ones() or tau.size() < len(forced):
+    for s in fillings_of_shape(sigma, range(1, r + 1)):
+        s_inv = {y: x for x, y in _images(s.rows).items()}
+        cycles = _cycles({x: s_inv.get(y, y) for x, y in rho_img.items()},
+                         range(1, r + 1))
+        core = [c for c in cycles if len(c) > 1]
+        fixed = [c[0] for c in cycles if len(c) == 1]
+        # T covers the moved points and the points off S; the rest of its
+        # support is `need` fixed points chosen inside S
+        free = [x for x in fixed if x not in s_inv]
+        need = tau.size() - (r - len(fixed)) - len(free)
+        if tuple(sorted(map(len, core), reverse=True)) != core_type or need < 0:
             continue
-        need = tau.size() - len(forced)
-        for extra in combinations(sorted(points - forced), need):
-            dt = forced | set(extra)
-            wt = PartialPermutation({x: forced_map[x] for x in dt})
-            for t in fillings_of_perm(tau, wt):
+        for extra in combinations([x for x in fixed if x in s_inv], need):
+            ones = [(x,) for x in sorted(free + list(extra))]
+            for t in _fillings_of_cycles(core + ones):
                 if convolve(s, t) == target:
                     out.append((s, t))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .class_algebra import g_table
 from .partitions import Partition
@@ -21,66 +21,57 @@ FILTRATION_DEFAULT_MAX_BOUND = 5
 
 
 class DegreeFunction:
-    """One of the supported degree rules on partitions."""
+    """An additive degree rule: theta(rho) = sum of gamma_k over the parts k."""
 
-    __slots__ = ("kind", "J", "gamma")
+    __slots__ = ("_label", "_gamma")
 
-    def __init__(self, kind: str, J: frozenset[int] | None = None,
-                 gamma: tuple[int, ...] | None = None) -> None:
-        self.kind = kind
-        self.J = J
-        self.gamma = gamma
+    def __init__(self, label: str, gamma: Callable[[int], int]) -> None:
+        self._label = label
+        self._gamma = gamma
 
     @classmethod
     def deg1(cls) -> "DegreeFunction":
-        """Size of the partition."""
-        return cls("deg1")
+        """Size of the partition: gamma_k = k."""
+        return cls("deg1", lambda k: k)
 
     @classmethod
     def deg2(cls) -> "DegreeFunction":
-        """Size plus the number of unit parts."""
-        return cls("deg2")
+        """Size plus the number of unit parts: gamma_1 = 2, gamma_k = k for k >= 2."""
+        return cls("deg2", lambda k: k + (k == 1))
 
     @classmethod
     def deg3(cls) -> "DegreeFunction":
-        """Cayley length: size minus number of parts."""
-        return cls("deg3")
+        """Cayley length, size minus number of parts: gamma_k = k - 1."""
+        return cls("deg3", lambda k: k - 1)
 
     @classmethod
     def theta_J(cls, J) -> "DegreeFunction":
         """Size plus the multiplicities of part lengths in J."""
-        return cls("theta_J", J=frozenset(int(k) for k in J))
+        J = frozenset(int(k) for k in J)
+        return cls("theta_J{" + ",".join(str(k) for k in sorted(J)) + "}",
+                   lambda k: k + (k in J))
 
     @classmethod
     def additive(cls, gamma: Sequence[int]) -> "DegreeFunction":
         """theta(rho) = sum_k gamma_k m_k(rho) with gamma_k = gamma[k-1]."""
-        return cls("additive", gamma=tuple(int(g) for g in gamma))
+        g = tuple(int(x) for x in gamma)
+
+        def gamma_k(k: int) -> int:
+            if k > len(g):
+                raise ValueError(f"gamma list too short: need index {k}, have {len(g)}")
+            return g[k - 1]
+
+        return cls("additive(" + ",".join(str(x) for x in g) + ")", gamma_k)
 
     def __call__(self, rho: Partition) -> int:
-        if self.kind == "deg1":
-            return rho.size()
-        if self.kind == "deg2":
-            return rho.size() + rho.multiplicity(1)
-        if self.kind == "deg3":
-            return rho.size() - rho.length()
-        if self.kind == "theta_J":
-            return rho.size() + sum(1 for part in rho if part in self.J)
-        if self.kind == "additive":
-            total = 0
-            for part in rho:
-                if part > len(self.gamma):
-                    raise ValueError(
-                        f"gamma list too short: need index {part}, have {len(self.gamma)}")
-                total += self.gamma[part - 1]
-            return total
-        raise ValueError(f"unknown degree kind {self.kind!r}")
+        return sum(map(self._gamma, rho.parts))
+
+    def gammas(self, length: int) -> tuple[int, ...]:
+        """(gamma_1, ..., gamma_length)."""
+        return tuple(map(self._gamma, range(1, length + 1)))
 
     def label(self) -> str:
-        if self.kind == "theta_J":
-            return "theta_J{" + ",".join(str(k) for k in sorted(self.J)) + "}"
-        if self.kind == "additive":
-            return "additive(" + ",".join(str(g) for g in self.gamma) + ")"
-        return self.kind
+        return self._label
 
     def __repr__(self) -> str:
         return f"DegreeFunction({self.label()})"
@@ -196,18 +187,3 @@ def limit_ratio(gamma: Sequence[int], K: int) -> Fraction:
     if len(g) < K + 1:
         raise ValueError(f"need at least K+1={K + 1} entries, got {len(g)}")
     return min(Fraction(g[k], k) for k in range(1, K + 1))
-
-
-def gamma_deg1(length: int) -> tuple[int, ...]:
-    """gamma_k = k."""
-    return tuple(range(1, length + 1))
-
-
-def gamma_deg2(length: int) -> tuple[int, ...]:
-    """gamma_1 = 2, gamma_k = k for k >= 2."""
-    return (2,) + tuple(range(2, length + 1))
-
-
-def gamma_deg3(length: int) -> tuple[int, ...]:
-    """gamma_k = k - 1."""
-    return tuple(range(length))

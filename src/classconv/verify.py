@@ -18,11 +18,10 @@ from . import filtrations as fl
 from . import golden
 from .characters import F_eval, s_star, x_mu
 from .fillings import FILLINGS_DEFAULT_MAX, Filling, convolve, enumerate_F
-from .partial_perm import PartialPermutation, enumerate_semigroup, semigroup_size
-from .partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
-from .semigroup_algebra import (GroupAlgebraElement, SemigroupAlgebraElement,
-                                center_dimension, center_dimension_by_pairs,
-                                epsilon, phi_x)
+from .partial_perm import enumerate_semigroup, semigroup_size
+from .partitions import Partition, enumerate_partitions, partitions_up_to
+from .semigroup_algebra import (SemigroupAlgebraElement, center_dimension,
+                                center_dimension_by_pairs, epsilon, phi_x)
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,9 @@ def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResu
 def suite_gamma(K: int = 8) -> SuiteResult:
     start = time.time()
     checks = []
-    for label, gam in [("deg1", fl.gamma_deg1(K + 1)),
-                       ("deg2", fl.gamma_deg2(K + 1)),
-                       ("deg3", fl.gamma_deg3(K + 1))]:
+    for theta in (fl.DegreeFunction.deg1(), fl.DegreeFunction.deg2(),
+                  fl.DegreeFunction.deg3()):
+        label, gam = theta.label(), theta.gammas(K + 1)
         violations = fl.check_gamma_inequalities(gam, K)
         checks.append(Check(f"gamma inequalities for {label} up to K={K}",
                             not violations,

@@ -81,6 +81,9 @@ def test_fillings_commands(capsys):
     code, out, _ = run(capsys, "fillings-count", "--sigma", "2", "--tau", "2",
                        "--rho", "3")
     assert (code, out) == (0, "4\n")
+    code, out, _ = run(capsys, "fillings-count", "--sigma", "4", "--tau", "4",
+                       "--rho", "30")
+    assert (code, out) == (0, "0\n")
 
 
 def test_peval_sstar_feval(capsys):

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classconv import fillings as fillings_module
 from classconv.class_algebra import f_constant
 from classconv.fillings import (Filling, canonical_filling, convolve,
                                 enumerate_F, enumerate_F_naive,
@@ -39,6 +40,10 @@ def test_validation():
         Filling([[]])
     with pytest.raises(ValueError):
         Filling([[0]])
+    # fillings_of_shape checks its point set as Filling checks rows
+    for points in ([0, 1], [1, 1, 2]):
+        with pytest.raises(ValueError):
+            list(fillings_of_shape(P(2), points))
 
 
 def test_to_partial_perm_example():
@@ -142,21 +147,31 @@ def test_enumerate_F_matches_f_small():
                             == f_constant(sigma, tau, rho)), (sigma, tau, rho)
 
 
+def _pair_strings(pairs):
+    return sorted((str(s), str(t)) for s, t in pairs)
+
+
 def test_enumerate_F_fast_matches_naive():
     for sigma in partitions_up_to(2):
         for tau in partitions_up_to(2):
             for r in range(max(sigma.size(), tau.size()),
                            sigma.size() + tau.size() + 1):
                 for rho in enumerate_partitions(r):
-                    fast = enumerate_F(sigma, tau, rho)
-                    naive = enumerate_F_naive(sigma, tau, rho)
-                    assert sorted(map(str, (s for s, _ in fast))) == sorted(
-                        map(str, (s for s, _ in naive)))
-                    assert len(fast) == len(naive)
+                    assert _pair_strings(enumerate_F(sigma, tau, rho)) == _pair_strings(
+                        enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
     spot = [(P(3), P(2), P(4)), (P(2, 1), P(2), P(2, 2, 1)), (P(3), P(3), P(2, 2))]
     for sigma, tau, rho in spot:
-        assert (len(enumerate_F(sigma, tau, rho))
-                == len(enumerate_F_naive(sigma, tau, rho)))
+        assert _pair_strings(enumerate_F(sigma, tau, rho)) == _pair_strings(
+            enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
+
+
+def test_enumerate_F_out_of_range_rho_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("S-fillings enumerated for a rho with no pairs")
+
+    monkeypatch.setattr(fillings_module, "fillings_of_shape", refuse)
+    assert enumerate_F(P(4), P(4), P(30)) == []
+    assert enumerate_F(P(3), P(1), P(2)) == []
 
 
 def test_enumerate_F_bound_guard():

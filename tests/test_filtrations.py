@@ -5,12 +5,12 @@ import pytest
 from classconv.class_algebra import product_expansion, q_polynomial
 from classconv.filtrations import (DegreeFunction, GammaViolation,
                                    check_filtration, check_gamma_inequalities,
-                                   gamma_deg1, gamma_deg2, gamma_deg3,
                                    limit_ratio, render_report)
 from classconv.partial_perm import PartialPermutation, product
 from classconv.partitions import Partition, partitions_up_to
 
 P = lambda *parts: Partition(parts)
+DEG1, DEG2, DEG3 = DegreeFunction.deg1(), DegreeFunction.deg2(), DegreeFunction.deg3()
 
 
 def test_degree_examples():
@@ -20,13 +20,26 @@ def test_degree_examples():
     assert DegreeFunction.theta_J({1, 3})(P(3, 3, 1)) == 10
     with pytest.raises(ValueError):
         DegreeFunction.additive((1, 2))(P(3))
+    assert [DEG1.label(), DegreeFunction.theta_J({3, 1}).label(),
+            repr(DegreeFunction.additive((0, 1)))] == [
+        "deg1", "theta_J{1,3}", "DegreeFunction(additive(0,1))"]
 
 
 def test_gamma_forms_match_named_degrees():
-    d1 = DegreeFunction.additive(gamma_deg1(8))
-    d2 = DegreeFunction.additive(gamma_deg2(8))
-    d3 = DegreeFunction.additive(gamma_deg3(8))
+    assert DEG1.gammas(8) == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert DEG2.gammas(8) == (2, 2, 3, 4, 5, 6, 7, 8)
+    assert DEG3.gammas(8) == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert DegreeFunction.theta_J({2, 5}).gammas(6) == (1, 3, 3, 4, 6, 6)
+    assert DegreeFunction.additive((4, 0, 7)).gammas(3) == (4, 0, 7)
+    with pytest.raises(ValueError, match="need index 4, have 3"):
+        DegreeFunction.additive((4, 0, 7)).gammas(4)
+    d1 = DegreeFunction.additive(DEG1.gammas(8))
+    d2 = DegreeFunction.additive(DEG2.gammas(8))
+    d3 = DegreeFunction.additive(DEG3.gammas(8))
     for rho in partitions_up_to(8):
+        assert DEG1(rho) == rho.size()
+        assert DEG2(rho) == rho.size() + rho.multiplicity(1)
+        assert DEG3(rho) == rho.size() - rho.length()
         assert d1(rho) == DegreeFunction.deg1()(rho)
         assert d2(rho) == DegreeFunction.deg2()(rho)
         assert d3(rho) == DegreeFunction.deg3()(rho)
@@ -59,7 +72,7 @@ def test_bound_guard():
 
 
 def test_gamma_inequalities_pass_for_examples():
-    for gam in [gamma_deg1(9), gamma_deg2(9), gamma_deg3(9)]:
+    for gam in [DEG1.gammas(9), DEG2.gammas(9), DEG3.gammas(9)]:
         assert check_gamma_inequalities(gam, 8) == []
 
 
@@ -82,9 +95,9 @@ def test_gamma_inequalities_violations():
 
 def test_limit_ratio():
     for K in range(1, 9):
-        assert limit_ratio(gamma_deg3(K + 1), K) == 1
-        assert limit_ratio(gamma_deg1(K + 1), K) == Fraction(K + 1, K)
-    for gam in [gamma_deg1(9), gamma_deg2(9), gamma_deg3(9)]:
+        assert limit_ratio(DEG3.gammas(K + 1), K) == 1
+        assert limit_ratio(DEG1.gammas(K + 1), K) == Fraction(K + 1, K)
+    for gam in [DEG1.gammas(9), DEG2.gammas(9), DEG3.gammas(9)]:
         proxy = limit_ratio(gam, 8)
         assert Fraction(gam[0]) <= 2 * proxy <= 2 * Fraction(gam[1])
     with pytest.raises(ValueError):
