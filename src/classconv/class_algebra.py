@@ -27,66 +27,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
 from .characters import _dim, _table
 from .class_vector import ClassVector
-from .partial_perm import permutations_of_type
+from .partial_perm import _cycles, canonical_rep, enumerate_class
 from .partitions import Partition, falling_factorial, partitions_up_to
 
 ORACLE_DEFAULT_BOUND = 7
 
 # ---------------------------------------------------------------------------
-# permutations as image tuples over {1..r}
-
-
-def _canonical_images(parts: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Image tuple of the canonical representative with consecutive cycles."""
-    w = list(range(1, r + 1))
-    start = 1
-    for part in parts:
-        for i in range(part):
-            w[start + i - 1] = start + (i + 1) % part
-        start += part
-    return tuple(w)
-
-
-def _cycle_type_tuple(w: tuple[int, ...], r: int) -> tuple[int, ...]:
-    seen = 0
-    parts = []
-    for i in range(r):
-        if (seen >> i) & 1:
-            continue
-        ln = 0
-        x = i + 1
-        while not (seen >> (x - 1)) & 1:
-            seen |= 1 << (x - 1)
-            ln += 1
-            x = w[x - 1]
-        parts.append(ln)
-    parts.sort(reverse=True)
-    return tuple(parts)
+# classes as image tuples over {1..r}
 
 
 @lru_cache(maxsize=None)
 def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All of A_{parts;r} as (support mask, image tuple over {1..r}) pairs."""
-    s = sum(parts)
-    rho = Partition(parts)
-    out = []
-    for d in combinations(range(1, r + 1), s):
-        mask = 0
-        for p in d:
-            mask |= 1 << (p - 1)
-        for m in permutations_of_type(d, rho):
-            w = list(range(1, r + 1))
-            for a, b in m.items():
-                w[a - 1] = b
-            out.append((mask, tuple(w)))
-    return tuple(out)
+    return tuple((sum(1 << (x - 1) for x in pp.support), tuple(map(pp, range(1, r + 1))))
+                 for pp in enumerate_class(Partition(parts), r))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +130,7 @@ def g_constant_naive(sigma: Partition, tau: Partition, rho: Partition) -> int:
     """Guard route: full double enumeration over both factor classes."""
     r = rho.size()
     full = (1 << r) - 1
-    w_rho = _canonical_images(rho.parts, r)
+    w_rho = tuple(map(canonical_rep(rho), range(1, r + 1)))
     count = 0
     if sigma.size() > r or tau.size() > r:
         return 0
@@ -299,7 +259,7 @@ class BinomialPolynomial:
             total.pop()
         return tuple(total)
 
-    def monomial_string(self, var: str = "n") -> str:
+    def monomial_string(self) -> str:
         mc = self.monomial_coeffs()
         if not mc:
             return "0"
@@ -314,7 +274,7 @@ class BinomialPolynomial:
             if d == 0:
                 body = str(p) if q == 1 else f"{p}/{q}"
             else:
-                vp = var if d == 1 else f"{var}^{d}"
+                vp = "n" if d == 1 else f"n^{d}"
                 head = "" if p == 1 else str(p)
                 body = f"{head}{vp}" if q == 1 else f"{head}{vp}/{q}"
             chunks.append(sign + body)
@@ -408,7 +368,8 @@ def oracle_convolve(sigma: Partition, tau: Partition, n: int,
     per_type: dict[tuple[int, ...], int] = {}
     hits: dict[tuple[int, ...], int] = {}
     for w, c in conv.items():
-        lam = _cycle_type_tuple(w, n)
+        cycles = _cycles(dict(enumerate(w, 1)), range(1, n + 1))
+        lam = tuple(sorted(map(len, cycles), reverse=True))
         if lam in per_type:
             if per_type[lam] != c:
                 raise RuntimeError("oracle produced a non-central element")

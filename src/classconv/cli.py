@@ -324,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("feval", _cmd_feval, "evaluate the isomorphism on a class vector")
     p.add_argument("--lam", required=True)
     p.add_argument("--term", action="append", default=[],
-                   help="repeatable '<coeff>:<partition>' summand")
+                   help="repeatable '<coeff>:<partition>' summand; write a negative "
+                        "coefficient as --term=-1:2, since argparse reads a separate "
+                        "value that starts with '-' as an option")
     p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
 
     p = add("verify", _cmd_verify, "run a verification suite")

@@ -8,9 +8,12 @@ realizes the product of partial permutations with enough extra rigidity
 to count the rescaled structure constants by direct enumeration.
 
 A filling is held as its tuple of row tuples.  Its partial permutation is
-the image dict {x: next x in its row} that ``_images`` reads off the rows;
-convolution and the enumeration of filling pairs compose and invert such
-dicts directly, and build a ``PartialPermutation`` only when asked for one.
+the image dict {x: next x in its row} that ``partial_perm._images`` reads
+off the rows, and ``partial_perm._cycles`` walks such a dict back into
+rows; convolution and the enumeration of filling pairs compose and invert
+these dicts directly, and build a ``PartialPermutation`` only when asked
+for one.  The canonical filling of rho has the cycles of
+``canonical_rep(rho)`` as its rows.
 Fillings made here from rows that are valid by construction skip the
 validation that ``Filling(rows)`` applies to outside input.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations, product
 from typing import Iterable, Iterator
 
-from .partial_perm import PartialPermutation
+from .partial_perm import PartialPermutation, _canonical_cycles, _cycles, _images
 from .partitions import Partition
 
 FILLINGS_DEFAULT_MAX = 4
@@ -98,26 +101,6 @@ class Filling:
         return cls(rows)
 
 
-def _images(rows: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """{x: next x in its row}, each row read as a cycle."""
-    return {x: y for row in rows for x, y in zip(row, row[1:] + row[:1])}
-
-
-def _cycles(images: dict[int, int], order: Iterable[int]) -> list[tuple[int, ...]]:
-    """The cycles of a bijection, each started at its first point in the
-    order, in that order.  Empties the dict."""
-    out = []
-    for start in order:
-        if start in images:
-            cyc = [start]
-            x = images.pop(start)
-            while x != start:
-                cyc.append(x)
-                x = images.pop(x)
-            out.append(tuple(cyc))
-    return out
-
-
 def convolve(s: Filling, t: Filling) -> Filling:
     """Convolution S*T: read supports in order, emit product cycles, resort.
 
@@ -138,19 +121,17 @@ def convolve(s: Filling, t: Filling) -> Filling:
 
 def canonical_filling(rho: Partition) -> Filling:
     """Row i holds consecutive integers continuing from row i-1."""
-    cuts = list(accumulate(rho.parts, initial=1))
-    return Filling._of(tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:])))
+    return Filling._of(_canonical_cycles(rho))
 
 
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
     pts = sorted(points)
-    k = shape.size()
-    if 0 < k <= len(pts) and (pts[0] < 1 or (k > 1 and len(set(pts)) < len(pts))):
+    if pts and (pts[0] < 1 or len(set(pts)) < len(pts)):
         raise ValueError(f"points must be distinct positive integers, got {pts}")
     cuts = list(accumulate(shape.parts, initial=0))
     spans = list(zip(cuts, cuts[1:]))
-    for chosen in combinations(pts, k):
+    for chosen in combinations(pts, shape.size()):
         for arrangement in permutations(chosen):
             yield Filling._of(tuple(arrangement[a:b] for a, b in spans))
 

@@ -114,12 +114,6 @@ def check_filtration(theta: DegreeFunction,
     return out
 
 
-def render_report(violations: list[Violation]) -> list[str]:
-    lines = [v.line() for v in violations]
-    lines.append(f"violations: {len(violations)}")
-    return lines
-
-
 @dataclass(frozen=True)
 class GammaViolation:
     rule: str

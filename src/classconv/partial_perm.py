@@ -4,11 +4,15 @@ The product unites supports and composes the identical extensions, with
 the single global convention that the right factor acts first:
 (w1 * w2)(x) = w1(w2(x)).  Values are immutable and all operations are
 pure, so everything here is safe to use concurrently.
+
+The private helpers ``_images`` (cycles to an image dict), ``_cycles``
+(an image dict back to cycles) and ``_canonical_cycles`` are the one copy
+of these walks; ``fillings`` and ``class_algebra`` import them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _itertools_perms
+from itertools import accumulate, combinations, permutations as _itertools_perms
 from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
@@ -75,19 +79,7 @@ class PartialPermutation:
         Each cycle starts at its smallest element; cycles are sorted by
         smallest element.
         """
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in sorted(self._map):
-            if start in seen:
-                continue
-            cyc = [start]
-            x = self._map[start]
-            while x != start:
-                cyc.append(x)
-                x = self._map[x]
-            seen.update(cyc)
-            out.append(tuple(cyc))
-        return tuple(out)
+        return tuple(_cycles(dict(self._map), sorted(self._map)))
 
     def cycle_type(self) -> Partition:
         return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -143,15 +135,36 @@ def product(a: PartialPermutation, b: PartialPermutation) -> PartialPermutation:
     return PartialPermutation({x: a(b(x)) for x in sup})
 
 
+def _canonical_cycles(rho: Partition) -> tuple[tuple[int, ...], ...]:
+    """The runs 1..rho_1, rho_1+1..rho_1+rho_2, ..., longest first: the
+    cycles of canonical_rep and the rows of the canonical filling."""
+    cuts = list(accumulate(rho.parts, initial=1))
+    return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
+
+
+def _images(rows: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """{x: next x in its row}, each row read as a cycle."""
+    return {x: y for row in rows for x, y in zip(row, row[1:] + row[:1])}
+
+
+def _cycles(images: dict[int, int], order: Iterable[int]) -> list[tuple[int, ...]]:
+    """The cycles of a bijection, each started at its first point in the
+    order, in that order.  Empties the dict."""
+    out = []
+    for start in order:
+        if start in images:
+            cyc = [start]
+            x = images.pop(start)
+            while x != start:
+                cyc.append(x)
+                x = images.pop(x)
+            out.append(tuple(cyc))
+    return out
+
+
 def canonical_rep(rho: Partition) -> PartialPermutation:
     """The fixed representative on {1..|rho|} with consecutive cycles."""
-    m: dict[int, int] = {}
-    start = 1
-    for part in rho:
-        for i in range(part):
-            m[start + i] = start + (i + 1) % part
-        start += part
-    return PartialPermutation(m)
+    return PartialPermutation(_images(_canonical_cycles(rho)))
 
 
 def permutations_of_type(points: Iterable[int], rho: Partition) -> Iterator[dict[int, int]]:

@@ -319,6 +319,16 @@ def test_oracle_skips_oversized_classes():
     assert oracle_convolve(P(4), P(2), 3).is_zero()
 
 
+@settings(max_examples=50, deadline=None)
+@given(small, small, st.data())
+def test_truncated_product_matches_oracle(sigma, tau, data):
+    # suite_oracle only takes n = |sigma|+|tau|; below that, the terms of
+    # size above n must drop out of the product as they do in S_n
+    n = data.draw(st.integers(min_value=max(sigma.size(), tau.size()), max_value=6))
+    got = to_C_basis(multiply(ClassVector.basis(sigma), ClassVector.basis(tau), n), n)
+    assert got == oracle_convolve(sigma, tau, n)
+
+
 def test_to_C_basis():
     v = ClassVector({P(2, 1): 1, P(2): 2})
     got = to_C_basis(v, 4)

@@ -98,6 +98,9 @@ def test_peval_sstar_feval(capsys):
     assert (code, out) == (0, "1\n")
     code, out, _ = run(capsys, "feval", "--lam", "3,1", "--term", "1/2:1")
     assert (code, out) == (0, "2\n")
+    # a negative coefficient must be joined to the flag with '='
+    code, out, _ = run(capsys, "feval", "--lam", "3,1", "--term=-1:2")
+    assert (code, out) == (0, "-2\n")
 
 
 def test_feval_fraction_results(capsys):

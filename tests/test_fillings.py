@@ -40,10 +40,11 @@ def test_validation():
         Filling([[]])
     with pytest.raises(ValueError):
         Filling([[0]])
-    # fillings_of_shape checks its point set as Filling checks rows
-    for points in ([0, 1], [1, 1, 2]):
+    # fillings_of_shape checks its point set as Filling checks rows,
+    # whatever the shape
+    for shape, points in ((P(2), [0, 1]), (P(2), [1, 1, 2]), (P(1), [1, 1]), (EMPTY, [0])):
         with pytest.raises(ValueError):
-            list(fillings_of_shape(P(2), points))
+            list(fillings_of_shape(shape, points))
 
 
 def test_to_partial_perm_example():

@@ -5,7 +5,7 @@ import pytest
 from classconv.class_algebra import product_expansion, q_polynomial
 from classconv.filtrations import (DegreeFunction, GammaViolation,
                                    check_filtration, check_gamma_inequalities,
-                                   limit_ratio, render_report)
+                                   limit_ratio)
 from classconv.partial_perm import PartialPermutation, product
 from classconv.partitions import Partition, partitions_up_to
 
@@ -62,8 +62,6 @@ def test_counterexample_detected():
              == (P(4), P(5), P(2, 2, 2)))
     assert v.theta_rho == 3 and v.theta_bound == 2
     assert v.line() == "sigma=4 tau=5 rho=2,2,2 theta_rho=3 bound=2"
-    report = render_report(violations)
-    assert report[-1] == f"violations: {len(violations)}"
 
 
 def test_bound_guard():

@@ -152,3 +152,12 @@ def test_string_roundtrip():
         PartialPermutation.from_string("1,3:(1,3)")
     with pytest.raises(ValueError):
         PartialPermutation.from_string("{1,3}:(1,4)")
+
+
+@given(partial_perms())
+def test_string_roundtrip_and_cycle_order(pp):
+    assert PartialPermutation.from_string(str(pp)) == pp
+    cycles = pp.cycles()
+    assert all(c[0] == min(c) for c in cycles)
+    starts = [c[0] for c in cycles]
+    assert all(a < b for a, b in zip(starts, starts[1:]))
