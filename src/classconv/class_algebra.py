@@ -14,9 +14,19 @@ character table of S_m gives, for every mu of size m, the integer
             = sum_j C(m_1(mu), j) g^{mu minus j unit parts},
 
 with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
-leaves g^mu; every step is exact integer arithmetic.  A naive double
-enumeration and a brute-force group-algebra convolution stay available as
-independent verification routes and are never consulted by this one.
+leaves g^mu; every step is exact integer arithmetic.
+
+Only the mu that the filtrations allow are evaluated: g^mu vanishes unless
+deg2(mu) = |mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's
+filtration result, also the Ivanov-Olshanski weight filtration) and the
+Cayley length deg3(mu) = |mu| - l(mu) is at most deg3(sigma) + deg3(tau).
+Dropping unit parts keeps mu allowed, so the peel only ever needs allowed
+classes.  Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and
+the allowed mu, one cached column per cycle type, and the cached shapes
+and hook products of S_m.  The whole-table route, which evaluates every
+mu of every level, a naive double enumeration and a brute-force
+group-algebra convolution stay available as independent verification
+routes and are never consulted by this one.
 
 All values are immutable and the memo caches only grow, so concurrent
 readers are safe; inserts are plain dict assignments (atomic under the
@@ -31,10 +41,10 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .characters import _dim, _table
+from .characters import _beads, _dim, _strip_sum, _table
 from .class_vector import ClassVector
 from .partial_perm import _cycles, canonical_rep, enumerate_class
-from .partitions import Partition, falling_factorial, partitions_up_to
+from .partitions import Partition, enumerate_partitions, falling_factorial, partitions_up_to
 
 ORACLE_DEFAULT_BOUND = 7
 
@@ -56,19 +66,29 @@ _PAIR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[Partition, int]]
 
 
 @lru_cache(maxsize=None)
-def _level(m: int) -> tuple[tuple[Partition, ...], dict[tuple[int, ...], tuple[int, ...]],
-                            tuple[int, ...]]:
-    """The labels of S_m's classes in canonical order, each class's character
-    column (chi^lam_mu over lam in that order, keyed by mu's parts) and the
-    hook products m!/dim lam."""
-    labels, columns = _table(m)
-    hooks = tuple(factorial(m) // _dim(lam.parts) for lam in labels)
-    return tuple(labels), {mu.parts: col for mu, col in zip(labels, columns)}, hooks
+def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...]]:
+    """The partitions of m in canonical order, as classes and as shapes: each
+    shape's bead mask and hook product m!/dim lam."""
+    labels = tuple(enumerate_partitions(m))
+    return (labels, tuple(_beads(lam.parts) for lam in labels),
+            tuple(factorial(m) // _dim(lam.parts) for lam in labels))
 
 
-def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """All nonzero g_{sigma,tau}^rho, level by level from the S_m characters.
+@lru_cache(maxsize=None)
+def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """chi^lam_parts over the shapes lam of _shapes(|parts|): one
+    Murnaghan-Nakayama step per shape into the characters memo."""
+    if not parts:
+        return (1,)
+    head, rest = parts[0], parts[1:]
+    return tuple(_strip_sum(mask, head, rest) for mask in _shapes(sum(parts))[1])
 
+
+def _peel(sigma: Partition, tau: Partition, level) -> dict[Partition, int]:
+    """All nonzero g_{sigma,tau}^rho among the classes level offers.
+
+    level(m) gives the classes mu of size m to evaluate, a column lookup
+    (parts -> chi^lam_parts over the shapes of m) and the hook products.
     Each mu first gets T_m(mu) (module docstring), then loses the binomial
     multiples of the constants found at lower levels.  A division that
     leaves a remainder raises RuntimeError instead of rounding.
@@ -78,13 +98,13 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     found: dict[tuple[int, ...], int] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t + 1):
-        labels, columns, hooks = _level(m)
-        weights = [a * b * h for a, b, h in zip(columns[sigma.parts + (1,) * (m - s)],
-                                                columns[tau.parts + (1,) * (m - t)], hooks)]
+        mus, column, hooks = level(m)
+        weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
+                                                column(tau.parts + (1,) * (m - t)), hooks)]
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
-        for mu in labels:
-            g, rem = divmod(scale * sum(map(mul, columns[mu.parts], weights)), den)
+        for mu in mus:
+            g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
             if rem:
                 raise RuntimeError(
                     f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
@@ -98,12 +118,43 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     return out
 
 
+def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """The production route: _peel over the classes the filtrations allow.
+
+    g_{sigma,tau}^mu vanishes unless deg2(mu) = |mu| + m_1(mu) and
+    deg3(mu) = |mu| - l(mu) are at most the sums of those of sigma and
+    tau, so only those columns are built, each cached.
+    """
+    cap2 = sigma.size() + sigma.multiplicity(1) + tau.size() + tau.multiplicity(1)
+    cap3 = sigma.size() - sigma.length() + tau.size() - tau.length()
+
+    def level(m):
+        labels, _, hooks = _shapes(m)
+        return ([mu for mu in labels
+                 if mu.parts.count(1) <= cap2 - m and len(mu.parts) >= m - cap3],
+                _column, hooks)
+
+    return _peel(sigma, tau, level)
+
+
+def product_expansion_whole(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """Guard route: _peel over every class of every level, from whole
+    character tables built afresh on each call."""
+    def level(m):
+        labels, columns = _table(m)
+        return (labels, dict(zip((mu.parts for mu in labels), columns)).__getitem__,
+                tuple(factorial(m) // _dim(lam.parts) for lam in labels))
+
+    return _peel(sigma, tau, level)
+
+
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """Nonzero g_{sigma,tau}^rho for all rho, cached per unordered pair.
 
     Keys come in ascending size, reverse-lexicographically within a size.
     The cache key is order-normalized; the tests check that the uncached
-    route is commutative and that it matches the double enumeration.
+    route is commutative and that it matches the double enumeration and,
+    keys in order, the whole-table guard.
     """
     a, b = sorted((sigma.parts, tau.parts))
     key = (a, b)

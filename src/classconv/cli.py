@@ -77,7 +77,8 @@ def _emit(args, document: dict, plain_lines: list[str]) -> None:
 
 
 def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
-    return [f"{_fraction_text(c)} {basis}({p})" for p, c in v.items()]
+    """One line per term; the zero vector prints as 0."""
+    return [f"{_fraction_text(c)} {basis}({p})" for p, c in v.items()] or ["0"]
 
 
 def _cmd_mult(args) -> int:

@@ -226,7 +226,17 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
 
 def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResult:
     start = time.time()
-    checks = []
+    # the production route skips the classes deg2 and deg3 rule out, so the
+    # scans below would hold by construction unless the table is first
+    # checked against the guard route, which evaluates every class
+    mismatched = [(sigma, tau) for (sigma, tau), expansion in ca.g_table(bound).items()
+                  if list(expansion.items())
+                  != list(ca.product_expansion_whole(sigma, tau).items())]
+    checks = [Check(f"g_table({bound}) equals the whole-table guard, keys in order",
+                    not mismatched,
+                    "" if not mismatched
+                    else f"{len(mismatched)} pairs differ, first sigma={mismatched[0][0]} "
+                         f"tau={mismatched[0][1]}")]
     named = [("deg1", fl.DegreeFunction.deg1()),
              ("deg2", fl.DegreeFunction.deg2()),
              ("deg3", fl.DegreeFunction.deg3())]

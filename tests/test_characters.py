@@ -70,10 +70,14 @@ def test_tables_match_beta_tuple_route():
         assert t.matrix == [[character_beta_tuples(lam.parts, rho.parts) for rho in t.labels]
                             for lam in t.labels]
     for m in range(12):
-        labels, columns, _ = class_algebra._level(m)
+        labels, _, hooks = class_algebra._shapes(m)
         assert labels == tuple(enumerate_partitions(m))
-        assert columns == {mu.parts: tuple(character_beta_tuples(lam.parts, mu.parts)
-                                           for lam in labels) for mu in labels}
+        for mu in labels:
+            assert class_algebra._column(mu.parts) == tuple(
+                character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu
+        # hook product times dimension is m!, the dimension read off the beta-tuple route
+        assert [h * character_beta_tuples(lam.parts, (1,) * m)
+                for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
 
 
 def test_table_column_orthogonality():

@@ -1,19 +1,24 @@
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classconv import class_algebra
+from classconv import characters, class_algebra
 from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      convolve_C_classes, f_constant, g_constant,
                                      g_constant_naive, g_table, multiply,
                                      oracle_convolve, product_expansion,
-                                     product_expansion_a, psi_image,
-                                     q_polynomial, to_C_basis)
-from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
+                                     product_expansion_a, product_expansion_whole,
+                                     psi_image, q_polynomial, to_C_basis)
+from classconv.filtrations import DegreeFunction
+from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
+                                  falling_factorial, partitions_up_to)
 from classconv.semigroup_algebra import class_element, truncate
+from oracles import character_beta_tuples
 
 P = lambda *parts: Partition(parts)
 
@@ -117,14 +122,106 @@ def test_g_table_keys_and_order():
 
 
 def test_route_raises_on_inexact_division(monkeypatch):
+    # spoil the (2,1) column, which (2)*(2) reads at level 3 both as the
+    # padded factor and as an allowed class
     monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
-    _, columns, _ = class_algebra._level(3)
-    spoiled = list(columns[(2, 1)])
-    spoiled[0] += 1
-    monkeypatch.setitem(columns, (2, 1), tuple(spoiled))
+    column, read = class_algebra._column, []
+
+    def spoiled(parts):
+        read.append(parts)
+        col = column(parts)
+        return (col[0] + 1,) + col[1:] if parts == (2, 1) else col
+
+    monkeypatch.setattr(class_algebra, "_column", spoiled)
     with pytest.raises(RuntimeError, match="non-integral"):
         product_expansion(P(2), P(2))
+    assert (2, 1) in read
     assert not class_algebra._PAIR_CACHE
+
+
+def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
+    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+    class_algebra._column.cache_clear()
+    sigma, tau = P(3, 1), P(2, 2)
+    product_expansion(sigma, tau)
+    deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
+    cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
+    want = set()
+    for m in range(4, 9):
+        want |= {sigma.pad(m).parts, tau.pad(m).parts}
+        want |= {mu.parts for mu in enumerate_partitions(m)
+                 if deg2(mu) <= cap2 and deg3(mu) <= cap3}
+    built = class_algebra._column.cache_info()
+    assert built.misses == built.currsize == len(want)
+    assert len(want) < sum(len(enumerate_partitions(m)) for m in range(4, 9))
+    for parts in want:
+        class_algebra._column(parts)
+    again = class_algebra._column.cache_info()
+    assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
+
+
+# The guard builds every level's whole table afresh on each call; a shared
+# memo of those tables (pure functions of m) keeps the sweeps below short.
+_whole_tables = cache(characters._table)
+
+
+def test_pruned_route_matches_whole_tables_up_to_12():
+    shapes = partitions_up_to(12)
+    with patch.object(class_algebra, "_table", _whole_tables):
+        for i, sigma in enumerate(shapes):
+            for tau in shapes[i:]:
+                if sigma.size() + tau.size() > 12:
+                    continue
+                got, want = product_expansion(sigma, tau), product_expansion_whole(sigma, tau)
+                assert got == want, (sigma, tau)
+                assert list(got) == list(want), (sigma, tau)
+
+
+@st.composite
+def _pair_up_to(draw, total):
+    s = draw(st.integers(min_value=0, max_value=total))
+    t = draw(st.integers(min_value=0, max_value=total - s))
+    return (draw(st.sampled_from(enumerate_partitions(s))),
+            draw(st.sampled_from(enumerate_partitions(t))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pair_up_to(16))
+def test_pruned_route_matches_whole_tables_up_to_16(pair):
+    sigma, tau = pair
+    with patch.object(class_algebra, "_table", _whole_tables):
+        want = product_expansion_whole(sigma, tau)
+    got = _expand(sigma, tau)
+    assert list(got.items()) == list(want.items()), (sigma, tau)
+
+
+def _F_beta_tuples(expansion: dict[Partition, int], lam: Partition) -> Fraction:
+    """F(sum_rho c_rho A_rho)(lam) with p#_rho(lam) = (n)_r chi^lam_{rho 1^(n-r)} / dim lam
+    read off the beta-tuple route, not off p_sharp."""
+    n = lam.size()
+    dim = character_beta_tuples(lam.parts, (1,) * n)
+    return sum((Fraction(c * falling_factorial(n, rho.size())
+                         * character_beta_tuples(lam.parts, rho.parts + (1,) * (n - rho.size())),
+                         dim * rho.centralizer_size())
+                for rho, c in expansion.items() if rho.size() <= n), Fraction(0))
+
+
+@st.composite
+def _pair_up_to(draw, total):
+    s = draw(st.integers(min_value=0, max_value=total))
+    t = draw(st.integers(min_value=0, max_value=total - s))
+    return (draw(st.sampled_from(enumerate_partitions(s))),
+            draw(st.sampled_from(enumerate_partitions(t))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_up_to(10), st.integers(min_value=0, max_value=14).flatmap(
+    lambda n: st.sampled_from(enumerate_partitions(n))))
+def test_F_multiplicative_on_beta_tuple_route(pair, lam):
+    sigma, tau = pair
+    prod = product_expansion(sigma, tau)
+    assert _F_beta_tuples(prod, lam) == (_F_beta_tuples({sigma: 1}, lam)
+                                         * _F_beta_tuples({tau: 1}, lam)), (sigma, tau, lam)
 
 
 small = st.sampled_from(partitions_up_to(4))

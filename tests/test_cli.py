@@ -31,6 +31,16 @@ def test_mult_truncated_and_a_basis(capsys):
     assert "9 a(5)" in out.splitlines()
 
 
+def test_mult_zero_product_prints_zero(capsys):
+    # (2)*(2) has no term of size 0, so truncating at n = 0 leaves the zero vector
+    code, out, _ = run(capsys, "mult", "--lhs", "2", "--rhs", "2", "--n", "0")
+    assert code == 0
+    assert out == "0\n"
+    code, out, _ = run(capsys, "mult", "--lhs", "2", "--rhs", "2", "--n", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["results"] == []
+
+
 def test_mult_json_roundtrip(capsys):
     code, out, _ = run(capsys, "mult", "--basis", "A", "--lhs", "2", "--rhs", "2",
                        "--json")
