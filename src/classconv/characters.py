@@ -4,10 +4,11 @@ Characters come from the Murnaghan-Nakayama recursion over border-strip
 removals.  Each shape is encoded as a bitmask of its beta numbers, where a
 strip removal is one bead moved down to an empty position, and the values
 are memoized per remaining cycle-type suffix ({rho_rest: {mask: chi}}), so
-a suffix is stored once rather than in every key.  Whole tables come from
-one builder, shared with the structure-constant route in class_algebra,
-that encodes each shape once and takes each entry one recursion step into
-that memo.  Dimensions come from the hook length formula, skew dimensions
+a suffix is stored once rather than in every key.  The shapes of S_m (labels,
+bead masks, hook products) are cached per m, and one column builder takes
+each entry of a column one recursion step into that memo; CharacterTable
+and the structure-constant route in class_algebra both read their columns
+from it.  Dimensions come from the hook length formula, skew dimensions
 from corner-removal recursion.  On top of these sit the shifted power
 sums p#, the shifted Schur values s* obtained from p# by character
 orthogonality, the evaluation isomorphism F, and the class vectors x_mu
@@ -82,19 +83,6 @@ def character(lam: Partition, rho: Partition) -> int:
     return _chi(_beads(lam.parts), rho.parts)
 
 
-def _table(n: int) -> tuple[list[Partition], list[tuple[int, ...]]]:
-    """The partitions of n in canonical order and, for each as a class, the
-    column chi^lam_rho over lam in that order.  Each shape is encoded once
-    and each entry is one Murnaghan-Nakayama step into the memo, which does
-    not store the entries themselves."""
-    labels = enumerate_partitions(n)
-    if not n:
-        return labels, [(1,)]
-    masks = [_beads(lam.parts) for lam in labels]
-    return labels, [tuple(_strip_sum(mask, rho.parts[0], rho.parts[1:]) for mask in masks)
-                    for rho in labels]
-
-
 @cache
 def _dim(lam: tuple[int, ...]) -> int:
     n = sum(lam)
@@ -135,6 +123,25 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
     return _skew_dim(lam.parts, mu.parts)
 
 
+@cache
+def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...]]:
+    """The partitions of m in canonical order, as classes and as shapes: each
+    shape's bead mask and hook product m!/dim lam."""
+    labels = tuple(enumerate_partitions(m))
+    return (labels, tuple(_beads(lam.parts) for lam in labels),
+            tuple(factorial(m) // _dim(lam.parts) for lam in labels))
+
+
+def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """chi^lam_parts over the shapes lam of _shapes(|parts|): one
+    Murnaghan-Nakayama step per shape into the memo, which does not store
+    the column itself."""
+    if not parts:
+        return (1,)
+    head, rest = parts[0], parts[1:]
+    return tuple(_strip_sum(mask, head, rest) for mask in _shapes(sum(parts))[1])
+
+
 class CharacterTable:
     """The full character table of S_n in the canonical partition order."""
 
@@ -142,8 +149,8 @@ class CharacterTable:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.labels, columns = _table(n)
-        self.matrix = [list(row) for row in zip(*columns)]
+        self.labels = list(_shapes(n)[0])
+        self.matrix = [list(row) for row in zip(*(_column(rho.parts) for rho in self.labels))]
         self._index = {lam: i for i, lam in enumerate(self.labels)}
 
     def value(self, lam: Partition, rho: Partition) -> int:

@@ -22,11 +22,12 @@ filtration result, also the Ivanov-Olshanski weight filtration) and the
 Cayley length deg3(mu) = |mu| - l(mu) is at most deg3(sigma) + deg3(tau).
 Dropping unit parts keeps mu allowed, so the peel only ever needs allowed
 classes.  Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and
-the allowed mu, one cached column per cycle type, and the cached shapes
-and hook products of S_m.  The whole-table route, which evaluates every
-mu of every level, a naive double enumeration and a brute-force
-group-algebra convolution stay available as independent verification
-routes and are never consulted by this one.
+the allowed mu from the column builder of the characters module, cached
+here once per cycle type, and the shapes and hook products of S_m from
+that module's cache.  The whole-table guard reads the same columns but
+evaluates every mu of every level, so it checks the pruning; a naive
+double enumeration and a brute-force group-algebra convolution check the
+character route itself.  None of them is ever consulted by this one.
 
 All values are immutable and the memo caches only grow, so concurrent
 readers are safe; inserts are plain dict assignments (atomic under the
@@ -41,10 +42,11 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .characters import _beads, _dim, _strip_sum, _table
+from . import characters
+from .characters import _shapes
 from .class_vector import ClassVector
 from .partial_perm import _cycles, canonical_rep, enumerate_class
-from .partitions import Partition, enumerate_partitions, falling_factorial, partitions_up_to
+from .partitions import Partition, falling_factorial, partitions_up_to
 
 ORACLE_DEFAULT_BOUND = 7
 
@@ -64,46 +66,31 @@ def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int,
 
 _PAIR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[Partition, int]] = {}
 
-
-@lru_cache(maxsize=None)
-def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...]]:
-    """The partitions of m in canonical order, as classes and as shapes: each
-    shape's bead mask and hook product m!/dim lam."""
-    labels = tuple(enumerate_partitions(m))
-    return (labels, tuple(_beads(lam.parts) for lam in labels),
-            tuple(factorial(m) // _dim(lam.parts) for lam in labels))
+# chi^lam_parts over the shapes of _shapes(|parts|), cached once per cycle type
+_column = lru_cache(maxsize=None)(characters._column)
 
 
-@lru_cache(maxsize=None)
-def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam_parts over the shapes lam of _shapes(|parts|): one
-    Murnaghan-Nakayama step per shape into the characters memo."""
-    if not parts:
-        return (1,)
-    head, rest = parts[0], parts[1:]
-    return tuple(_strip_sum(mask, head, rest) for mask in _shapes(sum(parts))[1])
+def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
+    """All nonzero g_{sigma,tau}^rho among the classes mu of size m that
+    classes(m) gives.
 
-
-def _peel(sigma: Partition, tau: Partition, level) -> dict[Partition, int]:
-    """All nonzero g_{sigma,tau}^rho among the classes level offers.
-
-    level(m) gives the classes mu of size m to evaluate, a column lookup
-    (parts -> chi^lam_parts over the shapes of m) and the hook products.
+    Columns come from the cached _column, hook products from _shapes(m).
     Each mu first gets T_m(mu) (module docstring), then loses the binomial
     multiples of the constants found at lower levels.  A division that
     leaves a remainder raises RuntimeError instead of rounding.
     """
+    column = _column
     s, t = sigma.size(), tau.size()
     zz = sigma.centralizer_size() * tau.centralizer_size()
     found: dict[tuple[int, ...], int] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t + 1):
-        mus, column, hooks = level(m)
         weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
-                                                column(tau.parts + (1,) * (m - t)), hooks)]
+                                                column(tau.parts + (1,) * (m - t)),
+                                                _shapes(m)[2])]
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
-        for mu in mus:
+        for mu in classes(m):
             g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
             if rem:
                 raise RuntimeError(
@@ -128,24 +115,18 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     cap2 = sigma.size() + sigma.multiplicity(1) + tau.size() + tau.multiplicity(1)
     cap3 = sigma.size() - sigma.length() + tau.size() - tau.length()
 
-    def level(m):
-        labels, _, hooks = _shapes(m)
-        return ([mu for mu in labels
-                 if mu.parts.count(1) <= cap2 - m and len(mu.parts) >= m - cap3],
-                _column, hooks)
+    def classes(m):
+        return [mu for mu in _shapes(m)[0]
+                if mu.parts.count(1) <= cap2 - m and len(mu.parts) >= m - cap3]
 
-    return _peel(sigma, tau, level)
+    return _peel(sigma, tau, classes)
 
 
 def product_expansion_whole(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """Guard route: _peel over every class of every level, from whole
-    character tables built afresh on each call."""
-    def level(m):
-        labels, columns = _table(m)
-        return (labels, dict(zip((mu.parts for mu in labels), columns)).__getitem__,
-                tuple(factorial(m) // _dim(lam.parts) for lam in labels))
-
-    return _peel(sigma, tau, level)
+    """Guard route: _peel over every class of every level, ignoring the
+    filtrations.  It reads the same cached columns as the production route
+    and differs from it only in the classes it evaluates."""
+    return _peel(sigma, tau, lambda m: _shapes(m)[0])
 
 
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
@@ -230,13 +211,7 @@ def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVecto
 
 def f_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
     """Structure constant in the rescaled basis a_rho = z_rho A_rho."""
-    g = g_constant(sigma, tau, rho)
-    num = sigma.centralizer_size() * tau.centralizer_size() * g
-    den = rho.centralizer_size()
-    if num % den:
-        raise RuntimeError(
-            f"non-integral f constant for {sigma}, {tau} -> {rho}: internal bug")
-    return num // den
+    return product_expansion_a(sigma, tau).get(rho, 0)
 
 
 def product_expansion_a(sigma: Partition, tau: Partition) -> dict[Partition, int]:
@@ -381,8 +356,7 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
     for rho, c in v.terms.items():
         if rho.size() > n:
             continue
-        m1 = rho.multiplicity(1)
-        b = comb(n - rho.size() + m1, m1)
+        b, _ = psi_image(rho, n)
         bar = rho.strip_ones()
         out[bar] = out.get(bar, Fraction(0)) + c * b
     return ClassVector(out, n)

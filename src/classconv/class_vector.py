@@ -54,11 +54,14 @@ class ClassVector:
         return not self.terms
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+        """The sum truncated at the lower of the two levels, if any."""
         lv = [x for x in (self.level, other.level) if x is not None]
-        return ClassVector(out, min(lv) if lv else None)
+        level = min(lv) if lv else None
+        out: dict[Partition, Fraction] = {}
+        for p, c in (*self.terms.items(), *other.terms.items()):
+            if level is None or p.size() <= level:
+                out[p] = out.get(p, Fraction(0)) + c
+        return ClassVector(out, level)
 
     def __rmul__(self, scalar: Coeff) -> "ClassVector":
         return ClassVector({p: Fraction(scalar) * c for p, c in self.terms.items()},

@@ -150,10 +150,8 @@ def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolatio
     for k in range(1, K):
         if gam(k) > gam(k + 1):
             out.append(GammaViolation("monotone", (k,), gam(k), gam(k + 1)))
-    for i in range(0, K):
-        for j in range(0, K):
-            if i + j + 1 > K or i + 1 > K or j + 1 > K:
-                continue
+    for i in range(K):
+        for j in range(K - i):
             if gam(i + j + 1) > gam(i + 1) + gam(j + 1):
                 out.append(GammaViolation("split", (i, j),
                                           gam(i + j + 1), gam(i + 1) + gam(j + 1)))

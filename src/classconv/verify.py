@@ -95,11 +95,9 @@ def suite_section11() -> SuiteResult:
             checks.append(Check(
                 f"C({row.sigma})*C({row.tau}) in S_{row.truncation}", ok,
                 "" if ok else f"got {{{_fmt_terms(got)}}}"))
-    wanted_rhos = set()
     for row in polys:
         q = ca.q_polynomial(row.sigma, row.tau, row.rho)
         ok = q.coeffs == row.coeffs
-        wanted_rhos.add((row.sigma, row.tau, row.rho))
         checks.append(Check(
             f"q C({row.sigma})*C({row.tau}) -> C({row.rho}) = {q.monomial_string()}",
             ok, "" if ok else f"got {list(q.coeffs)}"))

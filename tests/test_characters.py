@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from classconv import class_algebra
+from classconv import characters, class_algebra
 from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, skew_dimension, x_mu)
 from classconv.class_algebra import ClassVector, multiply
@@ -70,7 +70,7 @@ def test_tables_match_beta_tuple_route():
         assert t.matrix == [[character_beta_tuples(lam.parts, rho.parts) for rho in t.labels]
                             for lam in t.labels]
     for m in range(12):
-        labels, _, hooks = class_algebra._shapes(m)
+        labels, _, hooks = characters._shapes(m)
         assert labels == tuple(enumerate_partitions(m))
         for mu in labels:
             assert class_algebra._column(mu.parts) == tuple(
@@ -78,6 +78,19 @@ def test_tables_match_beta_tuple_route():
         # hook product times dimension is m!, the dimension read off the beta-tuple route
         assert [h * character_beta_tuples(lam.parts, (1,) * m)
                 for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
+
+
+def test_large_tables_against_closed_forms():
+    # the sizes the characters benchmark workload builds, past the beta-tuple check
+    for n in range(15, 19):
+        t = CharacterTable(n)
+        assert t.labels == enumerate_partitions(n)
+        dims = t.dimensions()
+        assert dims == [dimension(lam) for lam in t.labels]
+        assert sum(d * d for d in dims) == factorial(n)
+        assert t.matrix[t.labels.index(P(n))] == [1] * len(t.labels)
+        assert t.matrix[t.labels.index(Partition((1,) * n))] == [
+            (-1) ** (n - rho.length()) for rho in t.labels]
 
 
 def test_table_column_orthogonality():
