@@ -211,21 +211,27 @@ def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVecto
 
 def f_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
     """Structure constant in the rescaled basis a_rho = z_rho A_rho."""
-    return product_expansion_a(sigma, tau).get(rho, 0)
+    g = g_constant(sigma, tau, rho)
+    if not g:
+        return 0
+    return _rescaled(sigma, tau, rho, sigma.centralizer_size() * tau.centralizer_size(), g)
 
 
 def product_expansion_a(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """Expansion of a_sigma a_tau in the a basis (all nonzero f constants)."""
     zz = sigma.centralizer_size() * tau.centralizer_size()
-    out = {}
-    for rho, g in product_expansion(sigma, tau).items():
-        num = zz * g
-        den = rho.centralizer_size()
-        if num % den:
-            raise RuntimeError(
-                f"non-integral f constant for {sigma}, {tau} -> {rho}: internal bug")
-        out[rho] = num // den
-    return out
+    return {rho: _rescaled(sigma, tau, rho, zz, g)
+            for rho, g in product_expansion(sigma, tau).items()}
+
+
+def _rescaled(sigma: Partition, tau: Partition, rho: Partition, zz: int, g: int) -> int:
+    """f_{sigma,tau}^rho = zz * g / z_rho, where zz = z_sigma z_tau."""
+    num = zz * g
+    den = rho.centralizer_size()
+    if num % den:
+        raise RuntimeError(
+            f"non-integral f constant for {sigma}, {tau} -> {rho}: internal bug")
+    return num // den
 
 
 def psi_image(rho: Partition, n: int) -> tuple[int, Partition]:

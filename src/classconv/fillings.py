@@ -16,6 +16,15 @@ for one.  The canonical filling of rho has the cycles of
 ``canonical_rep(rho)`` as its rows.
 Fillings made here from rows that are valid by construction skip the
 validation that ``Filling(rows)`` applies to outside input.
+
+``enumerate_F`` walks the reading orders of the S-fillings (the
+arrangements that ``fillings_of_shape`` cuts into rows) and rejects most
+of them before building anything.  Convolution reads S first, starts each
+product cycle at the first of its points it reads and keeps equal-length
+cycles in the order it reads them, so S*T is the canonical filling of rho
+only if S enters each row of rho it touches at the row's smallest point,
+and enters it after the previous row of rho of the same length.  The test
+depends on S and rho alone and only drops S with no T.
 """
 
 from __future__ import annotations
@@ -124,16 +133,27 @@ def canonical_filling(rho: Partition) -> Filling:
     return Filling._of(_canonical_cycles(rho))
 
 
+def _row_spans(shape: Partition) -> list[tuple[int, int]]:
+    """The (start, end) slice of each row of the shape in a reading order."""
+    cuts = list(accumulate(shape.parts, initial=0))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Every reading order of `size` of the sorted points: each combination
+    of them, then each permutation of that combination."""
+    for chosen in combinations(pts, size):
+        yield from permutations(chosen)
+
+
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
     pts = sorted(points)
     if pts and (pts[0] < 1 or len(set(pts)) < len(pts)):
         raise ValueError(f"points must be distinct positive integers, got {pts}")
-    cuts = list(accumulate(shape.parts, initial=0))
-    spans = list(zip(cuts, cuts[1:]))
-    for chosen in combinations(pts, shape.size()):
-        for arrangement in permutations(chosen):
-            yield Filling._of(tuple(arrangement[a:b] for a, b in spans))
+    spans = _row_spans(shape)
+    for arrangement in _arrangements(shape.size(), pts):
+        yield Filling._of(tuple(arrangement[a:b] for a, b in spans))
 
 
 def _fillings_of_cycles(cycles: list[tuple[int, ...]]) -> Iterator[Filling]:
@@ -167,6 +187,15 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     """All pairs (S, T) of shapes (sigma, tau) whose convolution is the
     canonical filling of rho.
 
+    S is first tested by its reading order alone.  Convolution reads S
+    before T, starts each product cycle at the first of its points it
+    reads and keeps equal-length cycles in the order it first reads them;
+    the rows of the canonical filling start at their smallest points and
+    equal-length rows stand in order of those points.  So S*T can be the
+    target only if, in S's reading order, every row of rho that S touches
+    is entered at its smallest point, and a row is entered only after the
+    row of rho before it of the same length.  An S that fails has no T.
+
     T is constrained: once S is fixed, the product forces the permutation
     of T on a core support, leaving a binomial choice of extra fixed
     entries and the usual row/rotation freedom.  There are no pairs unless
@@ -182,8 +211,22 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     target = canonical_filling(rho)
     rho_img = _images(target.rows)
     core_type = tau.strip_ones().parts
+    # before[x]: the point S must read before it reads x (0: none).  That
+    # is the first point of x's row, or for a first point, the first point
+    # of the previous row of the same length.
+    before = [0] * (r + 1)
+    last_head: dict[int, int] = {}
+    for row in target.rows:
+        before[row[0]] = last_head.get(len(row), 0)
+        last_head[len(row)] = row[0]
+        for x in row[1:]:
+            before[x] = row[0]
+    spans = _row_spans(sigma)
     out: list[tuple[Filling, Filling]] = []
-    for s in fillings_of_shape(sigma, range(1, r + 1)):
+    for arrangement in _arrangements(sigma.size(), range(1, r + 1)):
+        if not _reads_in_order(arrangement, before):
+            continue
+        s = Filling._of(tuple(arrangement[a:b] for a, b in spans))
         s_inv = {y: x for x, y in _images(s.rows).items()}
         cycles = _cycles({x: s_inv.get(y, y) for x, y in rho_img.items()},
                          range(1, r + 1))
@@ -201,6 +244,16 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
                 if convolve(s, t) == target:
                     out.append((s, t))
     return out
+
+
+def _reads_in_order(arrangement: tuple[int, ...], before: list[int]) -> bool:
+    """Whether the arrangement reads before[x] ahead of each x (0: none)."""
+    read = {0}
+    for x in arrangement:
+        if before[x] not in read:
+            return False
+        read.add(x)
+    return True
 
 
 def enumerate_F_naive(sigma: Partition, tau: Partition,

@@ -138,14 +138,23 @@ def test_enumerate_F_examples():
             assert len(enumerate_F(EMPTY, tau, rho)) == want
 
 
-def test_enumerate_F_matches_f_small():
-    for sigma in partitions_up_to(3):
-        for tau in partitions_up_to(3):
+def _triples(bound, total=None):
+    """Every (sigma, tau, rho) with |sigma|, |tau| <= bound, |sigma| + |tau|
+    <= total if given, and max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|."""
+    for sigma in partitions_up_to(bound):
+        for tau in partitions_up_to(bound):
+            if total is not None and sigma.size() + tau.size() > total:
+                continue
             for r in range(max(sigma.size(), tau.size()),
                            sigma.size() + tau.size() + 1):
                 for rho in enumerate_partitions(r):
-                    assert (len(enumerate_F(sigma, tau, rho))
-                            == f_constant(sigma, tau, rho)), (sigma, tau, rho)
+                    yield sigma, tau, rho
+
+
+def test_enumerate_F_matches_f_small():
+    for sigma, tau, rho in _triples(3):
+        assert (len(enumerate_F(sigma, tau, rho))
+                == f_constant(sigma, tau, rho)), (sigma, tau, rho)
 
 
 def _pair_strings(pairs):
@@ -153,24 +162,40 @@ def _pair_strings(pairs):
 
 
 def test_enumerate_F_fast_matches_naive():
-    for sigma in partitions_up_to(2):
-        for tau in partitions_up_to(2):
-            for r in range(max(sigma.size(), tau.size()),
-                           sigma.size() + tau.size() + 1):
-                for rho in enumerate_partitions(r):
-                    assert _pair_strings(enumerate_F(sigma, tau, rho)) == _pair_strings(
-                        enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
+    # every triple with |sigma| + |tau| <= 5, a factor of size 5 included
+    triples = list(_triples(5, total=5))
+    assert len(triples) == 588
+    for sigma, tau, rho in triples:
+        assert _pair_strings(enumerate_F(sigma, tau, rho, max_size=5)) == _pair_strings(
+            enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
     spot = [(P(3), P(2), P(4)), (P(2, 1), P(2), P(2, 2, 1)), (P(3), P(3), P(2, 2))]
     for sigma, tau, rho in spot:
         assert _pair_strings(enumerate_F(sigma, tau, rho)) == _pair_strings(
             enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
 
 
+def test_enumerate_F_rejects_S_by_reading_order(monkeypatch):
+    # an S whose reading order cannot start the rows of rho in place is
+    # skipped before any T is convolved with it: fewer than two
+    # convolutions per pair found (more than nine per pair without the test)
+    calls = 0
+
+    def counting_convolve(s, t):
+        nonlocal calls
+        calls += 1
+        return convolve(s, t)
+
+    monkeypatch.setattr(fillings_module, "convolve", counting_convolve)
+    pairs = sum(len(enumerate_F(sigma, tau, rho)) for sigma, tau, rho in _triples(3))
+    assert pairs == 541
+    assert calls < 2 * pairs, (calls, pairs)
+
+
 def test_enumerate_F_out_of_range_rho_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("S-fillings enumerated for a rho with no pairs")
 
-    monkeypatch.setattr(fillings_module, "fillings_of_shape", refuse)
+    monkeypatch.setattr(fillings_module, "_arrangements", refuse)
     assert enumerate_F(P(4), P(4), P(30)) == []
     assert enumerate_F(P(3), P(1), P(2)) == []
 
