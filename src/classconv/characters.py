@@ -5,14 +5,15 @@ removals.  Each shape is encoded as a bitmask of its beta numbers, where a
 strip removal is one bead moved down to an empty position, and the values
 are memoized per remaining cycle-type suffix ({rho_rest: {mask: chi}}), so
 a suffix is stored once rather than in every key.  The shapes of S_m (labels,
-bead masks, hook products) are cached per m, and one column builder takes
-each entry of a column one recursion step into that memo; CharacterTable
-and the structure-constant route in class_algebra both read their columns
-from it.  Dimensions come from the hook length formula, skew dimensions
-from corner-removal recursion.  On top of these sit the shifted power
-sums p#, the shifted Schur values s* obtained from p# by character
-orthogonality, the evaluation isomorphism F, and the class vectors x_mu
-whose F-images are the s*.
+bead masks, hook products) and its classes with their Cayley lengths and
+unit parts are cached per m, and one column builder takes each entry of a
+column one recursion step into that memo; CharacterTable and the
+structure-constant route in class_algebra both read their columns from it.
+Dimensions come from the hook length formula, skew dimensions from
+corner-removal recursion.  On top of these sit the shifted power sums p#,
+the shifted Schur values s* obtained from p# by character orthogonality,
+the evaluation isomorphism F, and the class vectors x_mu whose F-images
+are the s*.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -124,12 +125,15 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...]]:
-    """The partitions of m in canonical order, as classes and as shapes: each
-    shape's bead mask and hook product m!/dim lam."""
+def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...],
+                             tuple[tuple[Partition, int, int], ...]]:
+    """The partitions of m in canonical order, as shapes and as classes: each
+    shape's bead mask and hook product m!/dim lam, and each class mu as
+    (mu, deg3(mu), m_1(mu)), its Cayley length m - l(mu) and unit parts."""
     labels = tuple(enumerate_partitions(m))
     return (labels, tuple(_beads(lam.parts) for lam in labels),
-            tuple(factorial(m) // _dim(lam.parts) for lam in labels))
+            tuple(factorial(m) // _dim(lam.parts) for lam in labels),
+            tuple((mu, m - len(mu.parts), mu.parts.count(1)) for mu in labels))
 
 
 def _column(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,18 +16,24 @@ character table of S_m gives, for every mu of size m, the integer
 with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
 leaves g^mu; every step is exact integer arithmetic.
 
-Only the mu that the filtrations allow are evaluated: g^mu vanishes unless
-deg2(mu) = |mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's
-filtration result, also the Ivanov-Olshanski weight filtration) and the
-Cayley length deg3(mu) = |mu| - l(mu) is at most deg3(sigma) + deg3(tau).
-Dropping unit parts keeps mu allowed, so the peel only ever needs allowed
-classes.  Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and
-the allowed mu from the column builder of the characters module, cached
-here once per cycle type, and the shapes and hook products of S_m from
-that module's cache.  The whole-table guard reads the same columns but
-evaluates every mu of every level, so it checks the pruning; a naive
-double enumeration and a brute-force group-algebra convolution check the
-character route itself.  None of them is ever consulted by this one.
+Only the allowed mu are evaluated: g^mu vanishes unless deg2(mu) =
+|mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's filtration
+result, also the Ivanov-Olshanski weight filtration) and the Cayley length
+deg3(mu) = |mu| - l(mu) is at most deg3(sigma) + deg3(tau).  On the union
+support a product of partial permutations a b = r is a product of
+permutations, whose Cayley lengths (fewest transpositions) are deg3 of
+their types.  Since sign(r) = sign(a) sign(b) and a = r b^-1, g^mu also
+vanishes unless deg3(mu) has the parity of deg3(sigma) + deg3(tau) and is
+at least |deg3(sigma) - deg3(tau)|.  Dropping unit parts keeps mu allowed
+(deg3 stays, deg2 drops), so the peel only ever needs allowed classes.
+Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the
+allowed mu from the column builder of the characters module, cached here
+once per cycle type, and the shapes, hook products and class data (deg3,
+m_1) of S_m from that module's cache.  The whole-table guard reads the
+same columns but evaluates every mu of every level, so it checks the
+pruning; a naive double enumeration and a brute-force group-algebra
+convolution check the character route itself.  None of them is ever
+consulted by this one.
 
 All values are immutable and the memo caches only grow, so concurrent
 readers are safe; inserts are plain dict assignments (atomic under the
@@ -106,18 +112,22 @@ def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
 
 
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """The production route: _peel over the classes the filtrations allow.
+    """The production route: _peel over the classes the filtrations, the
+    sign and the Cayley triangle allow.
 
-    g_{sigma,tau}^mu vanishes unless deg2(mu) = |mu| + m_1(mu) and
-    deg3(mu) = |mu| - l(mu) are at most the sums of those of sigma and
-    tau, so only those columns are built, each cached.
+    g_{sigma,tau}^mu vanishes unless deg2(mu) = |mu| + m_1(mu) is at most
+    deg2(sigma) + deg2(tau) and deg3(mu) = |mu| - l(mu) lies in
+    range(|deg3(sigma) - deg3(tau)|, deg3(sigma) + deg3(tau) + 1, 2), so
+    only those columns are built, each cached.  Each level's classes are
+    read with their deg3 and m_1 from _shapes(m), in canonical order.
     """
     cap2 = sigma.size() + sigma.multiplicity(1) + tau.size() + tau.multiplicity(1)
-    cap3 = sigma.size() - sigma.length() + tau.size() - tau.length()
+    d3s, d3t = sigma.size() - sigma.length(), tau.size() - tau.length()
+    deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
 
     def classes(m):
-        return [mu for mu in _shapes(m)[0]
-                if mu.parts.count(1) <= cap2 - m and len(mu.parts) >= m - cap3]
+        top1 = cap2 - m
+        return [mu for mu, d3, m1 in _shapes(m)[3] if m1 <= top1 and d3 in deg3s]
 
     return _peel(sigma, tau, classes)
 

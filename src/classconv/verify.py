@@ -224,9 +224,10 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
 
 def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResult:
     start = time.time()
-    # the production route skips the classes deg2 and deg3 rule out, so the
-    # scans below would hold by construction unless the table is first
-    # checked against the guard route, which evaluates every class
+    # the production route skips the classes that deg2, deg3, parity and the
+    # Cayley triangle rule out, so the scans below would hold by construction
+    # unless the table is first checked against the guard route, which
+    # evaluates every class
     mismatched = [(sigma, tau) for (sigma, tau), expansion in ca.g_table(bound).items()
                   if list(expansion.items())
                   != list(ca.product_expansion_whole(sigma, tau).items())]

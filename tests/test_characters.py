@@ -8,6 +8,7 @@ from classconv import characters, class_algebra
 from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, skew_dimension, x_mu)
 from classconv.class_algebra import ClassVector, multiply
+from classconv.filtrations import DegreeFunction
 from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
@@ -70,8 +71,10 @@ def test_tables_match_beta_tuple_route():
         assert t.matrix == [[character_beta_tuples(lam.parts, rho.parts) for rho in t.labels]
                             for lam in t.labels]
     for m in range(12):
-        labels, _, hooks = characters._shapes(m)
+        labels, _, hooks, classes = characters._shapes(m)
         assert labels == tuple(enumerate_partitions(m))
+        assert classes == tuple((mu, DegreeFunction.deg3()(mu), mu.multiplicity(1))
+                                for mu in labels)
         for mu in labels:
             assert class_algebra._column(mu.parts) == tuple(
                 character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu

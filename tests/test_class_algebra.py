@@ -138,24 +138,47 @@ def test_route_raises_on_inexact_division(monkeypatch):
 
 
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
-    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
-    class_algebra._column.cache_clear()
-    sigma, tau = P(3, 1), P(2, 2)
-    product_expansion(sigma, tau)
+    # (4)(2,1) has deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1)
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
-    cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
-    want = set()
-    for m in range(4, 9):
-        want |= {sigma.pad(m).parts, tau.pad(m).parts}
-        want |= {mu.parts for mu in enumerate_partitions(m)
-                 if deg2(mu) <= cap2 and deg3(mu) <= cap3}
-    built = class_algebra._column.cache_info()
-    assert built.misses == built.currsize == len(want)
-    assert len(want) < sum(len(enumerate_partitions(m)) for m in range(4, 9))
-    for parts in want:
-        class_algebra._column(parts)
-    again = class_algebra._column.cache_info()
-    assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1))]:
+        monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+        class_algebra._column.cache_clear()
+        product_expansion(sigma, tau)
+        cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
+        floor3 = abs(deg3(sigma) - deg3(tau))
+        levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() + 1)
+        want = set()
+        for m in levels:
+            want |= {sigma.pad(m).parts, tau.pad(m).parts}
+            want |= {mu.parts for mu in enumerate_partitions(m)
+                     if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
+                     and (deg3(mu) - cap3) % 2 == 0}
+        built = class_algebra._column.cache_info()
+        assert built.misses == built.currsize == len(want), (sigma, tau)
+        assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
+        for parts in want:
+            class_algebra._column(parts)
+        again = class_algebra._column.cache_info()
+        assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
+
+
+def test_whole_tables_obey_sign_and_cayley_triangle():
+    # the guard evaluates every class, so this checks the two conditions the
+    # production route prunes by, on an independent route
+    deg3 = DegreeFunction.deg3()
+    shapes = partitions_up_to(10)
+    tight = 0
+    for i, sigma in enumerate(shapes):
+        for tau in shapes[i:]:
+            if sigma.size() + tau.size() > 10:
+                continue
+            a, b = deg3(sigma), deg3(tau)
+            for rho in product_expansion_whole(sigma, tau):
+                r = deg3(rho)
+                assert (r - a - b) % 2 == 0, (sigma, tau, rho)
+                assert r >= abs(a - b), (sigma, tau, rho)
+                tight += r == abs(a - b) > 0
+    assert tight
 
 
 def test_pruned_route_matches_whole_tables_up_to_12():

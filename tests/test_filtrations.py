@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from classconv import filtrations
 from classconv.class_algebra import (g_table, product_expansion,
                                      product_expansion_whole, q_polynomial)
-from classconv.filtrations import (DegreeFunction, GammaViolation,
+from classconv.filtrations import (DegreeFunction, GammaViolation, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
 from classconv.partial_perm import PartialPermutation, product
@@ -68,6 +69,39 @@ def test_counterexample_detected():
              == (P(4), P(5), P(2, 2, 2)))
     assert v.theta_rho == 3 and v.theta_bound == 2
     assert v.line() == "sigma=4 tau=5 rho=2,2,2 theta_rho=3 bound=2"
+
+
+def _check_filtration_sorting_everything(theta, bound):
+    # reference order for the scan: every pair, then every expansion, sorted
+    # canonically; a scan that walks g_table in its own order must match it
+    out = []
+    for (sigma, tau), expansion in sorted(
+            g_table(bound).items(),
+            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
+        cap = theta(sigma) + theta(tau)
+        for rho in sorted(expansion, key=Partition.sort_key):
+            t = theta(rho)
+            if t > cap:
+                out.append(Violation(sigma, tau, rho, t, cap))
+    return out
+
+
+def test_scan_lists_violations_in_canonical_order():
+    for expansion in g_table(5).values():
+        keys = [rho.sort_key() for rho in expansion]
+        assert keys == sorted(keys)
+    # the cycle-count degree has a few violations; gamma_k = (k-1)^2 has
+    # violations all over the table, which g_table lists out of canonical order
+    cycle_count = DegreeFunction.additive((0,) + (1,) * 9)
+    squared = DegreeFunction.additive(tuple(k * k for k in range(10)))
+    thetas = [DEG1, DEG2, DEG3, cycle_count, squared]
+    thetas += [DegreeFunction.theta_J(J) for r in range(6)
+               for J in combinations(range(1, 6), r)]
+    assert len(thetas) == 37
+    for theta in thetas:
+        assert check_filtration(theta, 5) == _check_filtration_sorting_everything(theta, 5), \
+            theta.label()
+    assert check_filtration(cycle_count, 5)
 
 
 def test_bound_guard():
