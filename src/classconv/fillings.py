@@ -17,14 +17,18 @@ for one.  The canonical filling of rho has the cycles of
 Fillings made here from rows that are valid by construction skip the
 validation that ``Filling(rows)`` applies to outside input.
 
-``enumerate_F`` walks the reading orders of the S-fillings (the
-arrangements that ``fillings_of_shape`` cuts into rows) and rejects most
-of them before building anything.  Convolution reads S first, starts each
-product cycle at the first of its points it reads and keeps equal-length
-cycles in the order it reads them, so S*T is the canonical filling of rho
-only if S enters each row of rho it touches at the row's smallest point,
-and enters it after the previous row of rho of the same length.  The test
-depends on S and rho alone and only drops S with no T.
+``enumerate_F`` walks only the reading orders of the S-fillings (the
+arrangements that ``fillings_of_shape`` cuts into rows) that can have a T.
+Convolution reads S first, starts each product cycle at the first of its
+points it reads and keeps equal-length cycles in the order it reads them,
+so S*T is the canonical filling of rho only if S enters each row of rho it
+touches at the row's smallest point, and enters it after the previous row
+of rho of the same length; T's points off S, read after all of S, must
+keep the same rule.  The product forces T's core permutation S^-1 rho, so
+S must also agree with rho (S being the identity off its support) on
+exactly the points that tau's unit parts leave fixed.  The walk places
+S's points in reading order and cuts a branch as soon as either test
+fails; both depend on S and rho alone and only drop S with no T.
 """
 
 from __future__ import annotations
@@ -187,18 +191,23 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     """All pairs (S, T) of shapes (sigma, tau) whose convolution is the
     canonical filling of rho.
 
-    S is first tested by its reading order alone.  Convolution reads S
-    before T, starts each product cycle at the first of its points it
-    reads and keeps equal-length cycles in the order it first reads them;
-    the rows of the canonical filling start at their smallest points and
-    equal-length rows stand in order of those points.  So S*T can be the
-    target only if, in S's reading order, every row of rho that S touches
-    is entered at its smallest point, and a row is entered only after the
-    row of rho before it of the same length.  An S that fails has no T.
+    Convolution reads S before T, starts each product cycle at the first
+    of its points it reads and keeps equal-length cycles in the order it
+    first reads them; the rows of the canonical filling start at their
+    smallest points and equal-length rows stand in order of those points.
+    So S*T can be the target only if, in its reading order, every row of
+    rho is entered at its smallest point, and a row is entered only after
+    the row of rho before it of the same length.  S is walked under that
+    rule alone; T's points off S are read after all of S and must keep it
+    too before S and T are convolved.
 
-    T is constrained: once S is fixed, the product forces the permutation
-    of T on a core support, leaving a binomial choice of extra fixed
-    entries and the usual row/rotation freedom.  There are no pairs unless
+    Once S is fixed, the product forces T's permutation S^-1 rho on a core
+    support, leaving a binomial choice of extra fixed entries and the
+    usual row/rotation freedom.  The core must have the cycle type of tau
+    without its unit parts, so S^-1 rho moves exactly |tau| - m_1(tau)
+    points: S must agree with rho on exactly the rest.  The walk counts
+    those agreements as it places S's points and drops every S that misses
+    the count.  There are no pairs unless
     max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.  enumerate_F_naive is
     the independent route that tests compare against.
     """
@@ -211,21 +220,10 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     target = canonical_filling(rho)
     rho_img = _images(target.rows)
     core_type = tau.strip_ones().parts
-    # before[x]: the point S must read before it reads x (0: none).  That
-    # is the first point of x's row, or for a first point, the first point
-    # of the previous row of the same length.
-    before = [0] * (r + 1)
-    last_head: dict[int, int] = {}
-    for row in target.rows:
-        before[row[0]] = last_head.get(len(row), 0)
-        last_head[len(row)] = row[0]
-        for x in row[1:]:
-            before[x] = row[0]
+    before = _reading_rule(target)
     spans = _row_spans(sigma)
     out: list[tuple[Filling, Filling]] = []
-    for arrangement in _arrangements(sigma.size(), range(1, r + 1)):
-        if not _reads_in_order(arrangement, before):
-            continue
+    for arrangement in _s_arrangements(sigma, rho_img, before, sum(core_type)):
         s = Filling._of(tuple(arrangement[a:b] for a, b in spans))
         s_inv = {y: x for x, y in _images(s.rows).items()}
         cycles = _cycles({x: s_inv.get(y, y) for x, y in rho_img.items()},
@@ -241,19 +239,95 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
         for extra in combinations([x for x in fixed if x in s_inv], need):
             ones = [(x,) for x in sorted(free + list(extra))]
             for t in _fillings_of_cycles(core + ones):
-                if convolve(s, t) == target:
+                if (_reads_in_order(t.reading_order(), before, s_inv)
+                        and convolve(s, t) == target):
                     out.append((s, t))
     return out
 
 
-def _reads_in_order(arrangement: tuple[int, ...], before: list[int]) -> bool:
-    """Whether the arrangement reads before[x] ahead of each x (0: none)."""
-    read = {0}
-    for x in arrangement:
-        if before[x] not in read:
-            return False
-        read.add(x)
+def _reading_rule(target: Filling) -> list[int]:
+    """before[x]: the point a reading order must read before x for its
+    convolution to come out as the target (0: none).  That is the first
+    point of x's row, or for a first point, the first point of the
+    previous row of the same length."""
+    before = [0] * (len(target.support) + 1)
+    last_head: dict[int, int] = {}
+    for row in target.rows:
+        before[row[0]] = last_head.get(len(row), 0)
+        last_head[len(row)] = row[0]
+        for x in row[1:]:
+            before[x] = row[0]
+    return before
+
+
+def _reads_in_order(order: Iterable[int], before: list[int], read: Iterable[int]) -> bool:
+    """Whether reading `order` after the points in `read` reads before[x]
+    ahead of each x not read yet (0: none)."""
+    seen = {0, *read}
+    for x in order:
+        if x not in seen:
+            if before[x] not in seen:
+                return False
+            seen.add(x)
     return True
+
+
+def _s_arrangements(sigma: Partition, rho_img: dict[int, int], before: list[int],
+                    moved: int) -> Iterator[tuple[int, ...]]:
+    """The reading orders of the S-fillings of shape sigma on {1..r} that
+    read before[x] ahead of each x and agree with rho on exactly r - moved
+    points, where S(x) = x off S: each combination, then each permutation
+    of it, in the order of ``_arrangements``.
+
+    A combination must hold before[x] for each x in it, and the fixed
+    points of rho off it count as agreements.  Permutations are walked
+    depth first in increasing point order, placing a point only once its
+    before[x] is read.  The edge x -> next in S's row is decided when the
+    next point is placed, and the row's last -> first edge when the row
+    closes; a branch is cut once its agreements pass the target or cannot
+    reach it with the edges still undecided."""
+    size, r = sigma.size(), len(before) - 1
+    spans = _row_spans(sigma)
+    # head[i]: where position i's row starts; open_after[i]: the edges
+    # still undecided once position i is placed
+    head = [a for a, b in spans for _ in range(a, b)]
+    closes = [i == b - 1 for a, b in spans for i in range(a, b)]
+    open_after = [size - i - c for i, c in enumerate(closes)]
+    rho_fixed = {x for x in range(1, r + 1) if rho_img[x] == x}
+    arrangement = [0] * size
+    read = [False] * (r + 1)
+    read[0] = True
+    found: list[tuple[int, ...]] = []
+
+    def place(i: int, hits: int, left: list[int], want: int) -> None:
+        if i == size:
+            found.append(tuple(arrangement))
+            return
+        for j, x in enumerate(left):
+            if not read[before[x]]:
+                continue
+            arrangement[i] = x
+            h = hits
+            if i != head[i] and rho_img[arrangement[i - 1]] == x:
+                h += 1
+            if closes[i] and rho_img[x] == arrangement[head[i]]:
+                h += 1
+            if h > want or h + open_after[i] < want:
+                continue
+            read[x] = True
+            place(i + 1, h, left[:j] + left[j + 1:], want)
+            read[x] = False
+
+    for chosen in combinations(range(1, r + 1), size):
+        inside = {0, *chosen}
+        if any(before[x] not in inside for x in chosen):
+            continue
+        want = r - moved - len(rho_fixed - inside)
+        if not 0 <= want <= size:
+            continue
+        place(0, 0, list(chosen), want)
+        yield from found
+        found.clear()
 
 
 def enumerate_F_naive(sigma: Partition, tau: Partition,

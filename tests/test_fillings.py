@@ -8,7 +8,7 @@ from classconv.class_algebra import f_constant
 from classconv.fillings import (Filling, canonical_filling, convolve,
                                 enumerate_F, enumerate_F_naive,
                                 fillings_of_perm, fillings_of_shape)
-from classconv.partial_perm import PartialPermutation, canonical_rep, product
+from classconv.partial_perm import PartialPermutation, _images, canonical_rep, product
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 
 P = lambda *parts: Partition(parts)
@@ -176,8 +176,8 @@ def test_enumerate_F_fast_matches_naive():
 
 def test_enumerate_F_rejects_S_by_reading_order(monkeypatch):
     # an S whose reading order cannot start the rows of rho in place is
-    # skipped before any T is convolved with it: fewer than two
-    # convolutions per pair found (more than nine per pair without the test)
+    # never walked, and a T whose points off S break that order is never
+    # convolved: every convolution made finds a pair
     calls = 0
 
     def counting_convolve(s, t):
@@ -188,14 +188,55 @@ def test_enumerate_F_rejects_S_by_reading_order(monkeypatch):
     monkeypatch.setattr(fillings_module, "convolve", counting_convolve)
     pairs = sum(len(enumerate_F(sigma, tau, rho)) for sigma, tau, rho in _triples(3))
     assert pairs == 541
-    assert calls < 2 * pairs, (calls, pairs)
+    assert calls == pairs
+
+
+def test_enumerate_F_walks_fewer_S_than_pairs(monkeypatch):
+    # the walk drops each S whose agreements with rho leave the forced map
+    # moving the wrong number of points; up to 3 it yields 348 S (3,358
+    # passed the reading-order rule alone), fewer than the pairs they make
+    walk = fillings_module._s_arrangements
+    walked = 0
+
+    def counting_walk(*args):
+        nonlocal walked
+        for arrangement in walk(*args):
+            walked += 1
+            yield arrangement
+
+    monkeypatch.setattr(fillings_module, "_s_arrangements", counting_walk)
+    pairs = sum(len(enumerate_F(sigma, tau, rho)) for sigma, tau, rho in _triples(3))
+    assert pairs == 541
+    assert walked < pairs, (walked, pairs)
+
+
+def test_s_walk_matches_filtered_arrangements():
+    # the pruned walk yields exactly the in-order arrangements whose S
+    # (the identity off S) agrees with rho on r - moved points, in order
+    for rho in partitions_up_to(6):
+        r = rho.size()
+        target = canonical_filling(rho)
+        rho_img = _images(target.rows)
+        before = fillings_module._reading_rule(target)
+        for sigma in partitions_up_to(min(4, r)):
+            spans = fillings_module._row_spans(sigma)
+            by_moved: dict[int, list[tuple[int, ...]]] = {}
+            for a in fillings_module._arrangements(sigma.size(), range(1, r + 1)):
+                if fillings_module._reads_in_order(a, before, ()):
+                    s_img = _images(tuple(a[i:j] for i, j in spans))
+                    agree = sum(s_img.get(x, x) == rho_img[x] for x in range(1, r + 1))
+                    by_moved.setdefault(r - agree, []).append(a)
+            for moved in range(r + 1):
+                assert list(fillings_module._s_arrangements(
+                    sigma, rho_img, before, moved)) == by_moved.get(moved, []), (
+                        sigma, rho, moved)
 
 
 def test_enumerate_F_out_of_range_rho_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("S-fillings enumerated for a rho with no pairs")
 
-    monkeypatch.setattr(fillings_module, "_arrangements", refuse)
+    monkeypatch.setattr(fillings_module, "_s_arrangements", refuse)
     assert enumerate_F(P(4), P(4), P(30)) == []
     assert enumerate_F(P(3), P(1), P(2)) == []
 
