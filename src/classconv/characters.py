@@ -2,18 +2,19 @@
 
 Characters come from the Murnaghan-Nakayama recursion over border-strip
 removals.  Each shape is encoded as a bitmask of its beta numbers, where a
-strip removal is one bead moved down to an empty position, and the values
-are memoized per remaining cycle-type suffix ({rho_rest: {mask: chi}}), so
-a suffix is stored once rather than in every key.  The shapes of S_m (labels,
-bead masks, hook products) and its classes with their Cayley lengths and
-unit parts are cached per m, and one column builder takes each entry of a
-column one recursion step into that memo; CharacterTable and the
-structure-constant route in class_algebra both read their columns from it.
-Dimensions come from the hook length formula, skew dimensions from
-corner-removal recursion.  On top of these sit the shifted power sums p#,
-the shifted Schur values s* obtained from p# by character orthogonality,
-the evaluation isomorphism F, and the class vectors x_mu whose F-images
-are the s*.
+strip removal is one bead moved down to an empty position.  The shapes of
+S_m (labels, bead masks with their positions, hook products) and its classes
+with their Cayley lengths and unit parts are cached per m.  The one
+character cache is a column per cycle type: chi^lam_rho over every shape lam
+of S_|rho|, built by one Murnaghan-Nakayama step per shape from the cached
+column of rho minus its first part.  Single reads, the shifted evaluations
+and the structure-constant route in class_algebra all read it;
+CharacterTable builds its own columns from the cached suffix columns and
+does not cache them.  Dimensions come from the hook length formula, skew
+dimensions from corner-removal recursion.  On top of these sit the shifted
+power sums p#, the shifted Schur values s* obtained from p# by character
+orthogonality, the evaluation isomorphism F, and the class vectors x_mu
+whose F-images are the s*.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -27,13 +28,11 @@ from math import factorial
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions, falling_factorial
 
+
 # Each shape is held as its beta set in an int: bit lam_i + len(lam) - 1 - i
 # is set for every part, so the parts are positive exactly when bit 0 is
 # clear.  A border strip of size k is a bead moved from b down to an empty
 # b - k, and its height is the number of beads strictly between.
-_MEMO: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-
-
 def _beads(lam: tuple[int, ...]) -> int:
     ell = len(lam)
     mask = 0
@@ -42,10 +41,10 @@ def _beads(lam: tuple[int, ...]) -> int:
     return mask
 
 
-def _strip_sum(mask: int, k: int, rest: tuple[int, ...]) -> int:
+def _strip_sum(mask: int, k: int, below: tuple[int, ...], at: dict[int, int]) -> int:
     """Sum over the size-k border strips of mask of (-1)^height chi^(mask minus
-    strip) on rest: one Murnaghan-Nakayama step."""
-    sub = _MEMO.setdefault(rest, {})
+    strip), read from below, the column of the rest of the cycle type, at the
+    positions at gives its shapes: one Murnaghan-Nakayama step."""
     between = (1 << (k - 1)) - 1
     move = (1 << k) | 1
     targets = (mask >> k) & ~mask
@@ -58,9 +57,7 @@ def _strip_sum(mask: int, k: int, rest: tuple[int, ...]) -> int:
         if not t:
             # beads at 0, 1, ... stand for zero parts: drop them
             new >>= ((new + 1) & ~new).bit_length() - 1
-        chi = sub.get(new)
-        if chi is None:
-            chi = sub[new] = _strip_sum(new, rest[0], rest[1:])
+        chi = below[at[new]]
         if ((mask >> (t + 1)) & between).bit_count() & 1:
             total -= chi
         else:
@@ -68,20 +65,11 @@ def _strip_sum(mask: int, k: int, rest: tuple[int, ...]) -> int:
     return total
 
 
-def _chi(mask: int, rho: tuple[int, ...]) -> int:
-    """chi^lam_rho for the shape lam with beta set mask, memoized per rho."""
-    memo = _MEMO.setdefault(rho, {})
-    chi = memo.get(mask)
-    if chi is None:
-        chi = memo[mask] = _strip_sum(mask, rho[0], rho[1:])
-    return chi
-
-
 def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam on the class of cycle type rho."""
     if lam.size() != rho.size():
         raise ValueError(f"|{lam}| != |{rho}|")
-    return _chi(_beads(lam.parts), rho.parts)
+    return _column(rho.parts)[_shapes(rho.size())[1][_beads(lam.parts)]]
 
 
 @cache
@@ -125,25 +113,27 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def _shapes(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...], tuple[int, ...],
+def _shapes(m: int) -> tuple[tuple[Partition, ...], dict[int, int], tuple[int, ...],
                              tuple[tuple[Partition, int, int], ...]]:
     """The partitions of m in canonical order, as shapes and as classes: each
-    shape's bead mask and hook product m!/dim lam, and each class mu as
-    (mu, deg3(mu), m_1(mu)), its Cayley length m - l(mu) and unit parts."""
+    shape's bead mask mapped to its position (iterating the dict yields the
+    masks in canonical order) and its hook product m!/dim lam, and each class
+    mu as (mu, deg3(mu), m_1(mu)), its Cayley length m - l(mu) and unit parts."""
     labels = tuple(enumerate_partitions(m))
-    return (labels, tuple(_beads(lam.parts) for lam in labels),
+    return (labels, {_beads(lam.parts): i for i, lam in enumerate(labels)},
             tuple(factorial(m) // _dim(lam.parts) for lam in labels),
             tuple((mu, m - len(mu.parts), mu.parts.count(1)) for mu in labels))
 
 
+@cache
 def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
     """chi^lam_parts over the shapes lam of _shapes(|parts|): one
-    Murnaghan-Nakayama step per shape into the memo, which does not store
-    the column itself."""
+    Murnaghan-Nakayama step per shape from the cached column of parts[1:]."""
     if not parts:
         return (1,)
     head, rest = parts[0], parts[1:]
-    return tuple(_strip_sum(mask, head, rest) for mask in _shapes(sum(parts))[1])
+    below, at = _column(rest), _shapes(sum(rest))[1]
+    return tuple(_strip_sum(mask, head, below, at) for mask in _shapes(sum(parts))[1])
 
 
 class CharacterTable:
@@ -154,7 +144,10 @@ class CharacterTable:
     def __init__(self, n: int) -> None:
         self.n = n
         self.labels = list(_shapes(n)[0])
-        self.matrix = [list(row) for row in zip(*(_column(rho.parts) for rho in self.labels))]
+        # nothing else reads a table's own columns, so they are built past the
+        # cache; only their suffix columns, shared with single reads, are kept
+        build = _column.__wrapped__
+        self.matrix = [list(row) for row in zip(*(build(rho.parts) for rho in self.labels))]
         self._index = {lam: i for i, lam in enumerate(self.labels)}
 
     def value(self, lam: Partition, rho: Partition) -> int:
@@ -171,7 +164,7 @@ def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if r > n:
         return Fraction(0)
-    chi = _chi(_beads(lam.parts), rho.parts + (1,) * (n - r))
+    chi = _column(rho.parts + (1,) * (n - r))[_shapes(n)[1][_beads(lam.parts)]]
     return Fraction(falling_factorial(n, r) * chi, _dim(lam.parts))
 
 
@@ -182,14 +175,14 @@ def s_star(mu: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if r > n:
         return Fraction(0)
-    mu_mask, lam_mask = _beads(mu.parts), _beads(lam.parts)
+    mu_at, lam_at = _shapes(r)[1][_beads(mu.parts)], _shapes(n)[1][_beads(lam.parts)]
     ones = (1,) * (n - r)
     r_fact = factorial(r)
     total = 0
     for rho in enumerate_partitions(r):
-        chi = _chi(mu_mask, rho.parts)
+        chi = _column(rho.parts)[mu_at]
         if chi:
-            total += chi * (r_fact // rho.centralizer_size()) * _chi(lam_mask, rho.parts + ones)
+            total += chi * (r_fact // rho.centralizer_size()) * _column(rho.parts + ones)[lam_at]
     return Fraction(falling_factorial(n, r) * total, r_fact * _dim(lam.parts))
 
 

@@ -27,17 +27,16 @@ vanishes unless deg3(mu) has the parity of deg3(sigma) + deg3(tau) and is
 at least |deg3(sigma) - deg3(tau)|.  Dropping unit parts keeps mu allowed
 (deg3 stays, deg2 drops), so the peel only ever needs allowed classes.
 Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the
-allowed mu from the column builder of the characters module, cached here
-once per cycle type, and the shapes, hook products and class data (deg3,
-m_1) of S_m from that module's cache.  The whole-table guard reads the
-same columns but evaluates every mu of every level, so it checks the
-pruning; a naive double enumeration and a brute-force group-algebra
-convolution check the character route itself.  None of them is ever
-consulted by this one.
+allowed mu from the characters module's column cache, one column per cycle
+type, and the shapes, hook products and class data (deg3, m_1) of S_m from
+that module's per-m cache.  The whole-table guard reads the same columns
+but evaluates every mu of every level, so it checks the pruning; a naive
+double enumeration and a brute-force group-algebra convolution check the
+character route itself.  None of them is ever consulted by this one.
 
-All values are immutable and the memo caches only grow, so concurrent
-readers are safe; inserts are plain dict assignments (atomic under the
-GIL).
+All values are immutable and the caches only grow, so concurrent readers
+are safe; _PAIR_CACHE inserts are plain dict assignments (atomic under the
+GIL), and the other caches are functools caches.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from . import characters
-from .characters import _shapes
+from .characters import _column, _shapes
 from .class_vector import ClassVector
 from .partial_perm import _cycles, canonical_rep, enumerate_class
 from .partitions import Partition, falling_factorial, partitions_up_to
@@ -71,9 +69,6 @@ def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int,
 # the structure-constant route
 
 _PAIR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[Partition, int]] = {}
-
-# chi^lam_parts over the shapes of _shapes(|parts|), cached once per cycle type
-_column = lru_cache(maxsize=None)(characters._column)
 
 
 def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from classconv import characters, class_algebra
+from classconv import characters
 from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, skew_dimension, x_mu)
 from classconv.class_algebra import ClassVector, multiply
@@ -76,7 +76,7 @@ def test_tables_match_beta_tuple_route():
         assert classes == tuple((mu, DegreeFunction.deg3()(mu), mu.multiplicity(1))
                                 for mu in labels)
         for mu in labels:
-            assert class_algebra._column(mu.parts) == tuple(
+            assert characters._column(mu.parts) == tuple(
                 character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu
         # hook product times dimension is m!, the dimension read off the beta-tuple route
         assert [h * character_beta_tuples(lam.parts, (1,) * m)
@@ -94,6 +94,30 @@ def test_large_tables_against_closed_forms():
         assert t.matrix[t.labels.index(P(n))] == [1] * len(t.labels)
         assert t.matrix[t.labels.index(Partition((1,) * n))] == [
             (-1) ** (n - rho.length()) for rho in t.labels]
+
+
+def test_column_cache_keeps_suffixes_not_tables():
+    # a table's own columns are built past the cache: only the proper
+    # suffixes its columns were built from stay
+    characters._column.cache_clear()
+    CharacterTable(12)
+    suffixes = {rho.parts[i:] for rho in enumerate_partitions(12)
+                for i in range(1, rho.length() + 1)}
+    held = characters._column.cache_info()
+    assert held.misses == held.currsize == len(suffixes)
+    for parts in suffixes:
+        characters._column(parts)
+    again = characters._column.cache_info()
+    assert (again.hits, again.misses, again.currsize) == (
+        held.hits + len(suffixes), held.misses, held.currsize)
+    # single reads past every table the tests build, against closed forms
+    for n in range(19, 25):
+        labels = enumerate_partitions(n)
+        hook = P(n - 1, 1)
+        for rho in labels[::len(labels) // 8] + [labels[-1]]:
+            assert character(P(n), rho) == 1
+            assert character(Partition((1,) * n), rho) == (-1) ** (n - rho.length())
+            assert character(hook, rho) == rho.multiplicity(1) - 1, rho
 
 
 def test_table_column_orthogonality():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classconv import class_algebra
+from classconv import characters, class_algebra
 from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      convolve_C_classes, f_constant, g_constant,
                                      g_constant_naive, g_table, multiply,
@@ -140,9 +140,17 @@ def test_route_raises_on_inexact_division(monkeypatch):
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # (4)(2,1) has deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1)
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
+    column = characters._column
     for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1))]:
         monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
-        class_algebra._column.cache_clear()
+        requested = set()
+
+        def recorded(parts):
+            requested.add(parts)
+            return column(parts)
+
+        monkeypatch.setattr(class_algebra, "_column", recorded)
+        column.cache_clear()
         product_expansion(sigma, tau)
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
@@ -153,12 +161,16 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             want |= {mu.parts for mu in enumerate_partitions(m)
                      if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
                      and (deg3(mu) - cap3) % 2 == 0}
-        built = class_algebra._column.cache_info()
-        assert built.misses == built.currsize == len(want), (sigma, tau)
+        assert requested == want, (sigma, tau)
         assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
+        # each column _peel reads is built once, from the suffix columns it
+        # needs, and the cache holds nothing else
+        suffixes = {parts[i:] for parts in want for i in range(1, len(parts) + 1)}
+        built = column.cache_info()
+        assert built.misses == built.currsize == len(want | suffixes), (sigma, tau)
         for parts in want:
-            class_algebra._column(parts)
-        again = class_algebra._column.cache_info()
+            column(parts)
+        again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
 
 
