@@ -35,14 +35,13 @@ double enumeration and a brute-force group-algebra convolution check the
 character route itself.  None of them is ever consulted by this one.
 
 All values are immutable and the caches only grow, so concurrent readers
-are safe; _PAIR_CACHE inserts are plain dict assignments (atomic under the
-GIL), and the other caches are functools caches.
+are safe; every cache is a functools cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 from operator import mul
 from typing import Iterable
@@ -58,7 +57,7 @@ ORACLE_DEFAULT_BOUND = 7
 # classes as image tuples over {1..r}
 
 
-@lru_cache(maxsize=None)
+@cache
 def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All of A_{parts;r} as (support mask, image tuple over {1..r}) pairs."""
     return tuple((sum(1 << (x - 1) for x in pp.support), tuple(map(pp, range(1, r + 1))))
@@ -67,8 +66,6 @@ def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int,
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
-
-_PAIR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[Partition, int]] = {}
 
 
 def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
@@ -142,13 +139,13 @@ def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     route is commutative and that it matches the double enumeration and,
     keys in order, the whole-table guard.
     """
-    a, b = sorted((sigma.parts, tau.parts))
-    key = (a, b)
-    hit = _PAIR_CACHE.get(key)
-    if hit is None:
-        hit = _expand(Partition(a), Partition(b))
-        _PAIR_CACHE[key] = hit
-    return hit
+    return _pair_expansion(*sorted((sigma.parts, tau.parts)))
+
+
+@cache
+def _pair_expansion(a: tuple[int, ...], b: tuple[int, ...]) -> dict[Partition, int]:
+    """The expansion of the pair of parts tuples a <= b, cached."""
+    return _expand(Partition(a), Partition(b))
 
 
 def g_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:

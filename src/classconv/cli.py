@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Plain
 output is line oriented and canonically sorted; --json emits a single
-document with fields {command, inputs, results, violations?} where
-partitions are integer arrays and rationals are {num, den} objects.
+document with fields {command, inputs, results}, plus {ok, violations?}
+for verify, where partitions are integer arrays and rationals are
+{num, den} objects.
 """
 
 from __future__ import annotations
@@ -41,15 +42,16 @@ def _parse_filling(text: str, flag: str) -> Filling:
         raise UsageError(f"malformed filling string for {flag}: {exc}") from exc
 
 
-def _check_size(total: int, max_size: int, what: str,
-                default: int = DEFAULT_SIZE_BOUND) -> None:
-    if total > max_size:
+def _check_size(args, total: int, what: str) -> None:
+    """Refuse a total above --max-size; warn when --max-size is above the
+    subcommand's default."""
+    if total > args.max_size:
         raise UsageError(
-            f"size bounds exceeded: {what} = {total} > {max_size} "
+            f"size bounds exceeded: {what} = {total} > {args.max_size} "
             "(raise --max-size explicitly to override)")
-    if max_size > default:
-        print(f"warning: --max-size {max_size} above default "
-              f"{default}; this may take a long time", file=sys.stderr)
+    if args.max_size > args.default_max_size:
+        print(f"warning: --max-size {args.max_size} above default "
+              f"{args.default_max_size}; this may take a long time", file=sys.stderr)
 
 
 def _jsonable(value):
@@ -68,12 +70,24 @@ def _fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _emit(args, document: dict, plain_lines: list[str]) -> None:
+def _partitions(args, *flags: str) -> list[Partition]:
+    """The partitions given by the named flags, in order."""
+    return [_parse_partition(getattr(args, flag), f"--{flag}") for flag in flags]
+
+
+def _emit(args, inputs: dict, results, lines: list[str], **extra) -> None:
+    """Print the plain lines, or with --json the document
+    {command, inputs, results, **extra}."""
     if args.json:
-        print(json.dumps(document, indent=2))
+        doc = {"command": args.command, "inputs": inputs, "results": results, **extra}
+        print(json.dumps(doc, indent=2))
     else:
-        for line in plain_lines:
+        for line in lines:
             print(line)
+
+
+def _terms(v: ca.ClassVector) -> list[dict]:
+    return [{"coeff": _jsonable(c), "partition": _jsonable(p)} for p, c in v.items()]
 
 
 def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
@@ -82,75 +96,52 @@ def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
 
 
 def _cmd_mult(args) -> int:
-    lhs = _parse_partition(args.lhs, "--lhs")
-    rhs = _parse_partition(args.rhs, "--rhs")
+    lhs, rhs = _partitions(args, "lhs", "rhs")
     if args.n is not None and args.n < 0:
         raise UsageError(f"truncation level --n must be nonnegative, got {args.n}")
-    _check_size(lhs.size() + rhs.size(), args.max_size, "|lhs|+|rhs|")
-    if args.basis == "A":
-        expansion = ca.product_expansion(lhs, rhs)
-    else:
-        expansion = ca.product_expansion_a(lhs, rhs)
-    terms = {p: Fraction(c) for p, c in expansion.items()}
-    if args.n is not None:
-        terms = {p: c for p, c in terms.items() if p.size() <= args.n}
-    v = ca.ClassVector(terms, args.n)
-    doc = {"command": "mult",
-           "inputs": {"basis": args.basis, "lhs": _jsonable(lhs),
-                      "rhs": _jsonable(rhs), "n": args.n},
-           "results": [{"coeff": _jsonable(c), "partition": _jsonable(p)}
-                       for p, c in v.items()]}
-    _emit(args, doc, _vector_lines(v, args.basis))
+    _check_size(args, lhs.size() + rhs.size(), "|lhs|+|rhs|")
+    expand = ca.product_expansion if args.basis == "A" else ca.product_expansion_a
+    v = ca.ClassVector({p: Fraction(c) for p, c in expand(lhs, rhs).items()
+                        if args.n is None or p.size() <= args.n}, args.n)
+    _emit(args, {"basis": args.basis, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs),
+                 "n": args.n},
+          _terms(v), _vector_lines(v, args.basis))
     return 0
 
 
 def _cmd_constant(args) -> int:
     """gconst and fconst: one value of the structure-constant function bound
     to the subcommand."""
-    sigma = _parse_partition(args.sigma, "--sigma")
-    tau = _parse_partition(args.tau, "--tau")
-    rho = _parse_partition(args.rho, "--rho")
-    _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
+    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
     value = args.constant(sigma, tau, rho)
-    doc = {"command": args.command,
-           "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
-                      "rho": _jsonable(rho)},
-           "results": value}
-    _emit(args, doc, [str(value)])
+    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
+          value, [str(value)])
     return 0
 
 
 def _cmd_qpoly(args) -> int:
-    sigma = _parse_partition(args.sigma, "--sigma")
-    tau = _parse_partition(args.tau, "--tau")
-    rho = _parse_partition(args.rho, "--rho")
-    _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
+    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
     try:
         q = ca.q_polynomial(sigma, tau, rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    doc = {"command": "qpoly",
-           "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
-                      "rho": _jsonable(rho)},
-           "results": {"coeffs": list(q.coeffs), "monomial": q.monomial_string()}}
-    _emit(args, doc, ["[" + ",".join(str(c) for c in q.coeffs) + "]",
-                      q.monomial_string()])
+    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
+          {"coeffs": list(q.coeffs), "monomial": q.monomial_string()},
+          ["[" + ",".join(str(c) for c in q.coeffs) + "]", q.monomial_string()])
     return 0
 
 
 def _cmd_csn_mult(args) -> int:
-    sigma = _parse_partition(args.sigma, "--sigma")
-    tau = _parse_partition(args.tau, "--tau")
-    _check_size(sigma.size() + tau.size(), args.max_size, "|sigma|+|tau|")
+    sigma, tau = _partitions(args, "sigma", "tau")
+    _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
     try:
         v = ca.convolve_C_classes(sigma, tau, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    doc = {"command": "csn-mult",
-           "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "n": args.n},
-           "results": [{"coeff": _jsonable(c), "partition": _jsonable(p)}
-                       for p, c in v.items()]}
-    _emit(args, doc, _vector_lines(v, "C"))
+    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "n": args.n},
+          _terms(v), _vector_lines(v, "C"))
     return 0
 
 
@@ -158,49 +149,28 @@ def _cmd_fillings_conv(args) -> int:
     s = _parse_filling(args.lhs, "--lhs")
     t = _parse_filling(args.rhs, "--rhs")
     r = convolve(s, t)
-    doc = {"command": "fillings-conv",
-           "inputs": {"lhs": str(s), "rhs": str(t)},
-           "results": {"filling": str(r), "rows": [list(row) for row in r.rows]}}
-    _emit(args, doc, [str(r)])
+    _emit(args, {"lhs": str(s), "rhs": str(t)},
+          {"filling": str(r), "rows": [list(row) for row in r.rows]}, [str(r)])
     return 0
 
 
 def _cmd_fillings_count(args) -> int:
-    sigma = _parse_partition(args.sigma, "--sigma")
-    tau = _parse_partition(args.tau, "--tau")
-    rho = _parse_partition(args.rho, "--rho")
-    _check_size(max(sigma.size(), tau.size()), args.max_size, "max(|sigma|,|tau|)",
-                FILLINGS_DEFAULT_MAX)
-    pairs = enumerate_F(sigma, tau, rho, max_size=args.max_size)
-    doc = {"command": "fillings-count",
-           "inputs": {"sigma": _jsonable(sigma), "tau": _jsonable(tau),
-                      "rho": _jsonable(rho)},
-           "results": len(pairs)}
-    _emit(args, doc, [str(len(pairs))])
+    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)")
+    count = len(enumerate_F(sigma, tau, rho, max_size=args.max_size))
+    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
+          count, [str(count)])
     return 0
 
 
-def _cmd_peval(args) -> int:
-    rho = _parse_partition(args.rho, "--rho")
-    lam = _parse_partition(args.lam, "--lam")
-    _check_size(max(rho.size(), lam.size()), args.max_size, "|rho| or |lambda|")
-    value = p_sharp(rho, lam)
-    doc = {"command": "peval",
-           "inputs": {"rho": _jsonable(rho), "lam": _jsonable(lam)},
-           "results": _jsonable(value)}
-    _emit(args, doc, [_fraction_text(value)])
-    return 0
-
-
-def _cmd_sstar(args) -> int:
-    mu = _parse_partition(args.mu, "--mu")
-    lam = _parse_partition(args.lam, "--lam")
-    _check_size(max(mu.size(), lam.size()), args.max_size, "|mu| or |lambda|")
-    value = s_star(mu, lam)
-    doc = {"command": "sstar",
-           "inputs": {"mu": _jsonable(mu), "lam": _jsonable(lam)},
-           "results": _jsonable(value)}
-    _emit(args, doc, [_fraction_text(value)])
+def _cmd_shifted(args) -> int:
+    """peval and sstar: the shifted function bound to the subcommand (p# or
+    s*) of the partition given by the flag args.index (rho or mu), at --lam."""
+    index, lam = _partitions(args, args.index, "lam")
+    _check_size(args, max(index.size(), lam.size()), f"|{args.index}| or |lambda|")
+    value = args.shifted(index, lam)
+    _emit(args, {args.index: _jsonable(index), "lam": _jsonable(lam)},
+          _jsonable(value), [_fraction_text(value)])
     return 0
 
 
@@ -217,21 +187,17 @@ def _parse_term(text: str) -> tuple[Fraction, Partition]:
 
 
 def _cmd_feval(args) -> int:
-    lam = _parse_partition(args.lam, "--lam")
+    (lam,) = _partitions(args, "lam")
     terms: dict[Partition, Fraction] = {}
     for chunk in args.term:
         coeff, rho = _parse_term(chunk)
         terms[rho] = terms.get(rho, Fraction(0)) + coeff
     sizes = [p.size() for p in terms] + [lam.size()]
-    _check_size(max(sizes, default=0), args.max_size, "largest partition")
+    _check_size(args, max(sizes, default=0), "largest partition")
     v = ca.ClassVector(terms)
     value = F_eval(v, lam)
-    doc = {"command": "feval",
-           "inputs": {"lam": _jsonable(lam),
-                      "terms": [{"coeff": _jsonable(c), "partition": _jsonable(p)}
-                                for p, c in v.items()]},
-           "results": _jsonable(value)}
-    _emit(args, doc, [_fraction_text(value)])
+    _emit(args, {"lam": _jsonable(lam), "terms": _terms(v)},
+          _jsonable(value), [_fraction_text(value)])
     return 0
 
 
@@ -254,15 +220,13 @@ def _cmd_verify(args) -> int:
                   f"{bound.default}; this may take a long time", file=sys.stderr)
         options = {bound.name: args.max_size}
     result = vf.run_suite(args.suite, **options)
-    doc = {"command": "verify",
-           "inputs": {"suite": args.suite, "max_size": args.max_size},
-           "results": [{"label": c.label, "ok": c.ok, "detail": c.detail}
-                       for c in result.checks],
-           "ok": result.ok}
+    extra = {"ok": result.ok}
     failures = [c.line() for c in result.checks if not c.ok]
     if failures:
-        doc["violations"] = failures
-    _emit(args, doc, result.lines())
+        extra["violations"] = failures
+    _emit(args, {"suite": args.suite, "max_size": args.max_size},
+          [{"label": c.label, "ok": c.ok, "detail": c.detail} for c in result.checks],
+          result.lines(), **extra)
     return 0 if result.ok else 1
 
 
@@ -272,66 +236,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact conjugacy-class convolution via partial permutations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, flags, max_size=DEFAULT_SIZE_BOUND, **defaults):
+        """A subcommand with --json, the required string flags and, unless
+        max_size is None, --max-size defaulting to it."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="structured output")
-        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, required=True)
+        if max_size is not None:
+            p.add_argument("--max-size", type=int, default=max_size)
+        p.set_defaults(func=func, default_max_size=max_size, **defaults)
         return p
 
-    p = add("mult", _cmd_mult, "expand a product of basis classes")
+    p = add("mult", _cmd_mult, "expand a product of basis classes", ["--lhs", "--rhs"])
     p.add_argument("--basis", choices=["A", "a"], default="A")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
     p.add_argument("--n", type=int, default=None, help="truncation level")
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    for name, func, constant in [("gconst", _cmd_constant, ca.g_constant),
-                                 ("fconst", _cmd_constant, ca.f_constant),
-                                 ("qpoly", _cmd_qpoly, None)]:
-        p = add(name, func, f"compute one {name} value")
-        p.set_defaults(constant=constant)
-        p.add_argument("--sigma", required=True)
-        p.add_argument("--tau", required=True)
-        p.add_argument("--rho", required=True)
-        p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    p = add("csn-mult", _cmd_csn_mult, "convolve conjugacy classes of S_n")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--tau", required=True)
+    triple = ["--sigma", "--tau", "--rho"]
+    add("gconst", _cmd_constant, "compute one gconst value", triple, constant=ca.g_constant)
+    add("fconst", _cmd_constant, "compute one fconst value", triple, constant=ca.f_constant)
+    add("qpoly", _cmd_qpoly, "compute one qpoly value", triple)
+    p = add("csn-mult", _cmd_csn_mult, "convolve conjugacy classes of S_n",
+            ["--sigma", "--tau"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    p = add("fillings-conv", _cmd_fillings_conv, "convolve two fillings")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = add("fillings-count", _cmd_fillings_count,
-            "count filling pairs realizing a product")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--max-size", type=int, default=FILLINGS_DEFAULT_MAX)
-
-    p = add("peval", _cmd_peval, "evaluate a shifted power sum at a partition")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    p = add("sstar", _cmd_sstar, "evaluate a shifted Schur value at a partition")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    p = add("feval", _cmd_feval, "evaluate the isomorphism on a class vector")
-    p.add_argument("--lam", required=True)
+    add("fillings-conv", _cmd_fillings_conv, "convolve two fillings", ["--lhs", "--rhs"],
+        max_size=None)
+    add("fillings-count", _cmd_fillings_count, "count filling pairs realizing a product",
+        triple, max_size=FILLINGS_DEFAULT_MAX)
+    add("peval", _cmd_shifted, "evaluate a shifted power sum at a partition",
+        ["--rho", "--lam"], shifted=p_sharp, index="rho")
+    add("sstar", _cmd_shifted, "evaluate a shifted Schur value at a partition",
+        ["--mu", "--lam"], shifted=s_star, index="mu")
+    p = add("feval", _cmd_feval, "evaluate the isomorphism on a class vector", ["--lam"])
     p.add_argument("--term", action="append", default=[],
                    help="repeatable '<coeff>:<partition>' summand; write a negative "
                         "coefficient as --term=-1:2, since argparse reads a separate "
                         "value that starts with '-' as an option")
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_BOUND)
-
-    p = add("verify", _cmd_verify, "run a verification suite")
-    p.add_argument("--suite", required=True)
+    p = add("verify", _cmd_verify, "run a verification suite", ["--suite"], max_size=None)
     p.add_argument("--max-size", type=int, default=None)
 
     return parser

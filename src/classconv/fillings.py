@@ -52,7 +52,7 @@ class Filling:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(row) for row in rows)
         seen: set[int] = set()
         for i, row in enumerate(rs):
             if not row:
@@ -60,8 +60,8 @@ class Filling:
             if i and len(rs[i - 1]) < len(row):
                 raise ValueError("row lengths must be weakly decreasing")
             for x in row:
-                if x < 1:
-                    raise ValueError(f"entries must be positive integers, got {x}")
+                if not isinstance(x, int) or x < 1:
+                    raise ValueError(f"entries must be positive integers, got {x!r}")
                 if x in seen:
                     raise ValueError(f"entry {x} repeated")
                 seen.add(x)
@@ -153,7 +153,8 @@ def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
     pts = sorted(points)
-    if pts and (pts[0] < 1 or len(set(pts)) < len(pts)):
+    if (any(not isinstance(x, int) for x in pts)
+            or pts and (pts[0] < 1 or len(set(pts)) < len(pts))):
         raise ValueError(f"points must be distinct positive integers, got {pts}")
     spans = _row_spans(shape)
     for arrangement in _arrangements(shape.size(), pts):

@@ -9,7 +9,7 @@ sorted output in the package relies on that order being fixed.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -25,8 +25,10 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        p = tuple(int(x) for x in parts)
+        p = tuple(parts)
         for i, x in enumerate(p):
+            if not isinstance(x, int):
+                raise ValueError(f"partition parts must be integers, got {x!r}")
             if x < 1:
                 raise ValueError(f"partition parts must be positive, got {x}")
             if i and p[i - 1] < x:
@@ -138,7 +140,7 @@ def _gen_parts(r: int, maxpart: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@cache
 def _partitions_tuple(r: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _gen_parts(r, r if r else 1))
 

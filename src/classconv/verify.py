@@ -1,7 +1,8 @@
 """Verification suites: desk-scale reproduction of the published numbers.
 
-Each suite returns a SuiteResult with one Check per claim; the CLI
-renders them as lines and the acceptance tests assert on them.  All
+Each suite returns its list of Checks, one per claim; run_suite alone
+names and times a suite, wrapping its checks in a SuiteResult that the
+CLI renders as lines and the acceptance tests assert on.  All
 comparisons are exact.  A suite's first parameter, if it has any, is its
 size bound, and its default is the bound the CLI runs at.
 """
@@ -9,7 +10,7 @@ size bound, and its default is the bound the CLI runs at.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,8 +40,8 @@ class Check:
 @dataclass
 class SuiteResult:
     name: str
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+    checks: list[Check]
+    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -60,8 +61,7 @@ def _vector_terms(v: ca.ClassVector) -> dict:
     return {p: c.numerator for p, c in v.terms.items()}
 
 
-def suite_section6() -> SuiteResult:
-    start = time.time()
+def suite_section6() -> list[Check]:
     checks = []
     for row in golden.load_section6():
         u = ca.ClassVector.basis(row.sigma)
@@ -71,11 +71,10 @@ def suite_section6() -> SuiteResult:
             f" in A_{row.truncation}" if row.truncation is not None else " stable")
         checks.append(Check(label, got == row.terms,
                             "" if got == row.terms else f"got {got}"))
-    return SuiteResult("section6", checks, time.time() - start)
+    return checks
 
 
-def suite_section11() -> SuiteResult:
-    start = time.time()
+def suite_section11() -> list[Check]:
     checks = []
     for row in golden.load_section11_a():
         got = ca.product_expansion_a(row.sigma, row.tau)
@@ -113,7 +112,7 @@ def suite_section11() -> SuiteResult:
         checks.append(Check(
             f"no unlisted classes in C({sigma})*C({tau})", not extra,
             "" if not extra else f"extra {[str(p) for p in extra]}"))
-    return SuiteResult("section11", checks, time.time() - start)
+    return checks
 
 
 def _fmt_terms(terms) -> str:
@@ -121,9 +120,8 @@ def _fmt_terms(terms) -> str:
     return ", ".join(f"({p}): {c}" for p, c in items)
 
 
-def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> SuiteResult:
+def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> list[Check]:
     """g-route convolution against brute force in Q[S_n] at n = |sigma|+|tau|."""
-    start = time.time()
     checks = []
     for total in range(max_total + 1):
         pairs = 0
@@ -144,11 +142,10 @@ def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> SuiteResult:
                             bad.append((sigma, tau))
         checks.append(Check(f"|sigma|+|tau| = {total} (n = {total})", not bad,
                             f"{pairs} pairs" if not bad else f"failed {bad[:3]}"))
-    return SuiteResult("oracle", checks, time.time() - start)
+    return checks
 
 
-def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> SuiteResult:
-    start = time.time()
+def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
     checks = []
     s = Filling.from_string("3,4,5,6,9;2,1,7")
     t = Filling.from_string("4,3,2;1,9,6;8")
@@ -173,17 +170,16 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> SuiteResult:
             checks.append(Check(
                 f"|F| = f for |sigma|={ssz}, |tau|={tsz}", not bad,
                 f"{triples} triples" if not bad else f"failed {bad[:3]}"))
-    return SuiteResult("fillings", checks, time.time() - start)
+    return checks
 
 
-def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
+def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> list[Check]:
     """F-multiplicativity, F(x_mu) = s*_mu and the vanishing of s*.
 
     The structure constants are themselves computed through the
     characters behind F, so the first check no longer pins products
     independently; the oracle, fillings and section 6/11 golden suites do.
     """
-    start = time.time()
     checks = []
     lambdas = partitions_up_to(max_lambda)
     factors = partitions_up_to(max_factor)
@@ -219,11 +215,10 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> SuiteResult:
                 bad.append((mu, lam))
     checks.append(Check("s*_mu(lambda) = 0 for |mu| > |lambda|, |mu| <= 5", not bad,
                         "" if not bad else f"failed {bad[:3]}"))
-    return SuiteResult("homomorphism", checks, time.time() - start)
+    return checks
 
 
-def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResult:
-    start = time.time()
+def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> list[Check]:
     # the production route skips the classes that deg2, deg3, parity and the
     # Cayley triangle rule out, so the scans below would hold by construction
     # unless the table is first checked against the guard route, which
@@ -256,11 +251,10 @@ def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> SuiteResu
     checks.append(Check(
         "cycle-count degree fails at sigma=(4) tau=(5) rho=(2,2,2)", hit,
         f"{len(violations)} violations found"))
-    return SuiteResult("filtrations", checks, time.time() - start)
+    return checks
 
 
-def suite_gamma(K: int = 8) -> SuiteResult:
-    start = time.time()
+def suite_gamma(K: int = 8) -> list[Check]:
     checks = []
     for theta in (fl.DegreeFunction.deg1(), fl.DegreeFunction.deg2(),
                   fl.DegreeFunction.deg3()):
@@ -277,7 +271,7 @@ def suite_gamma(K: int = 8) -> SuiteResult:
     violations = fl.check_gamma_inequalities(decreasing, K)
     checks.append(Check("decreasing start is flagged", bool(violations),
                         "" if violations else "no violation reported"))
-    return SuiteResult("gamma", checks, time.time() - start)
+    return checks
 
 
 def _vanishing_test_family(n: int) -> list[SemigroupAlgebraElement]:
@@ -301,8 +295,7 @@ def _vanishing_test_family(n: int) -> list[SemigroupAlgebraElement]:
     return family
 
 
-def suite_semigroup(max_n: int = 3) -> SuiteResult:
-    start = time.time()
+def suite_semigroup(max_n: int = 3) -> list[Check]:
     checks = []
     counts = [sum(1 for _ in enumerate_semigroup(n)) for n in range(5)]
     ok = counts == [1, 2, 5, 16, 65]
@@ -349,7 +342,7 @@ def suite_semigroup(max_n: int = 3) -> SuiteResult:
     checks.append(Check(
         f"phi_x multiplicative on all basis pairs, n <= {max_n}", not bad_mult,
         "" if not bad_mult else f"failed {bad_mult[:3]}"))
-    return SuiteResult("semigroup", checks, time.time() - start)
+    return checks
 
 
 SUITES = {
@@ -365,6 +358,10 @@ SUITES = {
 
 
 def run_suite(name: str, **options) -> SuiteResult:
+    """Run SUITES[name] with the given options; the result carries the
+    suite's name, its checks and the time it took."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**options)
+    start = time.perf_counter()
+    checks = SUITES[name](**options)
+    return SuiteResult(name, checks, time.perf_counter() - start)

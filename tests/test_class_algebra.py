@@ -93,10 +93,10 @@ def test_g_symmetry_forced_sides():
             assert _expand(sigma, tau) == _expand(tau, sigma), (sigma, tau)
 
 
-def test_g_symmetry_batched_size_5(monkeypatch):
+def test_g_symmetry_batched_size_5():
     # the batched g_table(5), built on an empty cache, must give each
     # unordered pair the uncached expansion of either factor order
-    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+    class_algebra._pair_expansion.cache_clear()
     table = g_table(5)
     assert len(table) == 19 * 20 // 2
     for (sigma, tau), expansion in table.items():
@@ -122,7 +122,7 @@ def test_g_table_keys_and_order():
 def test_route_raises_on_inexact_division(monkeypatch):
     # spoil the (2,1) column, which (2)*(2) reads at level 3 both as the
     # padded factor and as an allowed class
-    monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+    class_algebra._pair_expansion.cache_clear()
     column, read = class_algebra._column, []
 
     def spoiled(parts):
@@ -134,7 +134,7 @@ def test_route_raises_on_inexact_division(monkeypatch):
     with pytest.raises(RuntimeError, match="non-integral"):
         product_expansion(P(2), P(2))
     assert (2, 1) in read
-    assert not class_algebra._PAIR_CACHE
+    assert class_algebra._pair_expansion.cache_info().currsize == 0
 
 
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
@@ -142,7 +142,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     column = characters._column
     for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1))]:
-        monkeypatch.setattr(class_algebra, "_PAIR_CACHE", {})
+        class_algebra._pair_expansion.cache_clear()
         requested = set()
 
         def recorded(parts):

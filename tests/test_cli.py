@@ -120,6 +120,28 @@ def test_feval_fraction_results(capsys):
     assert value == 0 or isinstance(value, (int, dict))
 
 
+@pytest.mark.parametrize("argv, inputs, results", [
+    ("gconst --sigma 2 --tau 2 --rho 3", {"sigma": [2], "tau": [2], "rho": [3]}, 3),
+    ("fconst --sigma 2 --tau 2 --rho 3", {"sigma": [2], "tau": [2], "rho": [3]}, 4),
+    ("csn-mult --sigma 3 --tau 3 --n 4", {"sigma": [3], "tau": [3], "n": 4},
+     [{"coeff": 8, "partition": []}, {"coeff": 4, "partition": [3]},
+      {"coeff": 8, "partition": [2, 2]}]),
+    ("fillings-conv --lhs 1,2 --rhs 2;1", {"lhs": "1,2", "rhs": "2;1"},
+     {"filling": "1,2", "rows": [[1, 2]]}),
+    ("fillings-count --sigma 2 --tau 2 --rho 3", {"sigma": [2], "tau": [2], "rho": [3]}, 4),
+    ("feval --lam 3,1 --term 1:2 --term 1/2:1,1",
+     {"lam": [3, 1], "terms": [{"coeff": 1, "partition": [2]},
+                               {"coeff": {"num": 1, "den": 2}, "partition": [1, 1]}]},
+     5),
+    ("feval --lam 2,1", {"lam": [2, 1], "terms": []}, 0),
+])
+def test_json_document(capsys, argv, inputs, results):
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": argv.split()[0], "inputs": inputs,
+                               "results": results}
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "mult", "--basis", "A", "--lhs", "2,x", "--rhs", "2")
     assert code == 2 and "malformed partition string" in err
@@ -160,7 +182,7 @@ def test_verify_max_size_only_raises_a_suite_bound(capsys, monkeypatch, suite):
 
     def fake_run(name, **options):
         ran.append(options)
-        return vf.SuiteResult(name)
+        return vf.SuiteResult(name, [], 0.0)
 
     monkeypatch.setattr(vf, "run_suite", fake_run)
     params = list(inspect.signature(vf.SUITES[suite]).parameters.values())

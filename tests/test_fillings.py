@@ -40,9 +40,13 @@ def test_validation():
         Filling([[]])
     with pytest.raises(ValueError):
         Filling([[0]])
+    for rows in ([[1.9, 2.2]], [[1, 2.0]], [["3"]]):
+        with pytest.raises(ValueError):
+            Filling(rows)
     # fillings_of_shape checks its point set as Filling checks rows,
     # whatever the shape
-    for shape, points in ((P(2), [0, 1]), (P(2), [1, 1, 2]), (P(1), [1, 1]), (EMPTY, [0])):
+    for shape, points in ((P(2), [0, 1]), (P(2), [1, 1, 2]), (P(1), [1, 1]), (EMPTY, [0]),
+                          (P(2), [1.5, 2])):
         with pytest.raises(ValueError):
             list(fillings_of_shape(shape, points))
 

@@ -21,6 +21,9 @@ def test_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    for parts in ((2.5, 1), (2, 1.0), ("2",)):
+        with pytest.raises(ValueError):
+            Partition(parts)
     assert Partition(()).parts == ()
 
 
