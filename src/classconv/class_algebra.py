@@ -47,7 +47,7 @@ from operator import mul
 from typing import Iterable
 
 from .characters import _column, _shapes
-from .class_vector import ClassVector
+from .class_vector import ClassVector, Coeff
 from .partial_perm import _cycles, canonical_rep, enumerate_class
 from .partitions import Partition, falling_factorial, partitions_up_to
 
@@ -339,34 +339,30 @@ def q_polynomial(sigma: Partition, tau: Partition, rho: Partition) -> BinomialPo
 
 
 def convolve_C_classes(sigma: Partition, tau: Partition, n: int) -> ClassVector:
-    """Convolution of conjugacy classes of S_n in the proper-class basis."""
+    """Convolution of conjugacy classes of S_n in the proper-class basis:
+    the psi sum of the product expansion, the one to_C_basis runs."""
     if not sigma.is_proper() or not tau.is_proper():
         raise ValueError("inputs must be proper partitions")
     if sigma.size() > n or tau.size() > n:
         raise ValueError(f"class empty in S_{n}")
-    grouped: dict[Partition, dict[int, int]] = {}
-    for rho, g in product_expansion(sigma, tau).items():
-        bar = rho.strip_ones()
-        grouped.setdefault(bar, {})[rho.size() - bar.size()] = g
-    out: dict[Partition, Fraction] = {}
-    for bar, ks in grouped.items():
-        if bar.size() > n:
-            continue
-        val = sum(g * comb(n - bar.size(), k) for k, g in ks.items())
-        if val:
-            out[bar] = Fraction(val)
-    return ClassVector(out, n)
+    return _psi(product_expansion(sigma, tau).items(), n)
 
 
 def to_C_basis(v: ClassVector, n: int) -> ClassVector:
-    """Rewrite an A-basis vector over the proper-class basis of Z(Q[S_n])."""
-    out: dict[Partition, Fraction] = {}
-    for rho, c in v.terms.items():
+    """Rewrite an A-basis vector over the proper-class basis of Z(Q[S_n])
+    through the psi sum that convolve_C_classes also runs."""
+    return _psi(v.terms.items(), n)
+
+
+def _psi(terms: Iterable[tuple[Partition, Coeff]], n: int) -> ClassVector:
+    """The psi image in Z(Q[S_n]) of sum c A_rho over the (rho, c) pairs:
+    each rho with |rho| <= n adds c times its binomial to C_{rho stripped}."""
+    out: dict[Partition, Coeff] = {}
+    for rho, c in terms:
         if rho.size() > n:
             continue
-        b, _ = psi_image(rho, n)
         bar = rho.strip_ones()
-        out[bar] = out.get(bar, Fraction(0)) + c * b
+        out[bar] = out.get(bar, 0) + c * psi_image(rho, n)[0]
     return ClassVector(out, n)
 
 

@@ -28,18 +28,13 @@ class UsageError(Exception):
     pass
 
 
-def _parse_partition(text: str, flag: str) -> Partition:
+def _parse(kind, text: str, flag: str):
+    """kind.from_string(text); a malformed string is a usage error naming flag."""
     try:
-        return Partition.from_string(text)
+        return kind.from_string(text)
     except ValueError as exc:
-        raise UsageError(f"malformed partition string for {flag}: {exc}") from exc
-
-
-def _parse_filling(text: str, flag: str) -> Filling:
-    try:
-        return Filling.from_string(text)
-    except ValueError as exc:
-        raise UsageError(f"malformed filling string for {flag}: {exc}") from exc
+        raise UsageError(
+            f"malformed {kind.__name__.lower()} string for {flag}: {exc}") from exc
 
 
 def _check_size(args, total: int, what: str) -> None:
@@ -72,7 +67,7 @@ def _fraction_text(value: Fraction) -> str:
 
 def _partitions(args, *flags: str) -> list[Partition]:
     """The partitions given by the named flags, in order."""
-    return [_parse_partition(getattr(args, flag), f"--{flag}") for flag in flags]
+    return [_parse(Partition, getattr(args, flag), f"--{flag}") for flag in flags]
 
 
 def _emit(args, inputs: dict, results, lines: list[str], **extra) -> None:
@@ -146,8 +141,8 @@ def _cmd_csn_mult(args) -> int:
 
 
 def _cmd_fillings_conv(args) -> int:
-    s = _parse_filling(args.lhs, "--lhs")
-    t = _parse_filling(args.rhs, "--rhs")
+    s = _parse(Filling, args.lhs, "--lhs")
+    t = _parse(Filling, args.rhs, "--rhs")
     r = convolve(s, t)
     _emit(args, {"lhs": str(s), "rhs": str(t)},
           {"filling": str(r), "rows": [list(row) for row in r.rows]}, [str(r)])
@@ -183,7 +178,7 @@ def _parse_term(text: str) -> tuple[Fraction, Partition]:
         coeff = Fraction(coeff_text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed coefficient in term {text!r}") from exc
-    return coeff, _parse_partition(part_text, "--term")
+    return coeff, _parse(Partition, part_text, "--term")
 
 
 def _cmd_feval(args) -> int:

@@ -5,6 +5,8 @@ fixed ambient bound n.  The module also provides the evaluation
 homomorphisms phi_x into group algebras of subsets, the central
 projections epsilon_d, the truncation homomorphisms theta_m, the
 support-forgetting map psi onto Q[S_n], and the center-dimension count.
+Elements of B_n and of the group algebras Q[S_x] share one arithmetic,
+since the group product is the restriction of the semigroup product.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
+from .class_vector import Coeff
 from .partial_perm import PartialPermutation, enumerate_class
 from .partitions import Partition, partition_count
-
-Coeff = int | Fraction
 
 
 def _clean(terms: Mapping[PartialPermutation, Coeff]) -> dict[PartialPermutation, Fraction]:
@@ -29,7 +30,54 @@ def _clean(terms: Mapping[PartialPermutation, Coeff]) -> dict[PartialPermutation
     return out
 
 
-class SemigroupAlgebraElement:
+class _Element:
+    """The arithmetic of a rational combination of partial permutations
+    over one ambient, which each subclass names through _ambient and takes
+    as its constructor's second argument."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ambient):
+        return cls({}, ambient)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other) -> None:
+        if self._ambient != other._ambient:
+            raise ValueError(f"ambient mismatch: {self._ambient} vs {other._ambient}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for pp, c in other.terms.items():
+            out[pp] = out.get(pp, Fraction(0)) + c
+        return type(self)(out, self._ambient)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar: Coeff):
+        return type(self)({pp: Fraction(scalar) * c for pp, c in self.terms.items()},
+                          self._ambient)
+
+    def __mul__(self, other):
+        """Bilinear extension of the semigroup product."""
+        self._check(other)
+        out: dict[PartialPermutation, Fraction] = {}
+        for p1, c1 in self.terms.items():
+            for p2, c2 in other.terms.items():
+                p = p1 * p2
+                out[p] = out.get(p, Fraction(0)) + c1 * c2
+        return type(self)(out, self._ambient)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, type(self))
+                and self._ambient == other._ambient and self.terms == other.terms)
+
+
+class SemigroupAlgebraElement(_Element):
     """A finite rational combination of partial permutations in P_n."""
 
     __slots__ = ("terms", "n")
@@ -42,9 +90,9 @@ class SemigroupAlgebraElement:
             if not pp.support <= full:
                 raise ValueError(f"support of {pp} exceeds ambient bound {n}")
 
-    @classmethod
-    def zero(cls, n: int) -> "SemigroupAlgebraElement":
-        return cls({}, n)
+    @property
+    def _ambient(self) -> int:
+        return self.n
 
     @classmethod
     def unit(cls, n: int) -> "SemigroupAlgebraElement":
@@ -54,36 +102,8 @@ class SemigroupAlgebraElement:
     def basis(cls, pp: PartialPermutation, n: int) -> "SemigroupAlgebraElement":
         return cls({pp: Fraction(1)}, n)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SemigroupAlgebraElement") -> "SemigroupAlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for pp, c in other.terms.items():
-            out[pp] = out.get(pp, Fraction(0)) + c
-        return SemigroupAlgebraElement(out, self.n)
-
-    def __sub__(self, other: "SemigroupAlgebraElement") -> "SemigroupAlgebraElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Coeff) -> "SemigroupAlgebraElement":
-        return SemigroupAlgebraElement(
-            {pp: Fraction(scalar) * c for pp, c in self.terms.items()}, self.n)
-
-    def __mul__(self, other: "SemigroupAlgebraElement") -> "SemigroupAlgebraElement":
-        return multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SemigroupAlgebraElement)
-                and self.n == other.n and self.terms == other.terms)
-
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted((str(k), v) for k, v in self.terms.items()))))
-
-    def _check(self, other: "SemigroupAlgebraElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
 
     def dump(self) -> list[tuple[tuple[int, ...], str, Fraction]]:
         """Structured record list sorted by (support size, support, cycle form)."""
@@ -99,7 +119,7 @@ class SemigroupAlgebraElement:
         return f"SemigroupAlgebraElement({len(self.terms)} terms, n={self.n})"
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(_Element):
     """A rational combination of total permutations of a fixed ground set.
 
     Keys are PartialPermutation values whose support equals the domain, so
@@ -116,57 +136,17 @@ class GroupAlgebraElement:
             if pp.support != self.domain:
                 raise ValueError("keys must be total permutations of the domain")
 
-    @classmethod
-    def zero(cls, domain: Iterable[int]) -> "GroupAlgebraElement":
-        return cls({}, domain)
+    @property
+    def _ambient(self) -> frozenset[int]:
+        return self.domain
 
     @classmethod
     def unit(cls, domain: Iterable[int]) -> "GroupAlgebraElement":
         dom = frozenset(domain)
         return cls({PartialPermutation.identity(dom): Fraction(1)}, dom)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return GroupAlgebraElement(out, self.domain)
-
-    def __rmul__(self, scalar: Coeff) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            {w: Fraction(scalar) * c for w, c in self.terms.items()}, self.domain)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        out: dict[PartialPermutation, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return GroupAlgebraElement(out, self.domain)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupAlgebraElement)
-                and self.domain == other.domain and self.terms == other.terms)
-
     def __repr__(self) -> str:
         return f"GroupAlgebraElement({len(self.terms)} terms, |domain|={len(self.domain)})"
-
-
-def multiply(a: SemigroupAlgebraElement, b: SemigroupAlgebraElement) -> SemigroupAlgebraElement:
-    """Bilinear extension of the semigroup product."""
-    a._check(b)
-    out: dict[PartialPermutation, Fraction] = {}
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
-            p = p1 * p2
-            out[p] = out.get(p, Fraction(0)) + c1 * c2
-    return SemigroupAlgebraElement(out, a.n)
 
 
 def phi_x(b: SemigroupAlgebraElement, x: Iterable[int]) -> GroupAlgebraElement:

@@ -55,6 +55,21 @@ class SuiteResult:
         return out
 
 
+def _failures(label: str, bad: list, passed: str = "") -> Check:
+    """Pass when nothing is bad; otherwise quote the first three bad cases."""
+    return Check(label, not bad, passed if not bad else f"failed {bad[:3]}")
+
+
+def _same(label: str, got: dict, want: dict) -> Check:
+    """An expansion against its table row, quoting the expansion on failure."""
+    return Check(label, got == want, "" if got == want else f"got {{{_fmt_terms(got)}}}")
+
+
+def _fmt_terms(terms) -> str:
+    items = sorted(terms.items(), key=lambda kv: kv[0].sort_key())
+    return ", ".join(f"({p}): {c}" for p, c in items)
+
+
 def _vector_terms(v: ca.ClassVector) -> dict:
     if any(c.denominator != 1 for c in v.terms.values()):
         return dict(v.terms)  # non-integral coefficients: surface them in the diff
@@ -69,31 +84,24 @@ def suite_section6() -> list[Check]:
         got = _vector_terms(ca.multiply(u, v, n=row.truncation))
         label = f"A({row.sigma})*A({row.tau})" + (
             f" in A_{row.truncation}" if row.truncation is not None else " stable")
-        checks.append(Check(label, got == row.terms,
-                            "" if got == row.terms else f"got {got}"))
+        checks.append(_same(label, got, row.terms))
     return checks
 
 
 def suite_section11() -> list[Check]:
     checks = []
     for row in golden.load_section11_a():
-        got = ca.product_expansion_a(row.sigma, row.tau)
-        ok = got == row.terms
-        checks.append(Check(f"a({row.sigma})*a({row.tau})", ok,
-                            "" if ok else f"got {{{_fmt_terms(got)}}}"))
+        checks.append(_same(f"a({row.sigma})*a({row.tau})",
+                            ca.product_expansion_a(row.sigma, row.tau), row.terms))
     products, polys = golden.load_section11_C()
     for row in products:
         if row.basis == "A":
-            got = ca.product_expansion(row.sigma, row.tau)
-            ok = got == row.terms
-            checks.append(Check(f"A({row.sigma})*A({row.tau})", ok,
-                                "" if ok else f"got {{{_fmt_terms(got)}}}"))
+            checks.append(_same(f"A({row.sigma})*A({row.tau})",
+                                ca.product_expansion(row.sigma, row.tau), row.terms))
         else:
             got = _vector_terms(ca.convolve_C_classes(row.sigma, row.tau, row.truncation))
-            ok = got == row.terms
-            checks.append(Check(
-                f"C({row.sigma})*C({row.tau}) in S_{row.truncation}", ok,
-                "" if ok else f"got {{{_fmt_terms(got)}}}"))
+            checks.append(_same(f"C({row.sigma})*C({row.tau}) in S_{row.truncation}",
+                                got, row.terms))
     for row in polys:
         q = ca.q_polynomial(row.sigma, row.tau, row.rho)
         ok = q.coeffs == row.coeffs
@@ -113,11 +121,6 @@ def suite_section11() -> list[Check]:
             f"no unlisted classes in C({sigma})*C({tau})", not extra,
             "" if not extra else f"extra {[str(p) for p in extra]}"))
     return checks
-
-
-def _fmt_terms(terms) -> str:
-    items = sorted(terms.items(), key=lambda kv: kv[0].sort_key())
-    return ", ".join(f"({p}): {c}" for p, c in items)
 
 
 def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> list[Check]:
@@ -140,8 +143,8 @@ def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> list[Check]:
                     elif sigma.is_proper() and tau.is_proper():
                         if ca.convolve_C_classes(sigma, tau, n) != via_oracle:
                             bad.append((sigma, tau))
-        checks.append(Check(f"|sigma|+|tau| = {total} (n = {total})", not bad,
-                            f"{pairs} pairs" if not bad else f"failed {bad[:3]}"))
+        checks.append(_failures(f"|sigma|+|tau| = {total} (n = {total})", bad,
+                                f"{pairs} pairs"))
     return checks
 
 
@@ -167,9 +170,8 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
                                                     max_size=max_size))
                             if found != ca.f_constant(sigma, tau, rho):
                                 bad.append((sigma, tau, rho))
-            checks.append(Check(
-                f"|F| = f for |sigma|={ssz}, |tau|={tsz}", not bad,
-                f"{triples} triples" if not bad else f"failed {bad[:3]}"))
+            checks.append(_failures(f"|F| = f for |sigma|={ssz}, |tau|={tsz}", bad,
+                                    f"{triples} triples"))
     return checks
 
 
@@ -194,18 +196,16 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> list[Check]:
                 count += 1
                 if F_eval(prod, lam) != F_eval(u, lam) * F_eval(v, lam):
                     bad.append((sigma, tau, lam))
-    checks.append(Check(
+    checks.append(_failures(
         f"F(A_sigma A_tau) = F(A_sigma) F(A_tau), |sigma|,|tau| <= {max_factor}, "
-        f"|lambda| <= {max_lambda}", not bad,
-        f"{count} evaluations" if not bad else f"failed {bad[:3]}"))
+        f"|lambda| <= {max_lambda}", bad, f"{count} evaluations"))
     bad = []
     for mu in partitions_up_to(3):
         xv = x_mu(mu)
         for lam in partitions_up_to(5):
             if F_eval(xv, lam) != s_star(mu, lam):
                 bad.append((mu, lam))
-    checks.append(Check("F(x_mu) = s*_mu for |mu| <= 3, |lambda| <= 5", not bad,
-                        "" if not bad else f"failed {bad[:3]}"))
+    checks.append(_failures("F(x_mu) = s*_mu for |mu| <= 3, |lambda| <= 5", bad))
     bad = []
     for mu in partitions_up_to(5):
         if not mu.size():
@@ -213,8 +213,7 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> list[Check]:
         for lam in partitions_up_to(mu.size() - 1):
             if s_star(mu, lam) != 0:
                 bad.append((mu, lam))
-    checks.append(Check("s*_mu(lambda) = 0 for |mu| > |lambda|, |mu| <= 5", not bad,
-                        "" if not bad else f"failed {bad[:3]}"))
+    checks.append(_failures("s*_mu(lambda) = 0 for |mu| > |lambda|, |mu| <= 5", bad))
     return checks
 
 
@@ -274,25 +273,18 @@ def suite_gamma(K: int = 8) -> list[Check]:
     return checks
 
 
-def _vanishing_test_family(n: int) -> list[SemigroupAlgebraElement]:
-    family = [SemigroupAlgebraElement.unit(n)]
-    basis = [SemigroupAlgebraElement.basis(pp, n) for pp in enumerate_semigroup(n)]
-    family.extend(basis)
-    points = range(1, n + 1)
-    eps = []
-    for k in range(n + 1):
-        for d in combinations(points, k):
-            eps.append(epsilon(d, n))
-    family.extend(eps)
+def _vanishing_test_family(n: int, subsets: list[frozenset[int]],
+                           basis: list[SemigroupAlgebraElement]
+                           ) -> list[SemigroupAlgebraElement]:
+    """The unit, the basis, each epsilon_d, a mixed sum and epsilon-basis products."""
+    eps = [epsilon(d, n) for d in subsets]
     mixed = basis[0]
     coeff = 1
     for b in basis:
         coeff += 2
         mixed = mixed + coeff * b
-    family.append(mixed)
-    for e, b in zip(eps, basis[::-1]):
-        family.append(e * b)
-    return family
+    return ([SemigroupAlgebraElement.unit(n)] + basis + eps + [mixed]
+            + [e * b for e, b in zip(eps, basis[::-1])])
 
 
 def suite_semigroup(max_n: int = 3) -> list[Check]:
@@ -310,38 +302,29 @@ def suite_semigroup(max_n: int = 3) -> list[Check]:
                         "" if not bad else f"failed at {bad}"))
 
     bad_pairs = []
+    bad_mult = []
     for n in range(max_n + 1):
-        points = list(range(1, n + 1))
         subsets = [frozenset(c) for k in range(n + 1)
-                   for c in combinations(points, k)]
-        family = _vanishing_test_family(n)
-        for b in family:
+                   for c in combinations(range(1, n + 1), k)]
+        basis = [SemigroupAlgebraElement.basis(pp, n)
+                 for pp in enumerate_semigroup(n)]
+        for b in _vanishing_test_family(n, subsets, basis):
             for x in subsets:
                 cond_phi = all(phi_x(b, y).is_zero()
                                for y in subsets if y <= x)
                 cond_coeff = all(not (pp.support <= x) for pp in b.terms)
                 if cond_phi != cond_coeff:
                     bad_pairs.append((n, x))
-    checks.append(Check(
-        f"phi-vanishing equivalence over structured elements, n <= {max_n}",
-        not bad_pairs, "" if not bad_pairs else f"failed {bad_pairs[:3]}"))
-
-    bad_mult = []
-    for n in range(max_n + 1):
-        points = list(range(1, n + 1))
-        subsets = [frozenset(c) for k in range(n + 1)
-                   for c in combinations(points, k)]
-        basis = [SemigroupAlgebraElement.basis(pp, n)
-                 for pp in enumerate_semigroup(n)]
         for a in basis:
             for b in basis:
                 ab = a * b
                 for x in subsets:
                     if phi_x(ab, x) != phi_x(a, x) * phi_x(b, x):
                         bad_mult.append((n, x))
-    checks.append(Check(
-        f"phi_x multiplicative on all basis pairs, n <= {max_n}", not bad_mult,
-        "" if not bad_mult else f"failed {bad_mult[:3]}"))
+    checks.append(_failures(
+        f"phi-vanishing equivalence over structured elements, n <= {max_n}", bad_pairs))
+    checks.append(_failures(f"phi_x multiplicative on all basis pairs, n <= {max_n}",
+                            bad_mult))
     return checks
 
 

@@ -80,7 +80,6 @@ def _perm_character(lam: Partition, rho: Partition) -> int:
         if i == len(cycles):
             return 1 if all(c == 0 for c in caps) else 0
         total = 0
-        seen = set()
         for r in range(len(caps)):
             if caps[r] >= cycles[i]:
                 caps[r] -= cycles[i]

@@ -10,8 +10,8 @@ from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      convolve_C_classes, f_constant, g_constant,
                                      g_constant_naive, g_table, multiply,
                                      oracle_convolve, product_expansion,
-                                     product_expansion_a, product_expansion_whole,
-                                     psi_image, q_polynomial, to_C_basis)
+                                     product_expansion_whole, psi_image,
+                                     q_polynomial, to_C_basis)
 from classconv.filtrations import DegreeFunction
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
@@ -419,12 +419,24 @@ def test_binomial_polynomial_monomials():
 def test_convolve_C_classes():
     got = convolve_C_classes(P(3), P(3), 4)
     assert got == ClassVector({EMPTY: 8, P(3): 4, P(2, 2): 8})
+    assert convolve_C_classes(P(3), P(3), 3) == ClassVector({EMPTY: 2, P(3): 1})
     got = convolve_C_classes(EMPTY, P(2, 2), 5)
     assert got == ClassVector({P(2, 2): 1})
     with pytest.raises(ValueError):
         convolve_C_classes(P(2, 1), P(2), 5)
     with pytest.raises(ValueError):
         convolve_C_classes(P(3), P(2), 2)
+
+
+@pytest.mark.parametrize("sigma, tau, ns", [(P(3), P(3), range(3, 7)),
+                                             (P(2, 2), P(3), range(4, 8)),
+                                             (P(2), P(2), range(2, 5))])
+def test_psi_drops_terms_above_n(sigma, tau, ns):
+    # the untruncated product keeps terms of size above n, which psi skips
+    whole = multiply(ClassVector.basis(sigma), ClassVector.basis(tau))
+    for n in ns:
+        got = to_C_basis(whole, n)
+        assert got == convolve_C_classes(sigma, tau, n) == oracle_convolve(sigma, tau, n)
 
 
 def test_oracle_examples():

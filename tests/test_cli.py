@@ -114,10 +114,21 @@ def test_peval_sstar_feval(capsys):
 
 
 def test_feval_fraction_results(capsys):
-    code, out, _ = run(capsys, "peval", "--rho", "2", "--lam", "2,1", "--json")
+    code, out, _ = run(capsys, "feval", "--lam", "3,1", "--term", "1/3:1")
+    assert (code, out) == (0, "4/3\n")
+    code, out, _ = run(capsys, "feval", "--lam", "3,1", "--term", "1/3:1", "--json")
+    assert code == 0 and json.loads(out)["results"] == {"num": 4, "den": 3}
+
+
+def test_verify_failure_document(capsys, monkeypatch):
+    monkeypatch.setitem(vf.SUITES, "gamma",
+                        lambda K=8: [vf.Check("always fails", False, "on purpose")])
+    code, out, _ = run(capsys, "verify", "--suite", "gamma")
+    assert code == 1 and "FAIL always fails (on purpose)" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--suite", "gamma", "--json")
     doc = json.loads(out)
-    value = doc["results"]
-    assert value == 0 or isinstance(value, (int, dict))
+    assert code == 1 and doc["ok"] is False
+    assert doc["violations"] == ["FAIL always fails (on purpose)"]
 
 
 @pytest.mark.parametrize("argv, inputs, results", [

@@ -6,7 +6,7 @@ import pytest
 from classconv import filtrations
 from classconv.class_algebra import (g_table, product_expansion,
                                      product_expansion_whole, q_polynomial)
-from classconv.filtrations import (DegreeFunction, GammaViolation, Violation,
+from classconv.filtrations import (DegreeFunction, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
 from classconv.partial_perm import PartialPermutation, product

@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from classconv.partial_perm import PartialPermutation, enumerate_semigroup
-from classconv.partitions import EMPTY, Partition, partition_count, partitions_up_to
+from classconv.partitions import Partition, partition_count, partitions_up_to
 from classconv.semigroup_algebra import (GroupAlgebraElement,
                                          SemigroupAlgebraElement,
                                          center_dimension,
@@ -41,6 +41,26 @@ def test_unit_and_single_terms():
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         SemigroupAlgebraElement.unit(2) * SemigroupAlgebraElement.unit(3)
+    with pytest.raises(ValueError):
+        SemigroupAlgebraElement.unit(2) + SemigroupAlgebraElement.unit(3)
+
+
+def test_group_algebra_arithmetic():
+    dom = frozenset({1, 2})
+    one, swap = PartialPermutation.identity(dom), PartialPermutation.from_cycles([(1, 2)])
+    total = GroupAlgebraElement.unit(dom) + 2 * GroupAlgebraElement({swap: 1}, dom)
+    assert total.terms == {one: 1, swap: 2}
+    assert total * total == GroupAlgebraElement({one: 5, swap: 4}, dom)
+    zero = GroupAlgebraElement.zero(dom)
+    assert zero.is_zero() and zero.domain == dom
+    assert total + zero == total and zero * total == zero
+    assert (total + (-1) * total).is_zero()
+    other = GroupAlgebraElement.unit({1, 2, 3})
+    # match the message: the constructor would also refuse the foreign keys
+    with pytest.raises(ValueError, match="mismatch"):
+        total + other
+    with pytest.raises(ValueError, match="mismatch"):
+        total * other
 
 
 def test_class_square_truncated_algebra():
