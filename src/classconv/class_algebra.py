@@ -29,10 +29,12 @@ at least |deg3(sigma) - deg3(tau)|.  Dropping unit parts keeps mu allowed
 Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the
 allowed mu from the characters module's column cache, one column per cycle
 type, and the shapes, hook products and class data (deg3, m_1) of S_m from
-that module's per-m cache.  The whole-table guard reads the same columns
-but evaluates every mu of every level, so it checks the pruning; a naive
-double enumeration and a brute-force group-algebra convolution check the
-character route itself.  None of them is ever consulted by this one.
+that module's per-m cache.
+
+Two guards read no characters.  The counted guard fixes one factor and
+enumerates the other, so it finds every nonzero g^mu and checks the values
+and the pruning together; a brute-force group-algebra convolution checks
+the psi images.  Neither is ever consulted by the production route.
 
 All values are immutable and the caches only grow, so concurrent readers
 are safe; every cache is a functools cache.
@@ -40,46 +42,41 @@ are safe; every cache is a functools cache.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
 from .characters import _column, _shapes
 from .class_vector import ClassVector, Coeff
-from .partial_perm import _cycles, canonical_rep, enumerate_class
+from .partial_perm import _cycles, canonical_rep, permutations_of_type
 from .partitions import Partition, falling_factorial, partitions_up_to
 
 ORACLE_DEFAULT_BOUND = 7
 
 # ---------------------------------------------------------------------------
-# classes as image tuples over {1..r}
-
-
-@cache
-def _class_tuples(parts: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """All of A_{parts;r} as (support mask, image tuple over {1..r}) pairs."""
-    return tuple((sum(1 << (x - 1) for x in pp.support), tuple(map(pp, range(1, r + 1))))
-                 for pp in enumerate_class(Partition(parts), r))
-
-
-# ---------------------------------------------------------------------------
 # the structure-constant route
 
 
-def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
-    """All nonzero g_{sigma,tau}^rho among the classes mu of size m that
-    classes(m) gives.
+def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """The production route: every nonzero g_{sigma,tau}^mu, level by level.
 
-    Columns come from the cached _column, hook products from _shapes(m).
-    Each mu first gets T_m(mu) (module docstring), then loses the binomial
-    multiples of the constants found at lower levels.  A division that
-    leaves a remainder raises RuntimeError instead of rounding.
+    Only the mu that deg2, deg3, the sign and the Cayley triangle allow
+    (module docstring) are evaluated, read with their deg3 and m_1 from
+    _shapes(m) in canonical order.  Each gets T_m(mu) from the cached
+    columns and hook products, then loses the binomial multiples of the
+    constants found at lower levels.  A division that leaves a remainder
+    raises RuntimeError instead of rounding.
     """
     column = _column
     s, t = sigma.size(), tau.size()
     zz = sigma.centralizer_size() * tau.centralizer_size()
+    cap2 = s + sigma.multiplicity(1) + t + tau.multiplicity(1)
+    d3s, d3t = s - sigma.length(), t - tau.length()
+    deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
     found: dict[tuple[int, ...], int] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t + 1):
@@ -88,13 +85,14 @@ def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
                                                 _shapes(m)[2])]
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
-        for mu in classes(m):
+        for mu, d3, m1 in _shapes(m)[3]:
+            if m1 > cap2 - m or d3 not in deg3s:
+                continue
             g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
             if rem:
                 raise RuntimeError(
                     f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
             parts = mu.parts
-            m1 = parts.count(1)
             for j in range(1, m1 + 1):
                 g -= comb(m1, j) * found.get(parts[:len(parts) - j], 0)
             if g:
@@ -103,41 +101,13 @@ def _peel(sigma: Partition, tau: Partition, classes) -> dict[Partition, int]:
     return out
 
 
-def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """The production route: _peel over the classes the filtrations, the
-    sign and the Cayley triangle allow.
-
-    g_{sigma,tau}^mu vanishes unless deg2(mu) = |mu| + m_1(mu) is at most
-    deg2(sigma) + deg2(tau) and deg3(mu) = |mu| - l(mu) lies in
-    range(|deg3(sigma) - deg3(tau)|, deg3(sigma) + deg3(tau) + 1, 2), so
-    only those columns are built, each cached.  Each level's classes are
-    read with their deg3 and m_1 from _shapes(m), in canonical order.
-    """
-    cap2 = sigma.size() + sigma.multiplicity(1) + tau.size() + tau.multiplicity(1)
-    d3s, d3t = sigma.size() - sigma.length(), tau.size() - tau.length()
-    deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
-
-    def classes(m):
-        top1 = cap2 - m
-        return [mu for mu, d3, m1 in _shapes(m)[3] if m1 <= top1 and d3 in deg3s]
-
-    return _peel(sigma, tau, classes)
-
-
-def product_expansion_whole(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """Guard route: _peel over every class of every level, ignoring the
-    filtrations.  It reads the same cached columns as the production route
-    and differs from it only in the classes it evaluates."""
-    return _peel(sigma, tau, lambda m: _shapes(m)[0])
-
-
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """Nonzero g_{sigma,tau}^rho for all rho, cached per unordered pair.
 
     Keys come in ascending size, reverse-lexicographically within a size.
     The cache key is order-normalized; the tests check that the uncached
-    route is commutative and that it matches the double enumeration and,
-    keys in order, the whole-table guard.
+    route is commutative and that it matches, keys in order, the counted
+    guard product_expansion_counted.
     """
     return _pair_expansion(*sorted((sigma.parts, tau.parts)))
 
@@ -158,22 +128,6 @@ def g_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
     if rho.size() > sigma.size() + tau.size():
         return 0
     return product_expansion(sigma, tau).get(rho, 0)
-
-
-def g_constant_naive(sigma: Partition, tau: Partition, rho: Partition) -> int:
-    """Guard route: full double enumeration over both factor classes."""
-    r = rho.size()
-    full = (1 << r) - 1
-    w_rho = tuple(map(canonical_rep(rho), range(1, r + 1)))
-    count = 0
-    if sigma.size() > r or tau.size() > r:
-        return 0
-    pairs_b = _class_tuples(tau.parts, r)
-    for m1, w1 in _class_tuples(sigma.parts, r):
-        for m2, w2 in pairs_b:
-            if (m1 | m2) == full and all(w1[w2[i] - 1] == w_rho[i] for i in range(r)):
-                count += 1
-    return count
 
 
 def g_table(bound: int) -> dict[tuple[Partition, Partition], dict[Partition, int]]:
@@ -367,7 +321,58 @@ def _psi(terms: Iterable[tuple[Partition, Coeff]], n: int) -> ClassVector:
 
 
 # ---------------------------------------------------------------------------
-# brute-force convolution oracle
+# character-free guards: the counted expansion and the convolution oracle
+
+
+def _counting_cost(sigma: Partition, tau: Partition) -> int:
+    """How many b product_expansion_counted(sigma, tau) enumerates."""
+    s, t = sigma.size(), tau.size()
+    return factorial(t) // tau.centralizer_size() * sum(comb(s, j) for j in range(min(s, t) + 1))
+
+
+def product_expansion_counted(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """Guard route: every nonzero g_{sigma,tau}^rho, counted with one factor fixed.
+
+    S_r acts transitively on the type-sigma elements supported in {1..r}
+    and preserves the pairs counted, so with a = canonical_rep(sigma) on
+    {1..s}, g^rho = C(r,s) s! z_rho N_rho / (z_sigma r!) = z_rho N_rho /
+    (z_sigma (r-s)!), where N_rho counts the b of type tau with support
+    {s+1..r} plus |tau|-(r-s) points of {1..s} and a b of type rho.  One
+    pass over those b per level r finds every rho of that level, keys in
+    canonical order.  g is commutative, so the factor enumerated is the
+    one with the smaller _counting_cost.  No characters, no pruning.
+    """
+    if _counting_cost(tau, sigma) < _counting_cost(sigma, tau):
+        sigma, tau = tau, sigma
+    s, t = sigma.size(), tau.size()
+    a = list(map(canonical_rep(sigma), range(s + t + 1)))  # images, a[0] = 0 unused
+    out: dict[Partition, int] = {}
+    for r in range(max(s, t), s + t + 1):
+        counts: dict[tuple[int, ...], int] = {}
+        for x in combinations(range(1, s + 1), t - (r - s)):
+            for b in permutations_of_type(x + tuple(range(s + 1, r + 1)), tau):
+                ab = a[:r + 1]  # images of a b over {1..r}, walked and zeroed
+                for y, z in b.items():
+                    ab[y] = a[z]
+                lengths = []
+                for start in range(1, r + 1):
+                    k, y = 0, start
+                    while ab[y]:
+                        ab[y], y = 0, ab[y]
+                        k += 1
+                    if k:
+                        lengths.append(k)
+                lam = tuple(sorted(lengths, reverse=True))
+                counts[lam] = counts.get(lam, 0) + 1
+        den = sigma.centralizer_size() * factorial(r - s)
+        for lam in sorted(counts, reverse=True):
+            rho = Partition(lam)
+            g, rem = divmod(rho.centralizer_size() * counts[lam], den)
+            if rem:
+                raise RuntimeError(
+                    f"non-integral count for {sigma}, {tau} -> {rho}: internal bug")
+            out[rho] = g
+    return out
 
 
 def oracle_convolve(sigma: Partition, tau: Partition, n: int,
@@ -384,33 +389,21 @@ def oracle_convolve(sigma: Partition, tau: Partition, n: int,
             f"oracle bound exceeded: n={n} > {bound} (cost grows like n! per factor)")
     if sigma.size() > n or tau.size() > n:
         return ClassVector({}, n)
-    # padded to size n, each class has the one support {1..n}
-    c1 = [w for _, w in _class_tuples(sigma.pad(n).parts, n)]
-    c2 = [w for _, w in _class_tuples(tau.pad(n).parts, n)]
-    b1, _ = psi_image(sigma, n)
-    b2, _ = psi_image(tau, n)
-    conv: dict[tuple[int, ...], int] = {}
-    for w1 in c1:
-        for w2 in c2:
-            w = tuple(w1[x - 1] for x in w2)
-            conv[w] = conv.get(w, 0) + 1
-    per_type: dict[tuple[int, ...], int] = {}
-    hits: dict[tuple[int, ...], int] = {}
+    # padded to size n, each class is a set of permutations of {1..n}
+    points = range(1, n + 1)
+    c1, c2 = ([tuple(map(w.get, points)) for w in permutations_of_type(points, p.pad(n))]
+              for p in (sigma, tau))
+    conv = Counter(tuple(w1[x - 1] for x in w2) for w1 in c1 for w2 in c2)
+    by_type: dict[tuple[int, ...], list[int]] = {}
     for w, c in conv.items():
-        cycles = _cycles(dict(enumerate(w, 1)), range(1, n + 1))
-        lam = tuple(sorted(map(len, cycles), reverse=True))
-        if lam in per_type:
-            if per_type[lam] != c:
-                raise RuntimeError("oracle produced a non-central element")
-            hits[lam] += 1
-        else:
-            per_type[lam] = c
-            hits[lam] = 1
+        lam = tuple(sorted(map(len, _cycles(dict(enumerate(w, 1)), points)), reverse=True))
+        by_type.setdefault(lam, []).append(c)
+    scale = psi_image(sigma, n)[0] * psi_image(tau, n)[0]
     out: dict[Partition, Fraction] = {}
-    for lam, c in per_type.items():
+    for lam, counts in by_type.items():
+        # central: one count over the whole class
         size = factorial(n) // Partition(lam).centralizer_size()
-        if hits[lam] != size:
+        if len(counts) != size or len(set(counts)) != 1:
             raise RuntimeError("oracle produced a non-central element")
-        bar = Partition(tuple(x for x in lam if x != 1))
-        out[bar] = Fraction(b1 * b2 * c)
+        out[Partition(lam).strip_ones()] = Fraction(scale * counts[0])
     return ClassVector(out, n)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classconv import characters, class_algebra
-from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
-                                     convolve_C_classes, f_constant, g_constant,
-                                     g_constant_naive, g_table, multiply,
-                                     oracle_convolve, product_expansion,
-                                     product_expansion_whole, psi_image,
-                                     q_polynomial, to_C_basis)
+from classconv.class_algebra import (BinomialPolynomial, ClassVector, _counting_cost,
+                                     _expand, convolve_C_classes, f_constant,
+                                     g_constant, g_table, multiply, oracle_convolve,
+                                     product_expansion, product_expansion_counted,
+                                     psi_image, q_polynomial, to_C_basis)
 from classconv.filtrations import DegreeFunction
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
@@ -50,23 +49,24 @@ def test_g_top_term_binomial_product():
 
 
 def test_g_fast_matches_naive():
-    # every triple with |sigma|+|tau| <= 7 and rho in the support range (2482)
+    # every triple with |sigma|+|tau| <= 7 and rho in the support range (2482),
+    # zeros included, against the counted guard, which reads no characters
     shapes = partitions_up_to(7)
     for sigma in shapes:
         for tau in shapes:
             s, t = sigma.size(), tau.size()
             if s + t > 7 or sigma.parts > tau.parts:
                 continue
-            exp = product_expansion(sigma, tau)
+            exp, counted = product_expansion(sigma, tau), product_expansion_counted(sigma, tau)
             for r in range(max(s, t), s + t + 1):
                 for rho in enumerate_partitions(r):
-                    assert exp.get(rho, 0) == g_constant_naive(sigma, tau, rho), \
-                        (sigma, tau, rho)
+                    assert exp.get(rho, 0) == counted.get(rho, 0), (sigma, tau, rho)
 
 
 def test_g_naive_spot_checks_larger():
     # expectations derived from the shipped f table via g = f z_rho / (z_sigma z_tau);
-    # these target total size 8, beyond the convolution oracle's range
+    # these target total size 8, beyond the convolution oracle's range, and
+    # are counted again on the character-free guard
     cases = [
         (P(2, 2), P(2, 2), P(5), 5),
         (P(4), P(4), P(3, 3), 27),
@@ -80,7 +80,7 @@ def test_g_naive_spot_checks_larger():
     ]
     for sigma, tau, rho, want in cases:
         assert g_constant(sigma, tau, rho) == want
-        assert g_constant_naive(sigma, tau, rho) == want
+        assert product_expansion_counted(sigma, tau).get(rho, 0) == want
 
 
 def test_g_symmetry_forced_sides():
@@ -163,7 +163,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
                      and (deg3(mu) - cap3) % 2 == 0}
         assert requested == want, (sigma, tau)
         assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
-        # each column _peel reads is built once, from the suffix columns it
+        # each column _expand reads is built once, from the suffix columns it
         # needs, and the cache holds nothing else
         suffixes = {parts[i:] for parts in want for i in range(1, len(parts) + 1)}
         built = column.cache_info()
@@ -174,10 +174,27 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
 
 
+def test_counted_guard_reads_no_characters(monkeypatch):
+    pairs = [(P(2), P(2)), (P(3, 1, 1), P(2)), (EMPTY, P(2, 1)), (EMPTY, EMPTY),
+             (P(4, 2), P(3, 3))]
+    want = {pair: product_expansion(*pair) for pair in pairs}
+
+    def refuse(*args):
+        raise LookupError(f"character data read for {args}")
+
+    monkeypatch.setattr(class_algebra, "_column", refuse)
+    monkeypatch.setattr(class_algebra, "_shapes", refuse)
+    with pytest.raises(LookupError):
+        _expand(P(2), P(2))
+    for pair in pairs:
+        assert list(product_expansion_counted(*pair).items()) == list(want[pair].items())
+
+
 def test_whole_tables_obey_sign_and_cayley_triangle():
-    # the guard evaluates every class, so this checks the two conditions the
-    # production route prunes by, on an independent route
-    deg3 = DegreeFunction.deg3()
+    # the counted guard prunes nothing, so this checks the conditions the
+    # production route prunes by (deg2 cap, sign, Cayley triangle) on an
+    # independent route
+    deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     shapes = partitions_up_to(10)
     tight = 0
     for i, sigma in enumerate(shapes):
@@ -185,23 +202,27 @@ def test_whole_tables_obey_sign_and_cayley_triangle():
             if sigma.size() + tau.size() > 10:
                 continue
             a, b = deg3(sigma), deg3(tau)
-            for rho in product_expansion_whole(sigma, tau):
-                r = deg3(rho)
-                assert (r - a - b) % 2 == 0, (sigma, tau, rho)
-                assert r >= abs(a - b), (sigma, tau, rho)
-                tight += r == abs(a - b) > 0
+            for rho in product_expansion_counted(sigma, tau):
+                assert deg2(rho) <= deg2(sigma) + deg2(tau), (sigma, tau, rho)
+                assert deg3(rho) in range(abs(a - b), a + b + 1, 2), (sigma, tau, rho)
+                tight += deg3(rho) == abs(a - b) > 0
     assert tight
 
 
 def test_pruned_route_matches_whole_tables_up_to_12():
+    # every pair with |sigma|+|tau| <= 12 against the counted guard, as dicts
+    # and keys in order, so this pins the values and the classes skipped
     shapes = partitions_up_to(12)
+    pairs = 0
     for i, sigma in enumerate(shapes):
         for tau in shapes[i:]:
             if sigma.size() + tau.size() > 12:
                 continue
-            got, want = product_expansion(sigma, tau), product_expansion_whole(sigma, tau)
+            pairs += 1
+            got, want = product_expansion(sigma, tau), product_expansion_counted(sigma, tau)
             assert got == want, (sigma, tau)
             assert list(got) == list(want), (sigma, tau)
+    assert pairs == 1581
 
 
 @st.composite
@@ -212,11 +233,13 @@ def _pair_up_to(draw, total):
             draw(st.sampled_from(enumerate_partitions(t))))
 
 
+# the guard enumerates min(_counting_cost) elements; (8)*(8) would take seconds
 @settings(max_examples=50, deadline=None)
-@given(_pair_up_to(16))
-def test_pruned_route_matches_whole_tables_up_to_16(pair):
+@given(_pair_up_to(16).filter(
+    lambda pair: min(_counting_cost(*pair), _counting_cost(*pair[::-1])) <= 20000))
+def test_pruned_route_matches_counted_guard_up_to_16(pair):
     sigma, tau = pair
-    want = product_expansion_whole(sigma, tau)
+    want = product_expansion_counted(sigma, tau)
     got = _expand(sigma, tau)
     assert list(got.items()) == list(want.items()), (sigma, tau)
 
@@ -230,14 +253,6 @@ def _F_beta_tuples(expansion: dict[Partition, int], lam: Partition) -> Fraction:
                          * character_beta_tuples(lam.parts, rho.parts + (1,) * (n - rho.size())),
                          dim * rho.centralizer_size())
                 for rho, c in expansion.items() if rho.size() <= n), Fraction(0))
-
-
-@st.composite
-def _pair_up_to(draw, total):
-    s = draw(st.integers(min_value=0, max_value=total))
-    t = draw(st.integers(min_value=0, max_value=total - s))
-    return (draw(st.sampled_from(enumerate_partitions(s))),
-            draw(st.sampled_from(enumerate_partitions(t))))
 
 
 @settings(max_examples=60, deadline=None)

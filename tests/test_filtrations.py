@@ -5,7 +5,7 @@ import pytest
 
 from classconv import filtrations
 from classconv.class_algebra import (g_table, product_expansion,
-                                     product_expansion_whole, q_polynomial)
+                                     product_expansion_counted, q_polynomial)
 from classconv.filtrations import (DegreeFunction, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
@@ -52,9 +52,9 @@ def test_gamma_forms_match_named_degrees():
 
 def test_standard_filtrations_clean_at_bound_4(monkeypatch):
     # the production table only evaluates the classes deg2 and deg3 allow,
-    # so the scan reads the guard route, which evaluates every class
+    # so the scan reads the counted guard, which finds every nonzero class
     monkeypatch.setattr(filtrations, "g_table", lambda bound: {
-        (sigma, tau): product_expansion_whole(sigma, tau) for sigma, tau in g_table(bound)})
+        (sigma, tau): product_expansion_counted(sigma, tau) for sigma, tau in g_table(bound)})
     for theta in [DegreeFunction.deg1(), DegreeFunction.deg2(),
                   DegreeFunction.deg3(), DegreeFunction.theta_J({2})]:
         assert check_filtration(theta, 4) == []
