@@ -31,10 +31,12 @@ allowed mu from the characters module's column cache, one column per cycle
 type, and the shapes, hook products and class data (deg3, m_1) of S_m from
 that module's per-m cache.
 
-Two guards read no characters.  The counted guard fixes one factor and
-enumerates the other, so it finds every nonzero g^mu and checks the values
-and the pruning together; a brute-force group-algebra convolution checks
-the psi images.  Neither is ever consulted by the production route.
+Two guards that read no characters live in the verify module, the one
+that runs them: the counted guard fixes one factor and enumerates the
+other, so it finds every nonzero g^mu and checks the values and the
+pruning together; a brute-force group-algebra convolution checks the psi
+images.  The production route never consults them, and this module does
+not import partial_perm.
 
 All values are immutable and the caches only grow, so concurrent readers
 are safe; every cache is a functools cache.
@@ -42,20 +44,15 @@ are safe; every cache is a functools cache.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
 from .characters import _column, _shapes
 from .class_vector import ClassVector, Coeff
-from .partial_perm import _cycles, canonical_rep, permutations_of_type
 from .partitions import Partition, falling_factorial, partitions_up_to
-
-ORACLE_DEFAULT_BOUND = 7
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
@@ -107,7 +104,7 @@ def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     Keys come in ascending size, reverse-lexicographically within a size.
     The cache key is order-normalized; the tests check that the uncached
     route is commutative and that it matches, keys in order, the counted
-    guard product_expansion_counted.
+    guard verify.product_expansion_counted.
     """
     return _pair_expansion(*sorted((sigma.parts, tau.parts)))
 
@@ -317,93 +314,4 @@ def _psi(terms: Iterable[tuple[Partition, Coeff]], n: int) -> ClassVector:
             continue
         bar = rho.strip_ones()
         out[bar] = out.get(bar, 0) + c * psi_image(rho, n)[0]
-    return ClassVector(out, n)
-
-
-# ---------------------------------------------------------------------------
-# character-free guards: the counted expansion and the convolution oracle
-
-
-def _counting_cost(sigma: Partition, tau: Partition) -> int:
-    """How many b product_expansion_counted(sigma, tau) enumerates."""
-    s, t = sigma.size(), tau.size()
-    return factorial(t) // tau.centralizer_size() * sum(comb(s, j) for j in range(min(s, t) + 1))
-
-
-def product_expansion_counted(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """Guard route: every nonzero g_{sigma,tau}^rho, counted with one factor fixed.
-
-    S_r acts transitively on the type-sigma elements supported in {1..r}
-    and preserves the pairs counted, so with a = canonical_rep(sigma) on
-    {1..s}, g^rho = C(r,s) s! z_rho N_rho / (z_sigma r!) = z_rho N_rho /
-    (z_sigma (r-s)!), where N_rho counts the b of type tau with support
-    {s+1..r} plus |tau|-(r-s) points of {1..s} and a b of type rho.  One
-    pass over those b per level r finds every rho of that level, keys in
-    canonical order.  g is commutative, so the factor enumerated is the
-    one with the smaller _counting_cost.  No characters, no pruning.
-    """
-    if _counting_cost(tau, sigma) < _counting_cost(sigma, tau):
-        sigma, tau = tau, sigma
-    s, t = sigma.size(), tau.size()
-    a = list(map(canonical_rep(sigma), range(s + t + 1)))  # images, a[0] = 0 unused
-    out: dict[Partition, int] = {}
-    for r in range(max(s, t), s + t + 1):
-        counts: dict[tuple[int, ...], int] = {}
-        for x in combinations(range(1, s + 1), t - (r - s)):
-            for b in permutations_of_type(x + tuple(range(s + 1, r + 1)), tau):
-                ab = a[:r + 1]  # images of a b over {1..r}, walked and zeroed
-                for y, z in b.items():
-                    ab[y] = a[z]
-                lengths = []
-                for start in range(1, r + 1):
-                    k, y = 0, start
-                    while ab[y]:
-                        ab[y], y = 0, ab[y]
-                        k += 1
-                    if k:
-                        lengths.append(k)
-                lam = tuple(sorted(lengths, reverse=True))
-                counts[lam] = counts.get(lam, 0) + 1
-        den = sigma.centralizer_size() * factorial(r - s)
-        for lam in sorted(counts, reverse=True):
-            rho = Partition(lam)
-            g, rem = divmod(rho.centralizer_size() * counts[lam], den)
-            if rem:
-                raise RuntimeError(
-                    f"non-integral count for {sigma}, {tau} -> {rho}: internal bug")
-            out[rho] = g
-    return out
-
-
-def oracle_convolve(sigma: Partition, tau: Partition, n: int,
-                    bound: int = ORACLE_DEFAULT_BOUND) -> ClassVector:
-    """Convolve the psi images by explicit enumeration over S_n.
-
-    Independent of the structure-constant engine: builds both class sums
-    as explicit permutation lists, multiplies term by term, buckets the
-    result by cycle type, and reads off proper-class coefficients.  Cost
-    is the product of the two class sizes, so n is capped.
-    """
-    if n > bound:
-        raise ValueError(
-            f"oracle bound exceeded: n={n} > {bound} (cost grows like n! per factor)")
-    if sigma.size() > n or tau.size() > n:
-        return ClassVector({}, n)
-    # padded to size n, each class is a set of permutations of {1..n}
-    points = range(1, n + 1)
-    c1, c2 = ([tuple(map(w.get, points)) for w in permutations_of_type(points, p.pad(n))]
-              for p in (sigma, tau))
-    conv = Counter(tuple(w1[x - 1] for x in w2) for w1 in c1 for w2 in c2)
-    by_type: dict[tuple[int, ...], list[int]] = {}
-    for w, c in conv.items():
-        lam = tuple(sorted(map(len, _cycles(dict(enumerate(w, 1)), points)), reverse=True))
-        by_type.setdefault(lam, []).append(c)
-    scale = psi_image(sigma, n)[0] * psi_image(tau, n)[0]
-    out: dict[Partition, Fraction] = {}
-    for lam, counts in by_type.items():
-        # central: one count over the whole class
-        size = factorial(n) // Partition(lam).centralizer_size()
-        if len(counts) != size or len(set(counts)) != 1:
-            raise RuntimeError("oracle produced a non-central element")
-        out[Partition(lam).strip_ones()] = Fraction(scale * counts[0])
     return ClassVector(out, n)

@@ -5,20 +5,21 @@ output is line oriented and canonically sorted; --json emits a single
 document with fields {command, inputs, results}, plus {ok, violations?}
 for verify, where partitions are integer arrays and rationals are
 {num, den} objects.
+
+The CLI imports class_algebra and the modules it reads; each other module
+is imported by the handler that runs it, so mult loads neither verify nor
+fillings.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from fractions import Fraction
 
 from . import class_algebra as ca
-from . import verify as vf
 from .characters import F_eval, p_sharp, s_star
-from .fillings import FILLINGS_DEFAULT_MAX, Filling, convolve, enumerate_F
 from .partitions import Partition
 
 DEFAULT_SIZE_BOUND = 12
@@ -37,16 +38,18 @@ def _parse(kind, text: str, flag: str):
             f"malformed {kind.__name__.lower()} string for {flag}: {exc}") from exc
 
 
-def _check_size(args, total: int, what: str) -> None:
-    """Refuse a total above --max-size; warn when --max-size is above the
-    subcommand's default."""
-    if total > args.max_size:
+def _check_size(args, total: int, what: str, default: int = DEFAULT_SIZE_BOUND) -> int:
+    """Refuse a total above --max-size, which defaults to the subcommand's
+    default bound; warn when it is above that default.  Returns the bound."""
+    bound = default if args.max_size is None else args.max_size
+    if total > bound:
         raise UsageError(
-            f"size bounds exceeded: {what} = {total} > {args.max_size} "
+            f"size bounds exceeded: {what} = {total} > {bound} "
             "(raise --max-size explicitly to override)")
-    if args.max_size > args.default_max_size:
-        print(f"warning: --max-size {args.max_size} above default "
-              f"{args.default_max_size}; this may take a long time", file=sys.stderr)
+    if bound > default:
+        print(f"warning: --max-size {bound} above default "
+              f"{default}; this may take a long time", file=sys.stderr)
+    return bound
 
 
 def _jsonable(value):
@@ -141,6 +144,7 @@ def _cmd_csn_mult(args) -> int:
 
 
 def _cmd_fillings_conv(args) -> int:
+    from .fillings import Filling, convolve
     s = _parse(Filling, args.lhs, "--lhs")
     t = _parse(Filling, args.rhs, "--rhs")
     r = convolve(s, t)
@@ -150,9 +154,11 @@ def _cmd_fillings_conv(args) -> int:
 
 
 def _cmd_fillings_count(args) -> int:
+    from .fillings import FILLINGS_DEFAULT_MAX, enumerate_F
     sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
-    _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)")
-    count = len(enumerate_F(sigma, tau, rho, max_size=args.max_size))
+    bound = _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)",
+                        FILLINGS_DEFAULT_MAX)
+    count = len(enumerate_F(sigma, tau, rho, max_size=bound))
     _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
           count, [str(count)])
     return 0
@@ -197,15 +203,15 @@ def _cmd_feval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as vf
     if args.suite not in vf.SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {sorted(vf.SUITES)}")
     options = {}
     if args.max_size is not None:
-        params = list(inspect.signature(vf.SUITES[args.suite]).parameters.values())
-        if not params:
+        bound = vf.size_bound(args.suite)
+        if bound is None:
             raise UsageError(f"suite {args.suite!r} does not take --max-size")
-        bound = params[0]
         if args.max_size < bound.default:
             raise UsageError(
                 f"--max-size {args.max_size} below suite default {bound.default}; "
@@ -231,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact conjugacy-class convolution via partial permutations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, flags, max_size=DEFAULT_SIZE_BOUND, **defaults):
-        """A subcommand with --json, the required string flags and, unless
-        max_size is None, --max-size defaulting to it."""
+    def add(name, func, help_text, flags, sized=True, **defaults):
+        """A subcommand with --json, the required string flags and, if sized,
+        --max-size, whose default bound the handler reads when it runs."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="structured output")
         for flag in flags:
             p.add_argument(flag, required=True)
-        if max_size is not None:
-            p.add_argument("--max-size", type=int, default=max_size)
-        p.set_defaults(func=func, default_max_size=max_size, **defaults)
+        if sized:
+            p.add_argument("--max-size", type=int, default=None)
+        p.set_defaults(func=func, **defaults)
         return p
 
     p = add("mult", _cmd_mult, "expand a product of basis classes", ["--lhs", "--rhs"])
@@ -254,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
             ["--sigma", "--tau"])
     p.add_argument("--n", type=int, required=True)
     add("fillings-conv", _cmd_fillings_conv, "convolve two fillings", ["--lhs", "--rhs"],
-        max_size=None)
+        sized=False)
     add("fillings-count", _cmd_fillings_count, "count filling pairs realizing a product",
-        triple, max_size=FILLINGS_DEFAULT_MAX)
+        triple)
     add("peval", _cmd_shifted, "evaluate a shifted power sum at a partition",
         ["--rho", "--lam"], shifted=p_sharp, index="rho")
     add("sstar", _cmd_shifted, "evaluate a shifted Schur value at a partition",
@@ -266,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable '<coeff>:<partition>' summand; write a negative "
                         "coefficient as --term=-1:2, since argparse reads a separate "
                         "value that starts with '-' as an option")
-    p = add("verify", _cmd_verify, "run a verification suite", ["--suite"], max_size=None)
-    p.add_argument("--max-size", type=int, default=None)
+    add("verify", _cmd_verify, "run a verification suite", ["--suite"])
 
     return parser
 

@@ -209,8 +209,7 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
     points: S must agree with rho on exactly the rest.  The walk counts
     those agreements as it places S's points and drops every S that misses
     the count.  There are no pairs unless
-    max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.  enumerate_F_naive is
-    the independent route that tests compare against.
+    max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.
     """
     if sigma.size() > max_size or tau.size() > max_size:
         raise ValueError(
@@ -329,19 +328,3 @@ def _s_arrangements(sigma: Partition, rho_img: dict[int, int], before: list[int]
         place(0, 0, list(chosen), want)
         yield from found
         found.clear()
-
-
-def enumerate_F_naive(sigma: Partition, tau: Partition,
-                      rho: Partition) -> list[tuple[Filling, Filling]]:
-    """Guard route: the pairs of enumerate_F, found by convolving every
-    S-filling with every T-filling on {1..|rho|}."""
-    r = rho.size()
-    target = canonical_filling(rho)
-    points = range(1, r + 1)
-    t_all = list(fillings_of_shape(tau, points))
-    out = []
-    for s in fillings_of_shape(sigma, points):
-        for t in t_all:
-            if convolve(s, t) == target:
-                out.append((s, t))
-    return out

@@ -4,25 +4,38 @@ Each suite returns its list of Checks, one per claim; run_suite alone
 names and times a suite, wrapping its checks in a SuiteResult that the
 CLI renders as lines and the acceptance tests assert on.  All
 comparisons are exact.  A suite's first parameter, if it has any, is its
-size bound, and its default is the bound the CLI runs at.
+size bound, and its default is the bound the CLI runs at; size_bound
+reads it for the CLI.
+
+The two character-free guards of the structure constants live here, the
+one module that runs them: product_expansion_counted, which fixes one
+factor and enumerates the other, and oracle_convolve, a brute-force
+convolution in Q[S_n].  Neither reads characters or calls class_algebra's
+route, which never imports them.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 from . import class_algebra as ca
 from . import filtrations as fl
 from . import golden
 from .characters import F_eval, s_star, x_mu
 from .fillings import FILLINGS_DEFAULT_MAX, Filling, convolve, enumerate_F
-from .partial_perm import enumerate_semigroup, semigroup_size
+from .partial_perm import (_cycles, canonical_rep, enumerate_semigroup,
+                           permutations_of_type, semigroup_size)
 from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .semigroup_algebra import (SemigroupAlgebraElement, center_dimension,
                                 center_dimension_by_pairs, epsilon, phi_x)
+
+ORACLE_DEFAULT_BOUND = 7
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,99 @@ def _vector_terms(v: ca.ClassVector) -> dict:
     return {p: c.numerator for p, c in v.terms.items()}
 
 
+# ---------------------------------------------------------------------------
+# character-free guards: the counted expansion and the convolution oracle
+
+
+def _counting_cost(sigma: Partition, tau: Partition) -> int:
+    """How many b product_expansion_counted(sigma, tau) enumerates."""
+    s, t = sigma.size(), tau.size()
+    return factorial(t) // tau.centralizer_size() * sum(comb(s, j) for j in range(min(s, t) + 1))
+
+
+def product_expansion_counted(sigma: Partition, tau: Partition) -> dict[Partition, int]:
+    """Guard route: every nonzero g_{sigma,tau}^rho, counted with one factor fixed.
+
+    S_r acts transitively on the type-sigma elements supported in {1..r}
+    and preserves the pairs counted, so with a = canonical_rep(sigma) on
+    {1..s}, g^rho = C(r,s) s! z_rho N_rho / (z_sigma r!) = z_rho N_rho /
+    (z_sigma (r-s)!), where N_rho counts the b of type tau with support
+    {s+1..r} plus |tau|-(r-s) points of {1..s} and a b of type rho.  One
+    pass over those b per level r finds every rho of that level, keys in
+    canonical order.  g is commutative, so the factor enumerated is the
+    one with the smaller _counting_cost.  No characters, no pruning.
+    """
+    if _counting_cost(tau, sigma) < _counting_cost(sigma, tau):
+        sigma, tau = tau, sigma
+    s, t = sigma.size(), tau.size()
+    a = list(map(canonical_rep(sigma), range(s + t + 1)))  # images, a[0] = 0 unused
+    out: dict[Partition, int] = {}
+    for r in range(max(s, t), s + t + 1):
+        counts: dict[tuple[int, ...], int] = {}
+        for x in combinations(range(1, s + 1), t - (r - s)):
+            for b in permutations_of_type(x + tuple(range(s + 1, r + 1)), tau):
+                ab = a[:r + 1]  # images of a b over {1..r}, walked and zeroed
+                for y, z in b.items():
+                    ab[y] = a[z]
+                lengths = []
+                for start in range(1, r + 1):
+                    k, y = 0, start
+                    while ab[y]:
+                        ab[y], y = 0, ab[y]
+                        k += 1
+                    if k:
+                        lengths.append(k)
+                lam = tuple(sorted(lengths, reverse=True))
+                counts[lam] = counts.get(lam, 0) + 1
+        den = sigma.centralizer_size() * factorial(r - s)
+        for lam in sorted(counts, reverse=True):
+            rho = Partition(lam)
+            g, rem = divmod(rho.centralizer_size() * counts[lam], den)
+            if rem:
+                raise RuntimeError(
+                    f"non-integral count for {sigma}, {tau} -> {rho}: internal bug")
+            out[rho] = g
+    return out
+
+
+def oracle_convolve(sigma: Partition, tau: Partition, n: int,
+                    bound: int = ORACLE_DEFAULT_BOUND) -> ca.ClassVector:
+    """Convolve the psi images by explicit enumeration over S_n.
+
+    Independent of the structure-constant engine: builds both class sums
+    as explicit permutation lists, multiplies term by term, buckets the
+    result by cycle type, and reads off proper-class coefficients.  Cost
+    is the product of the two class sizes, so n is capped.
+    """
+    if n > bound:
+        raise ValueError(
+            f"oracle bound exceeded: n={n} > {bound} (cost grows like n! per factor)")
+    if sigma.size() > n or tau.size() > n:
+        return ca.ClassVector({}, n)
+    # padded to size n, each class is a set of permutations of {1..n}
+    points = range(1, n + 1)
+    c1, c2 = ([tuple(map(w.get, points)) for w in permutations_of_type(points, p.pad(n))]
+              for p in (sigma, tau))
+    conv = Counter(tuple(w1[x - 1] for x in w2) for w1 in c1 for w2 in c2)
+    by_type: dict[tuple[int, ...], list[int]] = {}
+    for w, c in conv.items():
+        lam = tuple(sorted(map(len, _cycles(dict(enumerate(w, 1)), points)), reverse=True))
+        by_type.setdefault(lam, []).append(c)
+    scale = ca.psi_image(sigma, n)[0] * ca.psi_image(tau, n)[0]
+    out: dict[Partition, Fraction] = {}
+    for lam, counts in by_type.items():
+        # central: one count over the whole class
+        size = factorial(n) // Partition(lam).centralizer_size()
+        if len(counts) != size or len(set(counts)) != 1:
+            raise RuntimeError("oracle produced a non-central element")
+        out[Partition(lam).strip_ones()] = Fraction(scale * counts[0])
+    return ca.ClassVector(out, n)
+
+
+# ---------------------------------------------------------------------------
+# the suites
+
+
 def suite_section6() -> list[Check]:
     checks = []
     for row in golden.load_section6():
@@ -123,7 +229,7 @@ def suite_section11() -> list[Check]:
     return checks
 
 
-def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> list[Check]:
+def suite_oracle(max_total: int = ORACLE_DEFAULT_BOUND) -> list[Check]:
     """g-route convolution against brute force in Q[S_n] at n = |sigma|+|tau|,
     and each pair's expansion, keys in order, against the counted guard: psi
     merges classes, so only the latter pins the individual g's."""
@@ -138,11 +244,11 @@ def suite_oracle(max_total: int = ca.ORACLE_DEFAULT_BOUND) -> list[Check]:
                     via_g = ca.to_C_basis(
                         ca.multiply(ca.ClassVector.basis(sigma),
                                     ca.ClassVector.basis(tau), n=n), n)
-                    via_oracle = ca.oracle_convolve(sigma, tau, n, bound=max_total)
+                    via_oracle = oracle_convolve(sigma, tau, n, bound=max_total)
                     pairs += 1
                     if (via_g != via_oracle
                             or list(ca.product_expansion(sigma, tau).items())
-                            != list(ca.product_expansion_counted(sigma, tau).items())
+                            != list(product_expansion_counted(sigma, tau).items())
                             or sigma.is_proper() and tau.is_proper()
                             and ca.convolve_C_classes(sigma, tau, n) != via_oracle):
                         bad.append((sigma, tau))
@@ -227,7 +333,7 @@ def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> list[Chec
     # reads no characters and finds every nonzero class
     mismatched = [(sigma, tau) for (sigma, tau), expansion in ca.g_table(bound).items()
                   if list(expansion.items())
-                  != list(ca.product_expansion_counted(sigma, tau).items())]
+                  != list(product_expansion_counted(sigma, tau).items())]
     checks = [Check(f"g_table({bound}) equals the counted guard, keys in order",
                     not mismatched,
                     "" if not mismatched
@@ -345,6 +451,13 @@ SUITES = {
     "gamma": suite_gamma,
     "semigroup": suite_semigroup,
 }
+
+
+def size_bound(name: str) -> inspect.Parameter | None:
+    """The size bound of SUITES[name], its first parameter, or None if the
+    suite takes none; the parameter's default is the bound the CLI runs at."""
+    params = list(inspect.signature(SUITES[name]).parameters.values())
+    return params[0] if params else None
 
 
 def run_suite(name: str, **options) -> SuiteResult:

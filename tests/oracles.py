@@ -1,8 +1,10 @@
 """Independent brute-force routes used to validate the package's fast paths.
 
 Everything here is deliberately naive: enumeration and textbook linear
-algebra over exact rationals, sharing no code with the implementations
-under test.
+algebra over exact rationals, sharing no code with the fast path each
+route checks.  enumerate_F_naive convolves with the package's own filling
+convolution and fillings_of_shape, which are tested on their own, but not
+with enumerate_F's reading-order walk.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator
 
+from classconv.fillings import Filling, canonical_filling, convolve, fillings_of_shape
 from classconv.partitions import Partition, enumerate_partitions
 
 
@@ -171,3 +174,19 @@ def rank_over_Q(rows: list[list[Fraction]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def enumerate_F_naive(sigma: Partition, tau: Partition,
+                      rho: Partition) -> list[tuple[Filling, Filling]]:
+    """The pairs of fillings.enumerate_F, found by convolving every
+    S-filling with every T-filling on {1..|rho|}: no reading-order walk."""
+    r = rho.size()
+    target = canonical_filling(rho)
+    points = range(1, r + 1)
+    t_all = list(fillings_of_shape(tau, points))
+    out = []
+    for s in fillings_of_shape(sigma, points):
+        for t in t_all:
+            if convolve(s, t) == target:
+                out.append((s, t))
+    return out

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classconv import characters, class_algebra
-from classconv.class_algebra import (BinomialPolynomial, ClassVector, _counting_cost,
-                                     _expand, convolve_C_classes, f_constant,
-                                     g_constant, g_table, multiply, oracle_convolve,
-                                     product_expansion, product_expansion_counted,
+from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
+                                     convolve_C_classes, f_constant, g_constant,
+                                     g_table, multiply, product_expansion,
                                      psi_image, q_polynomial, to_C_basis)
 from classconv.filtrations import DegreeFunction
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
 from classconv.semigroup_algebra import class_element, truncate
+from classconv.verify import _counting_cost, oracle_convolve, product_expansion_counted
 from oracles import character_beta_tuples
 
 P = lambda *parts: Partition(parts)
@@ -193,20 +193,26 @@ def test_counted_guard_reads_no_characters(monkeypatch):
 def test_whole_tables_obey_sign_and_cayley_triangle():
     # the counted guard prunes nothing, so this checks the conditions the
     # production route prunes by (deg2 cap, sign, Cayley triangle) on an
-    # independent route
+    # independent route, and the moved-points triangle it does not prune by:
+    # ab moves every point that exactly one of a, b moves and only points
+    # that a or b moves, so |mv a - mv b| <= mv ab <= mv a + mv b
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
+    moved = lambda p: p.size() - p.multiplicity(1)
     shapes = partitions_up_to(10)
-    tight = 0
+    tight = moved_tight = 0
     for i, sigma in enumerate(shapes):
         for tau in shapes[i:]:
             if sigma.size() + tau.size() > 10:
                 continue
             a, b = deg3(sigma), deg3(tau)
+            ma, mb = moved(sigma), moved(tau)
             for rho in product_expansion_counted(sigma, tau):
                 assert deg2(rho) <= deg2(sigma) + deg2(tau), (sigma, tau, rho)
                 assert deg3(rho) in range(abs(a - b), a + b + 1, 2), (sigma, tau, rho)
+                assert abs(ma - mb) <= moved(rho) <= ma + mb, (sigma, tau, rho)
                 tight += deg3(rho) == abs(a - b) > 0
-    assert tight
+                moved_tight += moved(rho) == abs(ma - mb) > 0
+    assert tight and moved_tight
 
 
 def test_pruned_route_matches_whole_tables_up_to_12():

@@ -171,7 +171,7 @@ def test_usage_errors(capsys):
 
 
 def test_oracle_bound_error_message():
-    from classconv.class_algebra import oracle_convolve
+    from classconv.verify import oracle_convolve
     from classconv.partitions import Partition
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         oracle_convolve(Partition((2,)), Partition((2,)), 9)

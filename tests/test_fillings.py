@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from classconv import fillings as fillings_module
 from classconv.class_algebra import f_constant
-from classconv.fillings import (Filling, canonical_filling, convolve,
-                                enumerate_F, enumerate_F_naive,
+from classconv.fillings import (Filling, canonical_filling, convolve, enumerate_F,
                                 fillings_of_perm, fillings_of_shape)
 from classconv.partial_perm import PartialPermutation, _images, canonical_rep, product
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
+from oracles import enumerate_F_naive
 
 P = lambda *parts: Partition(parts)
 

@@ -4,13 +4,13 @@ from itertools import combinations
 import pytest
 
 from classconv import filtrations
-from classconv.class_algebra import (g_table, product_expansion,
-                                     product_expansion_counted, q_polynomial)
+from classconv.class_algebra import g_table, product_expansion, q_polynomial
 from classconv.filtrations import (DegreeFunction, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
 from classconv.partial_perm import PartialPermutation, product
 from classconv.partitions import Partition, partitions_up_to
+from classconv.verify import product_expansion_counted
 
 P = lambda *parts: Partition(parts)
 DEG1, DEG2, DEG3 = DegreeFunction.deg1(), DegreeFunction.deg2(), DegreeFunction.deg3()

@@ -1,0 +1,82 @@
+"""What a cold interpreter imports: the package resolves its names lazily
+and each CLI subcommand loads only the modules it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# modules that mult never runs: the suites, their data and guards, the
+# other subsystems and the stdlib modules only they need
+NOT_FOR_MULT = ["classconv.verify", "classconv.golden", "classconv.fillings",
+                "classconv.filtrations", "classconv.semigroup_algebra",
+                "classconv.partial_perm", "inspect", "dataclasses"]
+
+# every name the package exported when it imported its modules eagerly
+FORMER_NAMES = {
+    "BinomialPolynomial", "ClassVector", "convolve_C_classes", "f_constant",
+    "g_constant", "g_table", "multiply", "oracle_convolve", "product_expansion",
+    "product_expansion_a", "psi_image", "q_polynomial", "to_C_basis",
+    "CharacterTable", "F_eval", "character", "dimension", "p_sharp", "s_star",
+    "skew_dimension", "x_mu", "Filling", "canonical_filling", "convolve",
+    "enumerate_F", "DegreeFunction", "check_filtration", "check_gamma_inequalities",
+    "limit_ratio", "PartialPermutation", "canonical_rep", "enumerate_class",
+    "product", "Partition", "enumerate_partitions", "partitions_up_to",
+    "GroupAlgebraElement", "SemigroupAlgebraElement", "center_dimension",
+    "class_element", "epsilon", "forget_support", "phi_x", "truncate"}
+
+
+def _cold(code: str) -> dict:
+    """Run code in a fresh interpreter importing the sources under src; the
+    code binds `out`, printed as the JSON that this returns."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    script = f"import json, sys\n{code}\nprint(json.dumps(out))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_mult_loads_no_module_it_does_not_run():
+    out = _cold(f"""
+import classconv.cli
+code = classconv.cli.main(["mult", "--lhs", "6", "--rhs", "6"])
+out = [code, [m for m in {NOT_FOR_MULT!r} if m in sys.modules]]
+""")
+    assert out == [0, []]
+
+
+def test_verify_loads_the_suites():
+    out = _cold("""
+import classconv.cli
+code = classconv.cli.main(["verify", "--suite", "gamma"])
+out = [code, "classconv.verify" in sys.modules]
+""")
+    assert out == [0, True]
+
+
+def test_exported_names_resolve_to_their_home_objects():
+    out = _cold("""
+import classconv
+from importlib import import_module
+out = {}
+for name in classconv.__all__:
+    obj = getattr(classconv, name)
+    out[name] = obj is getattr(import_module(obj.__module__), name)
+""")
+    assert set(out) == FORMER_NAMES
+    assert all(out.values()), [name for name, same in out.items() if not same]
+
+
+def test_unknown_attribute_raises():
+    import classconv
+    with pytest.raises(AttributeError, match="no_such_name"):
+        classconv.no_such_name
+    # a submodule that is not an exported name still imports by name
+    from classconv import oracle_convolve, verify
+    assert oracle_convolve is verify.oracle_convolve
