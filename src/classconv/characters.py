@@ -3,11 +3,12 @@
 Characters come from the Murnaghan-Nakayama recursion over border-strip
 removals.  Each shape is encoded as a bitmask of its beta numbers, where a
 strip removal is one bead moved down to an empty position.  The shapes of
-S_m (labels, bead masks with their positions, hook products) and its classes
-with their Cayley lengths and unit parts are cached per m.  The one
-character cache is a column per cycle type: chi^lam_rho over every shape lam
-of S_|rho|, built by one Murnaghan-Nakayama step per shape from the cached
-column of rho minus its first part.  Single reads, the shifted evaluations
+S_m (labels, bead masks with their positions, hook products) and its class
+index, the classes filed by Cayley length and unit parts, are cached per m.
+The one character cache is a column per cycle type: chi^lam_rho over every
+shape lam of S_|rho|, built in one loop over the shapes, a
+Murnaghan-Nakayama step each, from the cached column of rho minus its first
+part.  Single reads, the shifted evaluations
 and the structure-constant route in class_algebra all read it;
 CharacterTable builds its own columns from the cached suffix columns and
 does not cache them.  Dimensions come from the hook length formula, skew
@@ -39,30 +40,6 @@ def _beads(lam: tuple[int, ...]) -> int:
     for i, part in enumerate(lam):
         mask |= 1 << (part + ell - 1 - i)
     return mask
-
-
-def _strip_sum(mask: int, k: int, below: tuple[int, ...], at: dict[int, int]) -> int:
-    """Sum over the size-k border strips of mask of (-1)^height chi^(mask minus
-    strip), read from below, the column of the rest of the cycle type, at the
-    positions at gives its shapes: one Murnaghan-Nakayama step."""
-    between = (1 << (k - 1)) - 1
-    move = (1 << k) | 1
-    targets = (mask >> k) & ~mask
-    total = 0
-    while targets:
-        low = targets & -targets
-        targets ^= low
-        t = low.bit_length() - 1
-        new = mask ^ (move << t)
-        if not t:
-            # beads at 0, 1, ... stand for zero parts: drop them
-            new >>= ((new + 1) & ~new).bit_length() - 1
-        chi = below[at[new]]
-        if ((mask >> (t + 1)) & between).bit_count() & 1:
-            total -= chi
-        else:
-            total += chi
-    return total
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -114,26 +91,50 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
 
 @cache
 def _shapes(m: int) -> tuple[tuple[Partition, ...], dict[int, int], tuple[int, ...],
-                             tuple[tuple[Partition, int, int], ...]]:
+                             dict[tuple[int, int], tuple[tuple[int, Partition], ...]]]:
     """The partitions of m in canonical order, as shapes and as classes: each
     shape's bead mask mapped to its position (iterating the dict yields the
-    masks in canonical order) and its hook product m!/dim lam, and each class
-    mu as (mu, deg3(mu), m_1(mu)), its Cayley length m - l(mu) and unit parts."""
+    masks in canonical order) and its hook product m!/dim lam, and the class
+    index, which files each class mu as (position, mu) under its Cayley
+    length and unit parts (m - l(mu), m_1(mu)), positions ascending."""
     labels = tuple(enumerate_partitions(m))
+    classes: dict[tuple[int, int], tuple[tuple[int, Partition], ...]] = {}
+    for i, mu in enumerate(labels):
+        key = (m - len(mu.parts), mu.parts.count(1))
+        classes[key] = classes.get(key, ()) + ((i, mu),)
     return (labels, {_beads(lam.parts): i for i, lam in enumerate(labels)},
-            tuple(factorial(m) // _dim(lam.parts) for lam in labels),
-            tuple((mu, m - len(mu.parts), mu.parts.count(1)) for mu in labels))
+            tuple(factorial(m) // _dim(lam.parts) for lam in labels), classes)
 
 
 @cache
 def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam_parts over the shapes lam of _shapes(|parts|): one
-    Murnaghan-Nakayama step per shape from the cached column of parts[1:]."""
+    """chi^lam_parts over the shapes lam of _shapes(|parts|), k = parts[0]:
+    for each lam the sum over its size-k border strips of (-1)^height
+    chi^(lam minus strip), read from the cached column of parts[1:]."""
     if not parts:
         return (1,)
-    head, rest = parts[0], parts[1:]
+    k, rest = parts[0], parts[1:]
     below, at = _column(rest), _shapes(sum(rest))[1]
-    return tuple(_strip_sum(mask, head, below, at) for mask in _shapes(sum(parts))[1])
+    between = (1 << (k - 1)) - 1
+    move = (1 << k) | 1
+    out = []
+    for mask in _shapes(sum(parts))[1]:
+        targets = (mask >> k) & ~mask
+        total = 0
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            t = low.bit_length() - 1
+            new = mask ^ (move << t)
+            if not t:
+                # beads at 0, 1, ... stand for zero parts: drop them
+                new >>= ((new + 1) & ~new).bit_length() - 1
+            if ((mask >> (t + 1)) & between).bit_count() & 1:
+                total -= below[at[new]]
+            else:
+                total += below[at[new]]
+        out.append(total)
+    return tuple(out)
 
 
 class CharacterTable:

@@ -24,12 +24,16 @@ support a product of partial permutations a b = r is a product of
 permutations, whose Cayley lengths (fewest transpositions) are deg3 of
 their types.  Since sign(r) = sign(a) sign(b) and a = r b^-1, g^mu also
 vanishes unless deg3(mu) has the parity of deg3(sigma) + deg3(tau) and is
-at least |deg3(sigma) - deg3(tau)|.  Dropping unit parts keeps mu allowed
-(deg3 stays, deg2 drops), so the peel only ever needs allowed classes.
-Each level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the
-allowed mu from the characters module's column cache, one column per cycle
-type, and the shapes, hook products and class data (deg3, m_1) of S_m from
-that module's per-m cache.
+at least |deg3(sigma) - deg3(tau)|.  And r moves every point that exactly
+one of a, b moves and only points they move, so with mv = |.| - m_1 the
+moved points, g^mu vanishes unless |mv(sigma) - mv(tau)| <= mv(mu) <=
+mv(sigma) + mv(tau): at level m the allowed mu fill a rectangle in
+(deg3, m_1).  Dropping unit parts keeps mu allowed (deg3 and mv stay, deg2
+drops), so the peel only ever needs allowed classes.  Each level reads the
+columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu from the
+characters module's column cache, one column per cycle type, and the
+shapes, hook products and class index (classes by deg3 and m_1) of S_m
+from that module's per-m cache.
 
 Two guards that read no characters live in the verify module, the one
 that runs them: the counted guard fixes one factor and enumerates the
@@ -61,11 +65,12 @@ from .partitions import Partition, falling_factorial, partitions_up_to
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """The production route: every nonzero g_{sigma,tau}^mu, level by level.
 
-    Only the mu that deg2, deg3, the sign and the Cayley triangle allow
-    (module docstring) are evaluated, read with their deg3 and m_1 from
-    _shapes(m) in canonical order.  Each gets T_m(mu) from the cached
-    columns and hook products, then loses the binomial multiples of the
-    constants found at lower levels.  A division that leaves a remainder
+    Only the mu that deg2, deg3, the sign and the two triangles allow
+    (module docstring) are evaluated: the class index groups of _shapes(m)
+    in the (deg3, m_1) rectangle, sorted into canonical order.  Each gets
+    T_m(mu) from the cached columns and hook products, then loses
+    C(m_1, m_1') g for each nonzero g found at a lower level for the same
+    proper part with m_1' unit parts.  A division that leaves a remainder
     raises RuntimeError instead of rounding.
     """
     column = _column
@@ -74,26 +79,27 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     cap2 = s + sigma.multiplicity(1) + t + tau.multiplicity(1)
     d3s, d3t = s - sigma.length(), t - tau.length()
     deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
-    found: dict[tuple[int, ...], int] = {}
+    mvs, mvt = s - sigma.multiplicity(1), t - tau.multiplicity(1)
+    found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t + 1):
+        _, _, hooks, classes = _shapes(m)
         weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
-                                                column(tau.parts + (1,) * (m - t)),
-                                                _shapes(m)[2])]
+                                                column(tau.parts + (1,) * (m - t)), hooks)]
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
-        for mu, d3, m1 in _shapes(m)[3]:
-            if m1 > cap2 - m or d3 not in deg3s:
-                continue
+        m1s = range(max(0, m - mvs - mvt), min(cap2 - m, m - abs(mvs - mvt)) + 1)
+        for _, m1, mu in sorted((i, m1, mu) for d3 in deg3s for m1 in m1s
+                                for i, mu in classes.get((d3, m1), ())):
             g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
             if rem:
                 raise RuntimeError(
                     f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
-            parts = mu.parts
-            for j in range(1, m1 + 1):
-                g -= comb(m1, j) * found.get(parts[:len(parts) - j], 0)
+            lower = found.setdefault(mu.parts[:len(mu.parts) - m1], [])
+            for k, h in lower:
+                g -= comb(m1, k) * h
             if g:
-                found[parts] = g
+                lower.append((m1, g))
                 out[mu] = g
     return out
 

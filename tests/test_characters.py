@@ -73,8 +73,14 @@ def test_tables_match_beta_tuple_route():
     for m in range(12):
         labels, _, hooks, classes = characters._shapes(m)
         assert labels == tuple(enumerate_partitions(m))
-        assert classes == tuple((mu, DegreeFunction.deg3()(mu), mu.multiplicity(1))
-                                for mu in labels)
+        # the class index files every class once, under its own (deg3, m_1)
+        # with its canonical position, positions ascending within a key
+        filed = [entry for group in classes.values() for entry in group]
+        assert sorted(filed) == list(enumerate(labels))
+        for (d3, m1), group in classes.items():
+            assert all((DegreeFunction.deg3()(mu), mu.multiplicity(1)) == (d3, m1)
+                       for _, mu in group), (d3, m1)
+            assert [i for i, _ in group] == sorted(i for i, _ in group), (d3, m1)
         for mu in labels:
             assert characters._column(mu.parts) == tuple(
                 character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu

@@ -138,10 +138,13 @@ def test_route_raises_on_inexact_division(monkeypatch):
 
 
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
-    # (4)(2,1) has deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1)
+    # (4)(2,1) has deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1);
+    # (1)(3) moves 0 and 3 points, so the moved-points triangle alone rules
+    # out (2,2), which deg2, deg3, the sign and the Cayley triangle allow
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
+    moved = lambda p: p.size() - p.multiplicity(1)
     column = characters._column
-    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1))]:
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1)), (P(1), P(3))]:
         class_algebra._pair_expansion.cache_clear()
         requested = set()
 
@@ -154,13 +157,14 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         product_expansion(sigma, tau)
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
+        floor_mv, cap_mv = abs(moved(sigma) - moved(tau)), moved(sigma) + moved(tau)
         levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() + 1)
         want = set()
         for m in levels:
             want |= {sigma.pad(m).parts, tau.pad(m).parts}
             want |= {mu.parts for mu in enumerate_partitions(m)
                      if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
-                     and (deg3(mu) - cap3) % 2 == 0}
+                     and (deg3(mu) - cap3) % 2 == 0 and floor_mv <= moved(mu) <= cap_mv}
         assert requested == want, (sigma, tau)
         assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
         # each column _expand reads is built once, from the suffix columns it
@@ -172,6 +176,8 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             column(parts)
         again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
+    # requested holds the columns of the last pair, (1)(3)
+    assert (2, 2) not in requested
 
 
 def test_counted_guard_reads_no_characters(monkeypatch):
@@ -192,10 +198,10 @@ def test_counted_guard_reads_no_characters(monkeypatch):
 
 def test_whole_tables_obey_sign_and_cayley_triangle():
     # the counted guard prunes nothing, so this checks the conditions the
-    # production route prunes by (deg2 cap, sign, Cayley triangle) on an
-    # independent route, and the moved-points triangle it does not prune by:
-    # ab moves every point that exactly one of a, b moves and only points
-    # that a or b moves, so |mv a - mv b| <= mv ab <= mv a + mv b
+    # production route prunes by (deg2 cap, sign, Cayley triangle and the
+    # moved-points triangle) on an independent route; for the last, ab moves
+    # every point that exactly one of a, b moves and only points that a or
+    # b moves, so |mv a - mv b| <= mv ab <= mv a + mv b
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     moved = lambda p: p.size() - p.multiplicity(1)
     shapes = partitions_up_to(10)
