@@ -17,6 +17,12 @@ power sums p#, the shifted Schur values s* obtained from p# by character
 orthogonality, the evaluation isomorphism F, and the class vectors x_mu
 whose F-images are the s*.
 
+The shifted evaluations run on integers and build one Fraction per
+answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
+1^(n-r)}; F sums one numerator over a common denominator.  The s* cache
+holds, per mu, the classes rho with chi^mu_rho != 0 and their weights
+chi^mu_rho r!/z_rho, so an s* value is one column read per nonzero term.
+
 Everything is exact: characters are integers, evaluations are Fractions.
 """
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions, falling_factorial
@@ -159,40 +165,69 @@ class CharacterTable:
         return [row[one_col] for row in self.matrix]
 
 
+def _shifted(parts: tuple[int, ...], n: int, at: int) -> int:
+    """(n)_r chi^lam_{parts 1^(n-r)} for r = |parts| <= n, lam at position at
+    of _shapes(n): the integer numerator of p#_parts(lam) over dim lam."""
+    r = sum(parts)
+    return falling_factorial(n, r) * _column(parts + (1,) * (n - r))[at]
+
+
 def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     """Shifted power sum evaluated at lam: (n falling r) chi^lam_{rho padded} / dim lam."""
-    r = rho.size()
     n = lam.size()
-    if r > n:
+    if rho.size() > n:
         return Fraction(0)
-    chi = _column(rho.parts + (1,) * (n - r))[_shapes(n)[1][_beads(lam.parts)]]
-    return Fraction(falling_factorial(n, r) * chi, _dim(lam.parts))
+    return Fraction(_shifted(rho.parts, n, _shapes(n)[1][_beads(lam.parts)]),
+                    _dim(lam.parts))
+
+
+@cache
+def _s_star_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The s* cache: (rho, chi^mu_rho r!/z_rho) for the classes rho of S_r,
+    r = |mu|, in canonical order, where chi^mu_rho != 0."""
+    r = sum(mu)
+    mu_at, r_fact = _shapes(r)[1][_beads(mu)], factorial(r)
+    weights = []
+    for rho in _shapes(r)[0]:
+        chi = _column(rho.parts)[mu_at]
+        if chi:
+            weights.append((rho.parts, chi * (r_fact // rho.centralizer_size())))
+    return tuple(weights)
 
 
 def s_star(mu: Partition, lam: Partition) -> Fraction:
     """Shifted Schur value, inverted from p# by character orthogonality:
-    (n)_r / (r! dim lam) times sum_rho chi^mu_rho (r!/z_rho) chi^lam_{rho 1^(n-r)}."""
+    (n)_r / (r! dim lam) times sum_rho chi^mu_rho (r!/z_rho) chi^lam_{rho 1^(n-r)}.
+    The weights chi^mu_rho r!/z_rho of the nonzero terms come from the s*
+    cache, so each term is one column read and the sum is one integer."""
     r = mu.size()
     n = lam.size()
     if r > n:
         return Fraction(0)
-    mu_at, lam_at = _shapes(r)[1][_beads(mu.parts)], _shapes(n)[1][_beads(lam.parts)]
+    lam_at = _shapes(n)[1][_beads(lam.parts)]
     ones = (1,) * (n - r)
-    r_fact = factorial(r)
     total = 0
-    for rho in enumerate_partitions(r):
-        chi = _column(rho.parts)[mu_at]
-        if chi:
-            total += chi * (r_fact // rho.centralizer_size()) * _column(rho.parts + ones)[lam_at]
-    return Fraction(falling_factorial(n, r) * total, r_fact * _dim(lam.parts))
+    for parts, weight in _s_star_weights(mu.parts):
+        total += weight * _column(parts + ones)[lam_at]
+    return Fraction(falling_factorial(n, r) * total, factorial(r) * _dim(lam.parts))
 
 
 def F_eval(v: ClassVector, lam: Partition) -> Fraction:
-    """The evaluation isomorphism: A_rho maps to p#_rho / z_rho."""
-    total = Fraction(0)
+    """The evaluation isomorphism: A_rho maps to p#_rho / z_rho.
+
+    Summed as one integer over the common denominator L n! dim lam, L the
+    lcm of the coefficients' denominators: a term c A_rho with |rho| <= n
+    adds c L (n)_r chi^lam_{rho 1^(n-r)} (n!/z_rho), and terms with
+    |rho| > n are skipped (p# vanishes there)."""
+    n = lam.size()
+    at, n_fact = _shapes(n)[1][_beads(lam.parts)], factorial(n)
+    common = lcm(*(c.denominator for c in v.terms.values()))
+    total = 0
     for rho, c in v.terms.items():
-        total += c * p_sharp(rho, lam) / rho.centralizer_size()
-    return total
+        if rho.size() <= n:
+            total += (c.numerator * (common // c.denominator) * _shifted(rho.parts, n, at)
+                      * (n_fact // rho.centralizer_size()))
+    return Fraction(total, common * n_fact * _dim(lam.parts))
 
 
 def x_mu(mu: Partition) -> ClassVector:

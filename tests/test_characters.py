@@ -236,6 +236,43 @@ def test_F_eval_unit_and_homomorphism():
                     sigma, tau, lam)
 
 
+def test_F_eval_matches_per_term_sum():
+    # the one-numerator sum against c p#_rho / z_rho summed as Fractions
+    mixed = ClassVector({rho: Fraction((-1) ** i * (i + 1), i % 5 + 1)
+                         for i, rho in enumerate(partitions_up_to(5))})
+    beyond = ClassVector({EMPTY: Fraction(-3, 4), P(2, 1): Fraction(5, 6),
+                          P(4, 4): Fraction(-2, 3), P(5, 2, 1): 7, P(1, 1): Fraction(1, 9)})
+    vectors = [mixed, beyond, ClassVector({}), ClassVector.unit()]
+    for lam in partitions_up_to(7):
+        for v in vectors:
+            want = sum((c * p_sharp(rho, lam) / rho.centralizer_size()
+                        for rho, c in v.terms.items()), Fraction(0))
+            got = F_eval(v, lam)
+            assert isinstance(got, Fraction) and got == want, (v, lam)
+
+
+def test_s_star_cache_holds_nonzero_weights_of_asked_mu():
+    cache = characters._s_star_weights
+    cache.cache_clear()
+    asked = [P(2, 1), P(3, 2), EMPTY, P(2, 1), P(4)]
+    for mu in asked:
+        s_star(mu, P(5, 1))
+    # |mu| > |lam| is answered without reading the cache
+    assert s_star(P(4, 3), P(2)) == 0
+    distinct = {mu.parts for mu in asked}
+    held = cache.cache_info()
+    assert held.currsize == held.misses == len(distinct)
+    for parts in distinct:
+        mu, r = Partition(parts), sum(parts)
+        want = tuple((rho.parts, character(mu, rho) * (factorial(r) // rho.centralizer_size()))
+                     for rho in enumerate_partitions(r) if character(mu, rho))
+        assert cache(parts) == want, mu
+    again = cache.cache_info()
+    assert (again.hits, again.misses) == (held.hits + len(distinct), held.misses)
+    # chi^(2,1) vanishes on (2,1), so that class is not listed
+    assert [rho for rho, _ in cache((2, 1))] == [(3,), (1, 1, 1)]
+
+
 def test_x_mu():
     assert x_mu(P(1)) == ClassVector({P(1): 1})
     for m in range(1, 5):
