@@ -20,13 +20,16 @@ class ClassVector:
     `level` is the truncation: when present every key satisfies
     |rho| <= level and the vector lives in A_level; when absent the vector
     is stable (valid in every A_n with n >= the largest key).  Equality
-    compares coefficients only.
+    compares coefficients only.  Coefficients are stored as Fractions: a
+    Fraction is kept as given, any other coefficient is converted, and
+    zero coefficients are dropped.
     """
 
     __slots__ = ("terms", "level")
 
     def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
-        self.terms = {p: Fraction(c) for p, c in terms.items() if c}
+        self.terms = {p: c if type(c) is Fraction else Fraction(c)
+                      for p, c in terms.items() if c}
         self.level = level
         if level is not None:
             for p in self.terms:

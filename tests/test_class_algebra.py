@@ -365,6 +365,69 @@ def test_multiply_associative_small_vectors():
     assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
 
 
+def _per_term_product(u, v, n=None):
+    """multiply's reference: Fraction sums term by term, every key of each
+    expansion visited, terms above the level skipped, zeros dropped."""
+    levels = [x for x in (n, u.level, v.level) if x is not None]
+    eff = min(levels) if levels else None
+    out = {}
+    for sigma, cu in u.terms.items():
+        for tau, cv in v.terms.items():
+            for rho, g in product_expansion(sigma, tau).items():
+                if eff is None or rho.size() <= eff:
+                    out[rho] = out.get(rho, Fraction(0)) + cu * cv * g
+    return [(rho, c) for rho, c in out.items() if c]
+
+
+def _per_term_psi(v, n):
+    """to_C_basis's reference: c C(n - |rho| + m_1, m_1) summed as Fractions."""
+    out = {}
+    for rho, c in v.terms.items():
+        if rho.size() <= n:
+            bar = rho.strip_ones()
+            out[bar] = out.get(bar, Fraction(0)) + c * psi_image(rho, n)[0]
+    return [(rho, c) for rho, c in out.items() if c]
+
+
+def _top(v):
+    return max((rho.size() for rho in v.terms), default=0)
+
+
+def test_multiply_matches_per_term_fraction_sum():
+    mixed = ClassVector({rho: Fraction((-1) ** i * (i + 1), i % 4 + 2)
+                         for i, rho in enumerate(partitions_up_to(3))})
+    other = ClassVector({P(2): Fraction(3, 4), P(1, 1): Fraction(-5, 6), EMPTY: 2,
+                         P(3, 1): Fraction(1, 9)})
+    # A(1) A(1) = A(1) + 2 A(1,1), so the A(1) terms cancel
+    cancel = ClassVector({P(1): 1, EMPTY: -1})
+    assert P(1) not in multiply(cancel, ClassVector.basis(P(1))).terms
+    vectors = [mixed, other, cancel, ClassVector.basis(P(2, 2)), ClassVector.unit(),
+               ClassVector({}), ClassVector({P(2): Fraction(-1, 2), P(1): 3}, level=3)]
+    for u in vectors:
+        for v in vectors:
+            for n in [None, *range(_top(u) + _top(v) + 2)]:
+                got = multiply(u, v, n)
+                assert list(got.terms.items()) == _per_term_product(u, v, n), (u, v, n)
+                assert all(type(c) is Fraction for c in got.terms.values())
+    for sigma in partitions_up_to(4):
+        for tau in partitions_up_to(4):
+            u, v = ClassVector.basis(sigma), ClassVector.basis(tau)
+            for n in range(sigma.size() + tau.size() + 2):
+                got = multiply(u, v, n)
+                assert list(got.terms.items()) == _per_term_product(u, v, n), (sigma, tau, n)
+                assert got.level == n
+
+
+def test_product_expansion_keys_ascend():
+    # multiply stops reading an expansion at its first key above the level
+    for total in range(11):
+        for s in range(total + 1):
+            for sigma in enumerate_partitions(s):
+                for tau in enumerate_partitions(total - s):
+                    keys = list(product_expansion(sigma, tau))
+                    assert keys == sorted(keys, key=Partition.sort_key), (sigma, tau)
+
+
 def test_stability_of_expansion():
     for sigma, tau in [(P(2), P(2)), (P(3), P(2, 1)), (P(2, 2), P(3))]:
         total = sigma.size() + tau.size()
@@ -498,12 +561,40 @@ def test_to_C_basis():
     assert got == ClassVector({P(2): comb(2, 1) * 1 + 2})
 
 
+def test_to_C_basis_matches_per_term_fraction_sum():
+    mixed = ClassVector({rho: Fraction((-1) ** i * (i + 2), i % 5 + 1)
+                         for i, rho in enumerate(partitions_up_to(4))})
+    # (2,1) and (2) both map to C_(2) at n = 3 with binomial 1: they cancel
+    cancel = ClassVector({P(2, 1): Fraction(2, 3), P(2): Fraction(-2, 3), P(3): Fraction(1, 2)})
+    product = multiply(mixed, ClassVector({P(2): Fraction(1, 3), P(1): Fraction(-3, 4)}))
+    for v in [mixed, cancel, product, ClassVector({}), ClassVector.unit()]:
+        for n in range(_top(v) + 2):
+            got = to_C_basis(v, n)
+            assert list(got.terms.items()) == _per_term_psi(v, n), (v, n)
+            assert got.level == n and all(type(c) is Fraction for c in got.terms.values())
+    assert to_C_basis(cancel, 3) == ClassVector({P(3): Fraction(1, 2)})
+
+
+def test_to_C_basis_refuses_level_below_n():
+    # a product truncated at 3 lacks the (2,2) term that S_4 sees
+    v = multiply(ClassVector.basis(P(2)), ClassVector.basis(P(2)), n=3)
+    assert convolve_C_classes(P(2), P(2), 4).coefficient(P(2, 2)) == 2
+    with pytest.raises(ValueError, match=r"level 3 .* n = 4"):
+        to_C_basis(v, 4)
+    assert to_C_basis(v, 3) == convolve_C_classes(P(2), P(2), 3)
+    assert to_C_basis(v, 2) == oracle_convolve(P(2), P(2), 2)
+
+
 def test_class_vector_basics():
     v = ClassVector({P(2): Fraction(1, 2), P(1): 0})
     assert v.coefficient(P(1)) == 0 and P(1) not in v.terms
     assert v.support() == [P(2)]
     with pytest.raises(ValueError):
         ClassVector({P(3): 1}, level=2)
+    half = Fraction(1, 2)
+    u = ClassVector({P(2): half, P(1): 3})
+    # Fractions are kept as given, other coefficients become Fractions
+    assert u.terms[P(2)] is half and type(u.terms[P(1)]) is Fraction
     u = ClassVector({P(2): Fraction(1, 2)})
     assert (u + u).coefficient(P(2)) == 1
     assert (3 * u).coefficient(P(2)) == Fraction(3, 2)
