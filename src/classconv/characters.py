@@ -19,9 +19,10 @@ whose F-images are the s*.
 
 The shifted evaluations run on integers and build one Fraction per
 answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
-1^(n-r)}; F sums one numerator over a common denominator.  The s* cache
-holds, per mu, the classes rho with chi^mu_rho != 0 and their weights
-chi^mu_rho r!/z_rho, so an s* value is one column read per nonzero term.
+1^(n-r)}; F sums the class vector's integer numerators over its one
+denominator.  The s* cache holds, per mu, the classes rho with
+chi^mu_rho != 0 and their weights chi^mu_rho r!/z_rho, so an s* value is
+one column read per nonzero term.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions, falling_factorial
@@ -215,19 +216,21 @@ def s_star(mu: Partition, lam: Partition) -> Fraction:
 def F_eval(v: ClassVector, lam: Partition) -> Fraction:
     """The evaluation isomorphism: A_rho maps to p#_rho / z_rho.
 
-    Summed as one integer over the common denominator L n! dim lam, L the
-    lcm of the coefficients' denominators: a term c A_rho with |rho| <= n
-    adds c L (n)_r chi^lam_{rho 1^(n-r)} (n!/z_rho), and terms with
-    |rho| > n are skipped (p# vanishes there)."""
+    Summed as one integer over v.den n! dim lam: a numerator c on A_rho
+    with |rho| <= n adds c (n)_r chi^lam_{rho 1^(n-r)} (n!/z_rho), and
+    terms with |rho| > n are skipped (p# vanishes there).  A vector
+    truncated below n lives in A_level, where F is defined only at
+    |lam| <= level, so such a vector raises ValueError."""
     n = lam.size()
+    if v.level is not None and v.level < n:
+        raise ValueError(f"vector truncated at level {v.level} cannot be evaluated "
+                         f"at {lam}: its level is below |lam| = {n}")
     at, n_fact = _shapes(n)[1][_beads(lam.parts)], factorial(n)
-    common = lcm(*(c.denominator for c in v.terms.values()))
     total = 0
-    for rho, c in v.terms.items():
+    for rho, c in v.nums.items():
         if rho.size() <= n:
-            total += (c.numerator * (common // c.denominator) * _shifted(rho.parts, n, at)
-                      * (n_fact // rho.centralizer_size()))
-    return Fraction(total, common * n_fact * _dim(lam.parts))
+            total += c * _shifted(rho.parts, n, at) * (n_fact // rho.centralizer_size())
+    return Fraction(total, v.den * n_fact * _dim(lam.parts))
 
 
 def x_mu(mu: Partition) -> ClassVector:
@@ -236,9 +239,5 @@ def x_mu(mu: Partition) -> ClassVector:
     Grouping the character-weighted sum over partial permutations of
     degree |mu| by cycle type gives coefficient chi^mu_rho on A_rho.
     """
-    terms = {}
-    for rho in enumerate_partitions(mu.size()):
-        chi = character(mu, rho)
-        if chi:
-            terms[rho] = Fraction(chi)
-    return ClassVector(terms)
+    return ClassVector._of({rho: character(mu, rho) for rho in enumerate_partitions(mu.size())},
+                           1, None)

@@ -36,11 +36,12 @@ shapes, hook products and class index (classes by deg3 and m_1) of S_m
 from that module's per-m cache.
 
 Products of class vectors (multiply) and the psi sum into Z(Q[S_n])
-(to_C_basis, convolve_C_classes) add integers: each coefficient is
-scaled to an integer over the lcm of its vector's denominators, and one
-Fraction is built per nonzero output term.  multiply relies on the
-expansion keys ascending in size and stops reading each expansion at the
-first key above the truncation level.  to_C_basis refuses a vector
+(to_C_basis, convolve_C_classes) add integers: a ClassVector holds its
+coefficients as integer numerators over one denominator, both sums read
+the numerators, and each hands its integer result and denominator to the
+ClassVector's trusted constructor, which reduces them.  multiply relies
+on the expansion keys ascending in size and stops reading each expansion
+at the first key above the truncation level.  to_C_basis refuses a vector
 truncated below n, which lacks terms that psi needs.
 
 Two guards that read no characters live in the verify module, the one
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
@@ -165,36 +166,22 @@ def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVecto
     """Bilinear product via the structure constants, truncated at n if given.
 
     The truncation level is the least of n, u.level and v.level.  Summed in
-    integers over the common denominator L_u L_v, each L the lcm of one
-    factor's coefficient denominators: a pair adds a b g for each rho of
-    its product expansion, a and b the coefficients times L_u and L_v.  The
-    expansion keys ascend in size, so each one is read only up to the first
-    key above the truncation level.  One Fraction is built per nonzero
-    output term; terms that cancel to zero are dropped.
+    integers over u.den v.den: a pair of numerators a, b adds a b g for
+    each rho of its product expansion.  The expansion keys ascend in size,
+    so each one is read only up to the first key above the truncation
+    level.  Terms that cancel to zero are dropped.
     """
     levels = [x for x in (n, u.level, v.level) if x is not None]
     eff = min(levels) if levels else None
-    lu, us = _over_common(u)
-    lv, vs = _over_common(v)
     out: dict[Partition, int] = {}
-    for sigma, a in us:
-        for tau, b in vs:
+    for sigma, a in u.nums.items():
+        for tau, b in v.nums.items():
             ab = a * b
             for rho, g in product_expansion(sigma, tau).items():
                 if eff is not None and rho.size() > eff:
                     break
                 out[rho] = out.get(rho, 0) + ab * g
-    den = lu * lv
-    # ClassVector itself drops zero integers and makes the others Fractions
-    terms = out if den == 1 else {rho: Fraction(c, den) for rho, c in out.items() if c}
-    return ClassVector(terms, eff)
-
-
-def _over_common(v: ClassVector) -> tuple[int, list[tuple[Partition, int]]]:
-    """(L, [(rho, c L), ...]): v's coefficients as integers over L, the
-    lcm of their denominators (1 for the empty vector)."""
-    den = lcm(*[c.denominator for c in v.terms.values()])
-    return den, [(rho, c.numerator * (den // c.denominator)) for rho, c in v.terms.items()]
+    return ClassVector._of(out, u.den * v.den, eff)
 
 
 def f_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
@@ -345,16 +332,15 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot map into "
                          f"Z(Q[S_{n}]): its level is below n = {n}")
-    den, terms = _over_common(v)
-    return _psi(terms, den, n)
+    return _psi(v.nums.items(), v.den, n)
 
 
 def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVector:
     """The psi image in Z(Q[S_n]) of sum (c/den) A_rho over the (rho, c)
     pairs, c integers: each rho with |rho| <= n adds c C(n - |rho| + m_1,
     m_1) to C_{rho stripped}, as psi_image states.  Summed in integers
-    and keyed by the stripped parts tuple; one Partition and one Fraction
-    are built per nonzero output term."""
+    over den and keyed by the stripped parts tuple; one Partition is built
+    per nonzero output term."""
     out: dict[tuple[int, ...], int] = {}
     for rho, c in terms:
         parts = rho.parts
@@ -364,5 +350,4 @@ def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVecto
         m1 = parts.count(1)
         bar = parts[:len(parts) - m1]
         out[bar] = out.get(bar, 0) + c * comb(n - r + m1, m1)
-    return ClassVector({Partition(bar): c if den == 1 else Fraction(c, den)
-                        for bar, c in out.items() if c}, n)
+    return ClassVector._of({Partition(bar): c for bar, c in out.items() if c}, den, n)

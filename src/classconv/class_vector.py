@@ -7,6 +7,7 @@ and the character layer (which evaluates class vectors) can import it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .partitions import EMPTY, Partition
@@ -19,59 +20,86 @@ class ClassVector:
 
     `level` is the truncation: when present every key satisfies
     |rho| <= level and the vector lives in A_level; when absent the vector
-    is stable (valid in every A_n with n >= the largest key).  Equality
-    compares coefficients only.  Coefficients are stored as Fractions: a
-    Fraction is kept as given, any other coefficient is converted, and
-    zero coefficients are dropped.
+    is stable (valid in every A_n with n >= the largest key).
+
+    The coefficients are held as nonzero integer numerators `nums` over one
+    positive denominator `den`, in lowest terms (gcd(den, *nums) = 1), so
+    equal vectors hold equal fields and equality compares them (not the
+    level).  `terms`, `coefficient` and `items` read them as reduced
+    Fractions.  The integer sums (multiply, the psi sum, F) read `nums` and
+    `den` directly and build their results through the trusted constructor
+    `_of`; the public constructor converts and checks outside input.
     """
 
-    __slots__ = ("terms", "level")
+    __slots__ = ("nums", "den", "level")
 
     def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
-        self.terms = {p: c if type(c) is Fraction else Fraction(c)
-                      for p, c in terms.items() if c}
-        self.level = level
+        fracs = {p: Fraction(c) for p, c in terms.items() if c}
         if level is not None:
-            for p in self.terms:
+            for p in fracs:
                 if p.size() > level:
                     raise ValueError(f"|{p}| exceeds truncation level {level}")
+        # over the lcm of reduced denominators the numerators share no factor with it
+        self.den = lcm(*(c.denominator for c in fracs.values()))
+        self.nums = {p: c.numerator * (self.den // c.denominator) for p, c in fracs.items()}
+        self.level = level
+
+    @classmethod
+    def _of(cls, nums: Mapping[Partition, int], den: int, level: int | None) -> "ClassVector":
+        """The vector sum (c/den) A_p over nums, den > 0, every key already
+        within level: zero numerators dropped, the gcd divided out, unchecked."""
+        g = gcd(den, *nums.values())
+        v = object.__new__(cls)
+        v.nums = {p: c // g for p, c in nums.items() if c}
+        v.den = den // g
+        v.level = level
+        return v
 
     @classmethod
     def unit(cls, level: int | None = None) -> "ClassVector":
-        return cls({EMPTY: Fraction(1)}, level)
+        return cls({EMPTY: 1}, level)
 
     @classmethod
     def basis(cls, rho: Partition, level: int | None = None) -> "ClassVector":
-        return cls({rho: Fraction(1)}, level)
+        return cls({rho: 1}, level)
+
+    @property
+    def terms(self) -> dict[Partition, Fraction]:
+        """The coefficients as reduced Fractions, in storage order."""
+        return {p: Fraction(c, self.den) for p, c in self.nums.items()}
 
     def coefficient(self, rho: Partition) -> Fraction:
-        return self.terms.get(rho, Fraction(0))
+        return Fraction(self.nums.get(rho, 0), self.den)
 
     def support(self) -> list[Partition]:
-        return sorted(self.terms, key=Partition.sort_key)
+        return sorted(self.nums, key=Partition.sort_key)
 
     def items(self) -> list[tuple[Partition, Fraction]]:
-        return [(p, self.terms[p]) for p in self.support()]
+        return [(p, Fraction(self.nums[p], self.den)) for p in self.support()]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         """The sum truncated at the lower of the two levels, if any."""
         lv = [x for x in (self.level, other.level) if x is not None]
         level = min(lv) if lv else None
-        out: dict[Partition, Fraction] = {}
-        for p, c in (*self.terms.items(), *other.terms.items()):
-            if level is None or p.size() <= level:
-                out[p] = out.get(p, Fraction(0)) + c
-        return ClassVector(out, level)
+        den = lcm(self.den, other.den)
+        out: dict[Partition, int] = {}
+        for v in (self, other):
+            scale = den // v.den
+            for p, c in v.nums.items():
+                if level is None or p.size() <= level:
+                    out[p] = out.get(p, 0) + c * scale
+        return ClassVector._of(out, den, level)
 
     def __rmul__(self, scalar: Coeff) -> "ClassVector":
-        return ClassVector({p: Fraction(scalar) * c for p, c in self.terms.items()},
-                           self.level)
+        s = Fraction(scalar)
+        return ClassVector._of({p: c * s.numerator for p, c in self.nums.items()},
+                               self.den * s.denominator, self.level)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClassVector) and self.terms == other.terms
+        return isinstance(other, ClassVector) and (self.den, self.nums) == (other.den, other.nums)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c} A({p})" for p, c in self.items())

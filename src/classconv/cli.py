@@ -98,9 +98,12 @@ def _cmd_mult(args) -> int:
     if args.n is not None and args.n < 0:
         raise UsageError(f"truncation level --n must be nonnegative, got {args.n}")
     _check_size(args, lhs.size() + rhs.size(), "|lhs|+|rhs|")
-    expand = ca.product_expansion if args.basis == "A" else ca.product_expansion_a
-    v = ca.ClassVector({p: Fraction(c) for p, c in expand(lhs, rhs).items()
-                        if args.n is None or p.size() <= args.n}, args.n)
+    v = ca.multiply(ca.ClassVector.basis(lhs), ca.ClassVector.basis(rhs), args.n)
+    if args.basis == "a":
+        # a basis product is integral: f = z_lhs z_rhs g / z_rho, checked
+        zz = lhs.centralizer_size() * rhs.centralizer_size()
+        v = ca.ClassVector({rho: ca._rescaled(lhs, rhs, rho, zz, g)
+                            for rho, g in v.nums.items()}, args.n)
     _emit(args, {"basis": args.basis, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs),
                  "n": args.n},
           _terms(v), _vector_lines(v, args.basis))

@@ -84,9 +84,8 @@ def _fmt_terms(terms) -> str:
 
 
 def _vector_terms(v: ca.ClassVector) -> dict:
-    if any(c.denominator != 1 for c in v.terms.values()):
-        return dict(v.terms)  # non-integral coefficients: surface them in the diff
-    return {p: c.numerator for p, c in v.terms.items()}
+    # non-integral coefficients: surface them in the diff as Fractions
+    return v.nums if v.den == 1 else v.terms
 
 
 # ---------------------------------------------------------------------------

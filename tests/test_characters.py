@@ -251,6 +251,22 @@ def test_F_eval_matches_per_term_sum():
             assert isinstance(got, Fraction) and got == want, (v, lam)
 
 
+def test_F_eval_refuses_truncated_vector_above_its_level():
+    # A(2)^2 truncated at 3 lacks its (2,2) term; F((4)) of the full square is 36
+    a2 = ClassVector.basis(P(2))
+    cut = multiply(a2, a2, n=3)
+    assert F_eval(multiply(a2, a2), P(4)) == F_eval(a2, P(4)) ** 2 == 36
+    with pytest.raises(ValueError, match=r"level 3 .* \|lam\| = 4"):
+        F_eval(cut, P(4))
+    with pytest.raises(ValueError, match=r"level 3 .* \|lam\| = 4"):
+        F_eval(cut, P(2, 1, 1))
+    # at |lam| = level the truncated vector is still the product
+    for lam in partitions_up_to(3):
+        assert F_eval(cut, lam) == F_eval(a2, lam) ** 2, lam
+    assert F_eval(cut, P(3)) == 9
+    assert F_eval(ClassVector.unit(0), EMPTY) == 1
+
+
 def test_s_star_cache_holds_nonzero_weights_of_asked_mu():
     cache = characters._s_star_weights
     cache.cache_clear()

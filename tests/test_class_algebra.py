@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -34,18 +34,27 @@ def test_g_unit():
 
 
 def test_g_top_term_binomial_product():
-    for sigma in partitions_up_to(4):
-        for tau in partitions_up_to(4):
+    # every ordered pair with |sigma|, |tau| <= 7 and |sigma|+|tau| <= 11 (1139)
+    pairs = 0
+    for sigma in partitions_up_to(7):
+        for tau in partitions_up_to(7):
+            if sigma.size() + tau.size() > 11:
+                continue
+            pairs += 1
             top = sigma.union(tau)
             want = 1
             for k in set(top.parts):
                 want *= comb(sigma.multiplicity(k) + tau.multiplicity(k),
                              sigma.multiplicity(k))
+            # = z_top / (z_sigma z_tau)
+            assert want * sigma.centralizer_size() * tau.centralizer_size() \
+                == top.centralizer_size()
             assert g_constant(sigma, tau, top) == want
             # and it is the unique class of full size in the expansion
             full = [rho for rho in product_expansion(sigma, tau)
                     if rho.size() == sigma.size() + tau.size()]
             assert full == [top]
+    assert pairs == 1139
 
 
 def test_g_fast_matches_naive():
@@ -593,8 +602,8 @@ def test_class_vector_basics():
         ClassVector({P(3): 1}, level=2)
     half = Fraction(1, 2)
     u = ClassVector({P(2): half, P(1): 3})
-    # Fractions are kept as given, other coefficients become Fractions
-    assert u.terms[P(2)] is half and type(u.terms[P(1)]) is Fraction
+    # every coefficient reads back as a Fraction equal to the one given
+    assert u.terms[P(2)] == half and type(u.terms[P(1)]) is Fraction
     u = ClassVector({P(2): Fraction(1, 2)})
     assert (u + u).coefficient(P(2)) == 1
     assert (3 * u).coefficient(P(2)) == Fraction(3, 2)
@@ -602,3 +611,77 @@ def test_class_vector_basics():
     w = ClassVector.basis(P(3)) + ClassVector.unit(2)
     assert w == ClassVector.unit(2) and w.level == 2
     assert multiply(ClassVector.basis(P(3)), ClassVector.unit(2)).is_zero()
+
+
+def _assert_canonical(v):
+    """nums over den in lowest terms, no zero numerator, and the public
+    constructor rebuilds the same fields from the Fractions read back."""
+    assert v.den > 0 and gcd(v.den, *v.nums.values()) == 1, v
+    assert all(type(c) is int and c for c in v.nums.values()), v
+    assert all(type(c) is Fraction for c in v.terms.values()), v
+    assert ClassVector(v.terms, v.level) == v, v
+
+
+def test_class_vector_canonical_form():
+    a = ClassVector({P(2): Fraction(1, 6), P(1): 2, EMPTY: Fraction(4, 6), P(3): 0,
+                     P(2, 1): Fraction(0, 5)})
+    b = ClassVector({P(1): Fraction(1, 3), P(2): Fraction(-1, 3), P(1, 1): Fraction(2, 3)})
+    # equal values given as ints, equal Fractions and repeated denominators
+    same = [ClassVector({P(2): 2, P(1): 4}), ClassVector({P(1): Fraction(8, 2), P(2): 2}),
+            ClassVector({P(2): Fraction(6, 3), P(1): Fraction(12, 3)}, level=5)]
+    cancel = ClassVector({P(1): 1, EMPTY: -1})
+    built = [a, b, *same, cancel, ClassVector({}), ClassVector({P(3): Fraction(0)}),
+             ClassVector.unit(), ClassVector.basis(P(2, 2))]
+    built += [a + b, b + b, a + (-1) * a, 3 * b, Fraction(3, 2) * a, 0 * a, Fraction(-1, 2) * b,
+              multiply(a, b), multiply(a, b, 2), multiply(cancel, ClassVector.basis(P(1))),
+              multiply(b, Fraction(3, 1) * b), convolve_C_classes(P(2), P(2), 4)]
+    built += [to_C_basis(v, n) for v in (a, b, multiply(a, b)) for n in range(5)]
+    for v in built:
+        _assert_canonical(v)
+    assert same[0].den == 1 and same[0] == same[1] == same[2]
+    assert (b + b).den == 3 and (3 * b).den == 1 and (a + (-1) * a).is_zero()
+    assert (0 * a).den == (a + (-1) * a).den == 1
+    for u in built:
+        for v in built:
+            assert (u == v) == (u.terms == v.terms), (u, v)
+
+
+def _identity_row(k, rho):
+    """A_{1^k} A_rho = sum_j C(r, j) z_mu / ((k - j)! z_rho) A_mu, mu = rho with
+    k - j unit parts added, r = |rho|: a 1^k identity meeting j points of
+    the support of a rho-type b leaves b's type and adds k - j fixed points."""
+    r, z = rho.size(), rho.centralizer_size()
+    out = {}
+    for j in range(min(k, r) + 1):
+        mu = rho.union(P(*[1] * (k - j)))
+        g, rem = divmod(comb(r, j) * mu.centralizer_size(), factorial(k - j) * z)
+        assert not rem
+        out[mu] = g
+    return out
+
+
+def test_identity_rows_closed_form():
+    rows = 0
+    for k in range(7):
+        ones = P(*[1] * k)
+        for rho in partitions_up_to(7):
+            want = _identity_row(k, rho)
+            assert product_expansion(ones, rho) == want, (k, rho)
+            top = k + rho.size()
+            for n in [None, *range(top + 2)]:
+                got = multiply(ClassVector.basis(ones), ClassVector.basis(rho), n)
+                assert got == ClassVector({mu: g for mu, g in want.items()
+                                           if n is None or mu.size() <= n}), (k, rho, n)
+                assert got.level == n
+            rows += 1
+    assert rows == 315
+
+
+@pytest.mark.parametrize("k, rho", [(12, P(7, 5)), (14, P(14))])
+def test_identity_rows_closed_form_large(k, rho):
+    # beyond the counted guard's reach: 1 + min(k, |rho|) terms, keys in order
+    ones = P(*[1] * k)
+    got = product_expansion(ones, rho)
+    assert got == _identity_row(k, rho)
+    assert list(got) == sorted(got, key=Partition.sort_key)
+    assert len(got) == 1 + min(k, rho.size())

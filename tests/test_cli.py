@@ -6,12 +6,21 @@ import pytest
 from classconv import verify as vf
 from classconv.cli import main
 from classconv.partitions import Partition
+from cli_pins import PINS
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, want", PINS, ids=[" ".join(argv) for argv, _ in PINS])
+def test_pinned_command_lines(capsys, argv, want):
+    # the rows CI also runs through the installed console script
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
 
 
 def test_mult_plain(capsys):
