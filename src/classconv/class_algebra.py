@@ -4,10 +4,11 @@ Basis elements A_rho are indexed by partitions of arbitrary size; the
 structure constant g_{sigma,tau}^rho counts pairs of partial permutations
 of types sigma, tau multiplying to a fixed representative of type rho.
 
-The production route reads them off characters of symmetric groups.  The
-evaluation isomorphism sends A_rho to p#_rho / z_rho, so for each level m
-with max(|sigma|,|tau|) <= m <= |sigma|+|tau| column orthogonality of the
-character table of S_m gives, for every mu of size m, the integer
+The product A_sigma A_tau spreads over the levels m = max(s, t) .. s + t,
+s = |sigma| and t = |tau|.  The production route reads the levels below
+s + t - 1 off characters of symmetric groups.  The evaluation isomorphism
+sends A_rho to p#_rho / z_rho, so at each such level column orthogonality
+of the character table of S_m gives, for every mu of size m, the integer
 
     T_m(mu) = (m)_s (m)_t sum_lam chi^lam_mu chi^lam_{sigma 1^(m-s)}
               chi^lam_{tau 1^(m-t)} H_lam / (z_sigma z_tau (m!)^2)
@@ -15,6 +16,16 @@ character table of S_m gives, for every mu of size m, the integer
 
 with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
 leaves g^mu; every step is exact integer arithmetic.
+
+At the two top levels, the largest ones, the supports of the two factors
+meet in at most one point, and counting pairs gives the constants in
+closed form, in integers with no division and no characters (_expand has
+the derivation).  At s + t the supports are disjoint, and the only class
+is sigma u tau, with g = prod_i C(m_i(sigma) + m_i(tau), m_i(sigma)) =
+z_{sigma u tau} / (z_sigma z_tau).  At s + t - 1 one cycle of each factor
+runs through the common point, and the two merge into one cycle: the
+join half of cut and join.  A product with a factor of size at most 1,
+such as the unit or A_(1), reads no character at all.
 
 Only the allowed mu are evaluated: g^mu vanishes unless deg2(mu) =
 |mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's filtration
@@ -29,10 +40,10 @@ one of a, b moves and only points they move, so with mv = |.| - m_1 the
 moved points, g^mu vanishes unless |mv(sigma) - mv(tau)| <= mv(mu) <=
 mv(sigma) + mv(tau): at level m the allowed mu fill a rectangle in
 (deg3, m_1).  Dropping unit parts keeps mu allowed (deg3 and mv stay, deg2
-drops), so the peel only ever needs allowed classes.  Each level reads the
-columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu from the
-characters module's column cache, one column per cycle type, and the
-shapes, hook products and class index (classes by deg3 and m_1) of S_m
+drops), so the peel only ever needs allowed classes.  Each character
+level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu
+from the characters module's column cache, one column per cycle type, and
+the shapes, hook products and class index (classes by deg3 and m_1) of S_m
 from that module's per-m cache.
 
 Products of class vectors (multiply) and the psi sum into Z(Q[S_n])
@@ -74,13 +85,30 @@ from .partitions import Partition, falling_factorial, partitions_up_to
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """The production route: every nonzero g_{sigma,tau}^mu, level by level.
 
-    Only the mu that deg2, deg3, the sign and the two triangles allow
-    (module docstring) are evaluated: the class index groups of _shapes(m)
-    in the (deg3, m_1) rectangle, sorted into canonical order.  Each gets
-    T_m(mu) from the cached columns and hook products, then loses
-    C(m_1, m_1') g for each nonzero g found at a lower level for the same
-    proper part with m_1' unit parts.  A division that leaves a remainder
-    raises RuntimeError instead of rounding.
+    The levels m = max(s, t) .. s + t - 2 (s = |sigma|, t = |tau|) read
+    characters.  Only the mu that deg2, deg3, the sign and the two
+    triangles allow (module docstring) are evaluated: the class index
+    groups of _shapes(m) in the (deg3, m_1) rectangle, sorted into
+    canonical order.  Each gets T_m(mu) from the cached columns and hook
+    products, then loses C(m_1, m_1') g for each nonzero g found at a lower
+    level for the same proper part with m_1' unit parts.  A division that
+    leaves a remainder raises RuntimeError instead of rounding.
+
+    The two top levels are closed forms in integers, with no division.
+    With D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b):
+
+    - Level s + t - 1 (s, t >= 1): the supports meet in one point x, and
+      the k-cycle of a and the l-cycle of b through x (a 1-cycle: x is a
+      fixed point in that factor's support) merge into one j-cycle,
+      j = k + l - 1.  On a fixed m-set, m C(m-1, s-1) (s!/z_sigma)
+      (t!/z_tau) pairs meet in one point; a share k m_k(sigma)/s of them
+      put x in a k-cycle of a and l m_l(tau)/t in an l-cycle of b.
+      Dividing by the m!/z_mu elements of type mu leaves, for each
+      distinct part k of sigma and l of tau, with sigma' = sigma minus k,
+      tau' = tau minus l and nu = sigma' u tau', the term
+      j (m_j(nu) + 1) D(sigma', tau') on g^{nu u (j)}.
+    - Level s + t: the supports are disjoint, so the only class is
+      sigma u tau, with g = D(sigma, tau).
     """
     column = _column
     s, t = sigma.size(), tau.size()
@@ -91,7 +119,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     mvs, mvt = s - sigma.multiplicity(1), t - tau.multiplicity(1)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: dict[Partition, int] = {}
-    for m in range(max(s, t), s + t + 1):
+    for m in range(max(s, t), s + t - 1):
         _, _, hooks, classes = _shapes(m)
         weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
                                                 column(tau.parts + (1,) * (m - t)), hooks)]
@@ -110,7 +138,33 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
             if g:
                 lower.append((m1, g))
                 out[mu] = g
+    ps, pt = sigma.parts, tau.parts
+    if s and t:
+        merged: dict[tuple[int, ...], int] = {}
+        for k, rest_s in _one_removed(ps):
+            for l, rest_t in _one_removed(pt):
+                j, nu = k + l - 1, rest_s + rest_t
+                mu = tuple(sorted(nu + (j,), reverse=True))
+                merged[mu] = merged.get(mu, 0) + j * (nu.count(j) + 1) * _binomials(rest_s, rest_t)
+        for mu in sorted(merged, reverse=True):
+            out[Partition._of(mu)] = merged[mu]
+    out[Partition._of(tuple(sorted(ps + pt, reverse=True)))] = _binomials(ps, pt)
     return out
+
+
+def _one_removed(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, parts minus one k) for each distinct part k."""
+    return [(k, parts[:i] + parts[i + 1:]) for i, k in enumerate(parts)
+            if not i or parts[i - 1] != k]
+
+
+def _binomials(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b)."""
+    d = 1
+    for i in set(a):
+        x = a.count(i)
+        d *= comb(x + b.count(i), x)
+    return d
 
 
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
@@ -339,8 +393,8 @@ def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVecto
     """The psi image in Z(Q[S_n]) of sum (c/den) A_rho over the (rho, c)
     pairs, c integers: each rho with |rho| <= n adds c C(n - |rho| + m_1,
     m_1) to C_{rho stripped}, as psi_image states.  Summed in integers
-    over den and keyed by the stripped parts tuple; one Partition is built
-    per nonzero output term."""
+    over den and keyed by the stripped parts tuple, a prefix of canonical
+    parts; one trusted Partition is built per nonzero output term."""
     out: dict[tuple[int, ...], int] = {}
     for rho, c in terms:
         parts = rho.parts
@@ -350,4 +404,4 @@ def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVecto
         m1 = parts.count(1)
         bar = parts[:len(parts) - m1]
         out[bar] = out.get(bar, 0) + c * comb(n - r + m1, m1)
-    return ClassVector._of({Partition(bar): c for bar, c in out.items() if c}, den, n)
+    return ClassVector._of({Partition._of(bar): c for bar, c in out.items() if c}, den, n)

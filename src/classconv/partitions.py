@@ -35,6 +35,14 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {p}")
         self._parts = p
 
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """Trusted construction: parts must already be a weakly decreasing
+        tuple of positive ints, which is not checked."""
+        p = object.__new__(cls)
+        p._parts = parts
+        return p
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts

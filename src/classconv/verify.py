@@ -228,10 +228,27 @@ def suite_section11() -> list[Check]:
     return checks
 
 
+def _identity_row(k: int, rho: Partition) -> list[tuple[Partition, Fraction]]:
+    """A_{1^k} A_rho in closed form, keys ascending: p#_{1^k}(lam) = (n)_k
+    and (n)_k (n)_r = sum_j C(k,j) C(r,j) j! (n)_{k+r-j}, r = |rho|, give
+    C(k,j) C(r,j) j! z_mu / (k! z_rho) on mu = rho u 1^(k-j), j <= min(k, r):
+    a 1^k identity meeting j points of the support of a rho-type b leaves
+    b's type and adds k - j fixed points."""
+    r, z = rho.size(), rho.centralizer_size()
+    row = []
+    for j in range(min(k, r), -1, -1):
+        mu = rho.pad(r + k - j)
+        row.append((mu, Fraction(comb(k, j) * comb(r, j) * factorial(j) * mu.centralizer_size(),
+                                 factorial(k) * z)))
+    return row
+
+
 def suite_oracle(max_total: int = ORACLE_DEFAULT_BOUND) -> list[Check]:
     """g-route convolution against brute force in Q[S_n] at n = |sigma|+|tau|,
     and each pair's expansion, keys in order, against the counted guard: psi
-    merges classes, so only the latter pins the individual g's."""
+    merges classes, so only the latter pins the individual g's.  Then every
+    identity row A_{1^k} A_rho with k + |rho| <= max_total against its
+    closed form, keys in order, which holds at any size."""
     checks = []
     for total in range(max_total + 1):
         pairs = 0
@@ -253,6 +270,13 @@ def suite_oracle(max_total: int = ORACLE_DEFAULT_BOUND) -> list[Check]:
                         bad.append((sigma, tau))
         checks.append(_failures(f"|sigma|+|tau| = {total} (n = {total})", bad,
                                 f"{pairs} pairs"))
+    for total in range(max_total + 1):
+        rows = [(k, rho) for k in range(total + 1) for rho in enumerate_partitions(total - k)]
+        bad = [(k, rho) for k, rho in rows
+               if list(ca.product_expansion(Partition((1,) * k), rho).items())
+               != _identity_row(k, rho)]
+        checks.append(_failures(f"A(1^k)*A(rho) closed form, k+|rho| = {total}", bad,
+                                f"{len(rows)} rows"))
     return checks
 
 

@@ -77,6 +77,24 @@ PINS: list[tuple[list[str], str]] = [
      "24 a(5,1)\n"
      "36 a(4,2)\n"
      "12 a(2,2,1,1)\n"),
+    # a factor of size 1: both levels come from closed forms
+    (["mult", "--lhs", "1", "--rhs", "3,2"],
+     "5 A(3,2)\n"
+     "1 A(3,2,1)\n"),
+    # character levels 5 to 7, the closed-form level 8, the top level cut off
+    (["mult", "--basis", "a", "--lhs", "3,2", "--rhs", "2,2", "--n", "8"],
+     "48 a(4,1)\n"
+     "48 a(3,2)\n"
+     "24 a(2,1,1,1)\n"
+     "144 a(6)\n"
+     "24 a(4,1,1)\n"
+     "72 a(3,2,1)\n"
+     "48 a(5,2)\n"
+     "56 a(4,3)\n"
+     "4 a(3,2,1,1)\n"
+     "12 a(2,2,2,1)\n"
+     "12 a(4,2,2)\n"
+     "8 a(3,3,2)\n"),
     # truncated below every term: the zero vector
     (["mult", "--lhs", "2", "--rhs", "2", "--n", "0"], "0\n"),
     (["mult", "--basis", "a", "--lhs", "2,1", "--rhs", "2", "--n", "4", "--json"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classconv import characters, class_algebra
+from classconv import verify as vf
 from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      convolve_C_classes, f_constant, g_constant,
                                      g_table, multiply, product_expansion,
@@ -129,45 +130,52 @@ def test_g_table_keys_and_order():
 
 
 def test_route_raises_on_inexact_division(monkeypatch):
-    # spoil the (2,1) column, which (2)*(2) reads at level 3 both as the
-    # padded factor and as an allowed class
+    # spoil the (1,1) column, which (2)*(2) reads at level 2, its one
+    # character level, as an allowed class
     class_algebra._pair_expansion.cache_clear()
     column, read = class_algebra._column, []
 
     def spoiled(parts):
         read.append(parts)
         col = column(parts)
-        return (col[0] + 1,) + col[1:] if parts == (2, 1) else col
+        return (col[0] + 1,) + col[1:] if parts == (1, 1) else col
 
     monkeypatch.setattr(class_algebra, "_column", spoiled)
     with pytest.raises(RuntimeError, match="non-integral"):
         product_expansion(P(2), P(2))
-    assert (2, 1) in read
+    assert (1, 1) in read
     assert class_algebra._pair_expansion.cache_info().currsize == 0
 
 
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
-    # (4)(2,1) has deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1);
-    # (1)(3) moves 0 and 3 points, so the moved-points triangle alone rules
-    # out (2,2), which deg2, deg3, the sign and the Cayley triangle allow
+    # only the levels below |sigma|+|tau|-1 read characters; (4)(2,1) has
+    # deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1); (1,1)(3,1)
+    # moves 0 and 3 points, so at level 4 the moved-points triangle alone
+    # rules out (2,2), which deg2, deg3, the sign and the Cayley triangle allow
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     moved = lambda p: p.size() - p.multiplicity(1)
     column = characters._column
-    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1)), (P(1), P(3))]:
+    requested = set()
+
+    def recorded(parts):
+        requested.add(parts)
+        return column(parts)
+
+    monkeypatch.setattr(class_algebra, "_column", recorded)
+    # a factor of size <= 1 leaves only the two closed-form levels
+    for sigma, tau in [(EMPTY, P(3, 2)), (P(1), P(3, 2)), (P(1), P(1)), (EMPTY, EMPTY)]:
         class_algebra._pair_expansion.cache_clear()
-        requested = set()
-
-        def recorded(parts):
-            requested.add(parts)
-            return column(parts)
-
-        monkeypatch.setattr(class_algebra, "_column", recorded)
+        product_expansion(sigma, tau)
+        assert not requested, (sigma, tau)
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1)), (P(1, 1), P(3, 1))]:
+        class_algebra._pair_expansion.cache_clear()
+        requested.clear()
         column.cache_clear()
         product_expansion(sigma, tau)
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
         floor_mv, cap_mv = abs(moved(sigma) - moved(tau)), moved(sigma) + moved(tau)
-        levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() + 1)
+        levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() - 1)
         want = set()
         for m in levels:
             want |= {sigma.pad(m).parts, tau.pad(m).parts}
@@ -185,7 +193,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             column(parts)
         again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
-    # requested holds the columns of the last pair, (1)(3)
+    # requested holds the columns of the last pair, (1,1)(3,1)
     assert (2, 2) not in requested
 
 
@@ -263,6 +271,60 @@ def test_pruned_route_matches_counted_guard_up_to_16(pair):
     want = product_expansion_counted(sigma, tau)
     got = _expand(sigma, tau)
     assert list(got.items()) == list(want.items()), (sigma, tau)
+
+
+def _level_sums(sigma, tau, m):
+    """T_m(mu) for every mu of size m, from the character sum in the
+    class_algebra module docstring, every class evaluated."""
+    labels, _, hooks, _ = characters._shapes(m)
+    column = characters._column
+    weights = [a * b * h for a, b, h in zip(column(sigma.pad(m).parts),
+                                            column(tau.pad(m).parts), hooks)]
+    scale = falling_factorial(m, sigma.size()) * falling_factorial(m, tau.size())
+    den = sigma.centralizer_size() * tau.centralizer_size() * factorial(m) ** 2
+    sums = {}
+    for mu in labels:
+        total, rem = divmod(scale * sum(x * w for x, w in zip(column(mu.parts), weights)), den)
+        assert not rem, (sigma, tau, mu)
+        sums[mu] = total
+    return sums
+
+
+def _check_top_levels_against_characters(sigma, tau):
+    # the route reads the two top levels off closed forms; here every class
+    # of those levels is checked against T_m(mu) = sum_j C(m_1, j) g^{mu
+    # minus j unit parts}, the lower levels' g read from the route as well
+    s, t = sigma.size(), tau.size()
+    got = _expand(sigma, tau)
+    assert list(got) == sorted(got, key=Partition.sort_key), (sigma, tau)
+    for m in range(max(s, t, s + t - 1), s + t + 1):
+        for mu, total in _level_sums(sigma, tau, m).items():
+            m1 = mu.multiplicity(1)
+            want = sum(comb(m1, j) * got.get(Partition(mu.parts[:len(mu) - j]), 0)
+                       for j in range(m1 + 1))
+            assert total == want, (sigma, tau, mu)
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    (P(1), P(6, 5, 3, 1)), (EMPTY, P(7, 6)), (P(4, 3, 2), P(3, 2)),
+    (P(2, 2, 2, 1), P(2, 2, 1, 1)), (P(5, 3), P(4, 2, 1, 1)), (P(3, 3, 3), P(3, 3, 1)),
+    (P(8), P(8)), (P(1, 1, 1), P(5, 5, 1, 1, 1))])
+def test_top_levels_match_characters_beyond_counted_guard(sigma, tau):
+    _check_top_levels_against_characters(sigma, tau)
+
+
+@st.composite
+def _pair_of_total(draw, low, high):
+    total = draw(st.integers(min_value=low, max_value=high))
+    s = draw(st.integers(min_value=0, max_value=total))
+    return (draw(st.sampled_from(enumerate_partitions(s))),
+            draw(st.sampled_from(enumerate_partitions(total - s))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_of_total(13, 16))
+def test_top_levels_match_characters_13_to_16(pair):
+    _check_top_levels_against_characters(*pair)
 
 
 def _F_beta_tuples(expansion: dict[Partition, int], lam: Partition) -> Fraction:
@@ -646,31 +708,18 @@ def test_class_vector_canonical_form():
             assert (u == v) == (u.terms == v.terms), (u, v)
 
 
-def _identity_row(k, rho):
-    """A_{1^k} A_rho = sum_j C(r, j) z_mu / ((k - j)! z_rho) A_mu, mu = rho with
-    k - j unit parts added, r = |rho|: a 1^k identity meeting j points of
-    the support of a rho-type b leaves b's type and adds k - j fixed points."""
-    r, z = rho.size(), rho.centralizer_size()
-    out = {}
-    for j in range(min(k, r) + 1):
-        mu = rho.union(P(*[1] * (k - j)))
-        g, rem = divmod(comb(r, j) * mu.centralizer_size(), factorial(k - j) * z)
-        assert not rem
-        out[mu] = g
-    return out
-
-
 def test_identity_rows_closed_form():
+    # against verify's closed form, keys in order
     rows = 0
     for k in range(7):
         ones = P(*[1] * k)
         for rho in partitions_up_to(7):
-            want = _identity_row(k, rho)
-            assert product_expansion(ones, rho) == want, (k, rho)
+            want = vf._identity_row(k, rho)
+            assert list(product_expansion(ones, rho).items()) == want, (k, rho)
             top = k + rho.size()
             for n in [None, *range(top + 2)]:
                 got = multiply(ClassVector.basis(ones), ClassVector.basis(rho), n)
-                assert got == ClassVector({mu: g for mu, g in want.items()
+                assert got == ClassVector({mu: g for mu, g in want
                                            if n is None or mu.size() <= n}), (k, rho, n)
                 assert got.level == n
             rows += 1
@@ -682,6 +731,25 @@ def test_identity_rows_closed_form_large(k, rho):
     # beyond the counted guard's reach: 1 + min(k, |rho|) terms, keys in order
     ones = P(*[1] * k)
     got = product_expansion(ones, rho)
-    assert got == _identity_row(k, rho)
+    assert list(got.items()) == vf._identity_row(k, rho)
     assert list(got) == sorted(got, key=Partition.sort_key)
     assert len(got) == 1 + min(k, rho.size())
+
+
+def test_oracle_suite_checks_identity_rows(monkeypatch):
+    # a corrupted row fails the closed-form line of its total and no other
+    real = class_algebra.product_expansion
+
+    def corrupted(sigma, tau):
+        got = real(sigma, tau)
+        if (sigma, tau) == (P(1, 1), P(2)):
+            got = {**got, P(2, 1): got[P(2, 1)] + 1}
+        return got
+
+    monkeypatch.setattr(class_algebra, "product_expansion", corrupted)
+    lines = {c.label: c for c in vf.suite_oracle(5) if "closed form" in c.label}
+    assert len(lines) == 6
+    for total in range(6):
+        check = lines[f"A(1^k)*A(rho) closed form, k+|rho| = {total}"]
+        assert check.ok == (total != 4), check
+    assert "(2, Partition((2,)))" in lines["A(1^k)*A(rho) closed form, k+|rho| = 4"].detail

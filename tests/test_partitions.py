@@ -27,6 +27,16 @@ def test_validation():
     assert Partition(()).parts == ()
 
 
+def test_trusted_construction_matches_validated():
+    shapes = partitions_up_to(8)
+    for p in shapes:
+        q = Partition._of(tuple(p))
+        assert type(q) is Partition and q.parts == p.parts
+        assert q == p and p == q and hash(q) == hash(p)
+        assert repr(q) == repr(p) and q.sort_key() == p.sort_key()
+    assert len({Partition._of(p.parts) for p in shapes} | set(shapes)) == len(shapes)
+
+
 def test_size_length():
     assert P(3, 2, 2).size() == 7
     assert P(3, 2, 2).length() == 3
