@@ -2,20 +2,26 @@
 
 Characters come from the Murnaghan-Nakayama recursion over border-strip
 removals.  Each shape is encoded as a bitmask of its beta numbers, where a
-strip removal is one bead moved down to an empty position.  The shapes of
-S_m (labels, bead masks with their positions, hook products) and its class
-index, the classes filed by Cayley length and unit parts, are cached per m.
+strip removal is one bead moved down to an empty position.  The one
+per-size cache here, _positions(m), maps the bead mask of each shape of
+S_m to its canonical position; labels come from enumerate_partitions in
+the same order.  The hook products and the class index that the
+structure-constant route reads are class_algebra's, in its own level
+table; nothing here builds them.
+
 The one character cache is a column per cycle type: chi^lam_rho over every
 shape lam of S_|rho|, built in one loop over the shapes, a
 Murnaghan-Nakayama step each, from the cached column of rho minus its first
-part.  Single reads, the shifted evaluations
-and the structure-constant route in class_algebra all read it;
-CharacterTable builds its own columns from the cached suffix columns and
-does not cache them.  Dimensions come from the hook length formula, skew
-dimensions from corner-removal recursion.  On top of these sit the shifted
-power sums p#, the shifted Schur values s* obtained from p# by character
-orthogonality, the evaluation isomorphism F, and the class vectors x_mu
-whose F-images are the s*.
+part.  Single reads, the shifted evaluations and the structure-constant
+route in class_algebra all read it; CharacterTable builds its own columns
+from the cached suffix columns and does not cache them.  dimension() uses
+the hook length formula and skew dimensions come from corner-removal
+recursion; the shifted evaluations, like class_algebra's hook products,
+read dim lam = chi^lam_{1^n} off the cached column of 1^n instead, whose
+suffixes every table and every padded class already builds.  On top of
+these sit the shifted power sums p#, the shifted Schur values s* obtained
+from p# by character orthogonality, the evaluation isomorphism F, and the
+class vectors x_mu whose F-images are the s*.
 
 The shifted evaluations run on integers and build one Fraction per
 answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
@@ -53,7 +59,7 @@ def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam on the class of cycle type rho."""
     if lam.size() != rho.size():
         raise ValueError(f"|{lam}| != |{rho}|")
-    return _column(rho.parts)[_shapes(rho.size())[1][_beads(lam.parts)]]
+    return _column(rho.parts)[_positions(rho.size())[_beads(lam.parts)]]
 
 
 @cache
@@ -97,35 +103,25 @@ def skew_dimension(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def _shapes(m: int) -> tuple[tuple[Partition, ...], dict[int, int], tuple[int, ...],
-                             dict[tuple[int, int], tuple[tuple[int, Partition], ...]]]:
-    """The partitions of m in canonical order, as shapes and as classes: each
-    shape's bead mask mapped to its position (iterating the dict yields the
-    masks in canonical order) and its hook product m!/dim lam, and the class
-    index, which files each class mu as (position, mu) under its Cayley
-    length and unit parts (m - l(mu), m_1(mu)), positions ascending."""
-    labels = tuple(enumerate_partitions(m))
-    classes: dict[tuple[int, int], tuple[tuple[int, Partition], ...]] = {}
-    for i, mu in enumerate(labels):
-        key = (m - len(mu.parts), mu.parts.count(1))
-        classes[key] = classes.get(key, ()) + ((i, mu),)
-    return (labels, {_beads(lam.parts): i for i, lam in enumerate(labels)},
-            tuple(factorial(m) // _dim(lam.parts) for lam in labels), classes)
+def _positions(m: int) -> dict[int, int]:
+    """The bead mask of each shape of S_m mapped to its canonical position;
+    iterating the dict yields the masks in canonical order."""
+    return {_beads(lam.parts): i for i, lam in enumerate(enumerate_partitions(m))}
 
 
 @cache
 def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam_parts over the shapes lam of _shapes(|parts|), k = parts[0]:
+    """chi^lam_parts over the shapes lam of S_|parts|, k = parts[0]:
     for each lam the sum over its size-k border strips of (-1)^height
     chi^(lam minus strip), read from the cached column of parts[1:]."""
     if not parts:
         return (1,)
     k, rest = parts[0], parts[1:]
-    below, at = _column(rest), _shapes(sum(rest))[1]
+    below, at = _column(rest), _positions(sum(rest))
     between = (1 << (k - 1)) - 1
     move = (1 << k) | 1
     out = []
-    for mask in _shapes(sum(parts))[1]:
+    for mask in _positions(sum(parts)):
         targets = (mask >> k) & ~mask
         total = 0
         while targets:
@@ -151,7 +147,7 @@ class CharacterTable:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.labels = list(_shapes(n)[0])
+        self.labels = enumerate_partitions(n)
         # nothing else reads a table's own columns, so they are built past the
         # cache; only their suffix columns, shared with single reads, are kept
         build = _column.__wrapped__
@@ -168,7 +164,8 @@ class CharacterTable:
 
 def _shifted(parts: tuple[int, ...], n: int, at: int) -> int:
     """(n)_r chi^lam_{parts 1^(n-r)} for r = |parts| <= n, lam at position at
-    of _shapes(n): the integer numerator of p#_parts(lam) over dim lam."""
+    among the shapes of S_n: the integer numerator of p#_parts(lam) over
+    dim lam."""
     r = sum(parts)
     return falling_factorial(n, r) * _column(parts + (1,) * (n - r))[at]
 
@@ -178,8 +175,8 @@ def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if rho.size() > n:
         return Fraction(0)
-    return Fraction(_shifted(rho.parts, n, _shapes(n)[1][_beads(lam.parts)]),
-                    _dim(lam.parts))
+    at = _positions(n)[_beads(lam.parts)]
+    return Fraction(_shifted(rho.parts, n, at), _column((1,) * n)[at])
 
 
 @cache
@@ -187,9 +184,9 @@ def _s_star_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], .
     """The s* cache: (rho, chi^mu_rho r!/z_rho) for the classes rho of S_r,
     r = |mu|, in canonical order, where chi^mu_rho != 0."""
     r = sum(mu)
-    mu_at, r_fact = _shapes(r)[1][_beads(mu)], factorial(r)
+    mu_at, r_fact = _positions(r)[_beads(mu)], factorial(r)
     weights = []
-    for rho in _shapes(r)[0]:
+    for rho in enumerate_partitions(r):
         chi = _column(rho.parts)[mu_at]
         if chi:
             weights.append((rho.parts, chi * (r_fact // rho.centralizer_size())))
@@ -205,12 +202,12 @@ def s_star(mu: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if r > n:
         return Fraction(0)
-    lam_at = _shapes(n)[1][_beads(lam.parts)]
+    lam_at = _positions(n)[_beads(lam.parts)]
     ones = (1,) * (n - r)
     total = 0
     for parts, weight in _s_star_weights(mu.parts):
         total += weight * _column(parts + ones)[lam_at]
-    return Fraction(falling_factorial(n, r) * total, factorial(r) * _dim(lam.parts))
+    return Fraction(falling_factorial(n, r) * total, factorial(r) * _column((1,) * n)[lam_at])
 
 
 def F_eval(v: ClassVector, lam: Partition) -> Fraction:
@@ -225,12 +222,12 @@ def F_eval(v: ClassVector, lam: Partition) -> Fraction:
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot be evaluated "
                          f"at {lam}: its level is below |lam| = {n}")
-    at, n_fact = _shapes(n)[1][_beads(lam.parts)], factorial(n)
+    at, n_fact = _positions(n)[_beads(lam.parts)], factorial(n)
     total = 0
     for rho, c in v.nums.items():
         if rho.size() <= n:
             total += c * _shifted(rho.parts, n, at) * (n_fact // rho.centralizer_size())
-    return Fraction(total, v.den * n_fact * _dim(lam.parts))
+    return Fraction(total, v.den * n_fact * _column((1,) * n)[at])
 
 
 def x_mu(mu: Partition) -> ClassVector:

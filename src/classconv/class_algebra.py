@@ -42,9 +42,10 @@ mv(sigma) + mv(tau): at level m the allowed mu fill a rectangle in
 (deg3, m_1).  Dropping unit parts keeps mu allowed (deg3 and mv stay, deg2
 drops), so the peel only ever needs allowed classes.  Each character
 level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu
-from the characters module's column cache, one column per cycle type, and
-the shapes, hook products and class index (classes by deg3 and m_1) of S_m
-from that module's per-m cache.
+from the characters module's column cache, one column per cycle type.
+The hook products of S_m and its class index (classes by deg3 and m_1)
+belong to this module alone: _level_table(m) builds them, the products
+from the column of 1^m, and only _expand reads them.
 
 Products of class vectors (multiply) and the psi sum into Z(Q[S_n])
 (to_C_basis, convolve_C_classes) add integers: a ClassVector holds its
@@ -74,12 +75,28 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .characters import _column, _shapes
+from .characters import _column
 from .class_vector import ClassVector
-from .partitions import Partition, falling_factorial, partitions_up_to
+from .partitions import Partition, enumerate_partitions, falling_factorial, partitions_up_to
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
+
+
+@cache
+def _level_table(m: int) -> tuple[tuple[int, ...],
+                                  dict[tuple[int, int], tuple[tuple[int, Partition], ...]]]:
+    """The hook products m!/dim lam of the shapes of S_m in canonical order,
+    with dim lam = chi^lam_{1^m} read off the cached column of 1^m, and the
+    class index, which files each class mu as (position, mu) under its
+    Cayley length and unit parts (m - l(mu), m_1(mu)), positions
+    ascending."""
+    labels = enumerate_partitions(m)
+    classes: dict[tuple[int, int], tuple[tuple[int, Partition], ...]] = {}
+    for i, mu in enumerate(labels):
+        key = (m - len(mu.parts), mu.parts.count(1))
+        classes[key] = classes.get(key, ()) + ((i, mu),)
+    return tuple(factorial(m) // d for d in _column((1,) * m)), classes
 
 
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
@@ -88,7 +105,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     The levels m = max(s, t) .. s + t - 2 (s = |sigma|, t = |tau|) read
     characters.  Only the mu that deg2, deg3, the sign and the two
     triangles allow (module docstring) are evaluated: the class index
-    groups of _shapes(m) in the (deg3, m_1) rectangle, sorted into
+    groups of _level_table(m) in the (deg3, m_1) rectangle, sorted into
     canonical order.  Each gets T_m(mu) from the cached columns and hook
     products, then loses C(m_1, m_1') g for each nonzero g found at a lower
     level for the same proper part with m_1' unit parts.  A division that
@@ -120,7 +137,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t - 1):
-        _, _, hooks, classes = _shapes(m)
+        hooks, classes = _level_table(m)
         weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
                                                 column(tau.parts + (1,) * (m - t)), hooks)]
         scale = falling_factorial(m, s) * falling_factorial(m, t)

@@ -100,10 +100,7 @@ def _cmd_mult(args) -> int:
     _check_size(args, lhs.size() + rhs.size(), "|lhs|+|rhs|")
     v = ca.multiply(ca.ClassVector.basis(lhs), ca.ClassVector.basis(rhs), args.n)
     if args.basis == "a":
-        # a basis product is integral: f = z_lhs z_rhs g / z_rho, checked
-        zz = lhs.centralizer_size() * rhs.centralizer_size()
-        v = ca.ClassVector({rho: ca._rescaled(lhs, rhs, rho, zz, g)
-                            for rho, g in v.nums.items()}, args.n)
+        v = ca.ClassVector({rho: ca.f_constant(lhs, rhs, rho) for rho in v.nums}, args.n)
     _emit(args, {"basis": args.basis, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs),
                  "n": args.n},
           _terms(v), _vector_lines(v, args.basis))

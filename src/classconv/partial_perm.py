@@ -7,7 +7,8 @@ pure, so everything here is safe to use concurrently.
 
 The private helpers ``_images`` (cycles to an image dict), ``_cycles``
 (an image dict back to cycles) and ``_canonical_cycles`` are the one copy
-of these walks; ``fillings`` and ``class_algebra`` import them.
+of these walks; ``fillings`` imports them, and ``verify`` imports
+``_cycles``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ from operator import mul
 
 import pytest
 
-from classconv import characters
+from classconv import characters, class_algebra
 from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, skew_dimension, x_mu)
 from classconv.class_algebra import ClassVector, multiply
-from classconv.filtrations import DegreeFunction
 from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
@@ -71,22 +70,14 @@ def test_tables_match_beta_tuple_route():
         assert t.matrix == [[character_beta_tuples(lam.parts, rho.parts) for rho in t.labels]
                             for lam in t.labels]
     for m in range(12):
-        labels, _, hooks, classes = characters._shapes(m)
-        assert labels == tuple(enumerate_partitions(m))
-        # the class index files every class once, under its own (deg3, m_1)
-        # with its canonical position, positions ascending within a key
-        filed = [entry for group in classes.values() for entry in group]
-        assert sorted(filed) == list(enumerate(labels))
-        for (d3, m1), group in classes.items():
-            assert all((DegreeFunction.deg3()(mu), mu.multiplicity(1)) == (d3, m1)
-                       for _, mu in group), (d3, m1)
-            assert [i for i, _ in group] == sorted(i for i, _ in group), (d3, m1)
+        labels = enumerate_partitions(m)
+        # the position cache iterates the masks in canonical order
+        positions = characters._positions(m)
+        assert list(positions) == [characters._beads(lam.parts) for lam in labels]
+        assert list(positions.values()) == list(range(len(labels)))
         for mu in labels:
             assert characters._column(mu.parts) == tuple(
                 character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu
-        # hook product times dimension is m!, the dimension read off the beta-tuple route
-        assert [h * character_beta_tuples(lam.parts, (1,) * m)
-                for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
 
 
 def test_large_tables_against_closed_forms():
@@ -124,6 +115,25 @@ def test_column_cache_keeps_suffixes_not_tables():
             assert character(P(n), rho) == 1
             assert character(Partition((1,) * n), rho) == (-1) ** (n - rho.length())
             assert character(hook, rho) == rho.multiplicity(1) - 1, rho
+
+
+def test_tables_and_evaluations_build_no_product_data():
+    # characters builds neither hook products nor a class index, and the
+    # evaluations read dim lam off the column of 1^n, so no hook formula runs
+    for cache in (characters._positions, characters._column, characters._dim,
+                  characters._s_star_weights, class_algebra._level_table):
+        cache.cache_clear()
+    CharacterTable(12)
+    lam = P(4, 2, 1)
+    value = p_sharp(P(3, 1), lam)
+    s_star(P(2, 1), lam)
+    s_star(P(3, 3), P(6, 2))
+    F_eval(ClassVector({P(3): Fraction(1, 2), P(1, 1): 2}), lam)
+    assert class_algebra._level_table.cache_info().currsize == 0
+    assert characters._dim.cache_info().currsize == 0
+    # the dimension read off the column is the hook length formula's
+    assert value == Fraction(falling_factorial(7, 4) * character(lam, P(3, 1).pad(7)),
+                             dimension(lam))
 
 
 def test_table_column_orthogonality():

@@ -131,8 +131,10 @@ def test_g_table_keys_and_order():
 
 def test_route_raises_on_inexact_division(monkeypatch):
     # spoil the (1,1) column, which (2)*(2) reads at level 2, its one
-    # character level, as an allowed class
+    # character level, as an allowed class; the level table of S_2 reads the
+    # same column for its hook products, so it is built first, unspoiled
     class_algebra._pair_expansion.cache_clear()
+    class_algebra._level_table(2)
     column, read = class_algebra._column, []
 
     def spoiled(parts):
@@ -151,7 +153,8 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # only the levels below |sigma|+|tau|-1 read characters; (4)(2,1) has
     # deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1); (1,1)(3,1)
     # moves 0 and 3 points, so at level 4 the moved-points triangle alone
-    # rules out (2,2), which deg2, deg3, the sign and the Cayley triangle allow
+    # rules out (2,2), which deg2, deg3, the sign and the Cayley triangle allow;
+    # a level table built on the way reads the column of 1^m for its hooks
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     moved = lambda p: p.size() - p.multiplicity(1)
     column = characters._column
@@ -171,6 +174,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         class_algebra._pair_expansion.cache_clear()
         requested.clear()
         column.cache_clear()
+        class_algebra._level_table.cache_clear()
         product_expansion(sigma, tau)
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
@@ -178,7 +182,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() - 1)
         want = set()
         for m in levels:
-            want |= {sigma.pad(m).parts, tau.pad(m).parts}
+            want |= {sigma.pad(m).parts, tau.pad(m).parts, (1,) * m}
             want |= {mu.parts for mu in enumerate_partitions(m)
                      if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
                      and (deg3(mu) - cap3) % 2 == 0 and floor_mv <= moved(mu) <= cap_mv}
@@ -197,6 +201,23 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     assert (2, 2) not in requested
 
 
+def test_level_table_hooks_and_class_index():
+    deg3 = DegreeFunction.deg3()
+    for m in range(12):
+        labels = enumerate_partitions(m)
+        hooks, classes = class_algebra._level_table(m)
+        # the class index files every class once, under its own (deg3, m_1)
+        # with its canonical position, positions ascending within a key
+        filed = [entry for group in classes.values() for entry in group]
+        assert sorted(filed) == list(enumerate(labels))
+        for (d3, m1), group in classes.items():
+            assert all((deg3(mu), mu.multiplicity(1)) == (d3, m1) for _, mu in group), (d3, m1)
+            assert [i for i, _ in group] == sorted(i for i, _ in group), (d3, m1)
+        # hook product times dimension is m!, the dimension read off the beta-tuple route
+        assert [h * character_beta_tuples(lam.parts, (1,) * m)
+                for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
+
+
 def test_counted_guard_reads_no_characters(monkeypatch):
     pairs = [(P(2), P(2)), (P(3, 1, 1), P(2)), (EMPTY, P(2, 1)), (EMPTY, EMPTY),
              (P(4, 2), P(3, 3))]
@@ -206,7 +227,7 @@ def test_counted_guard_reads_no_characters(monkeypatch):
         raise LookupError(f"character data read for {args}")
 
     monkeypatch.setattr(class_algebra, "_column", refuse)
-    monkeypatch.setattr(class_algebra, "_shapes", refuse)
+    monkeypatch.setattr(class_algebra, "_level_table", refuse)
     with pytest.raises(LookupError):
         _expand(P(2), P(2))
     for pair in pairs:
@@ -276,7 +297,8 @@ def test_pruned_route_matches_counted_guard_up_to_16(pair):
 def _level_sums(sigma, tau, m):
     """T_m(mu) for every mu of size m, from the character sum in the
     class_algebra module docstring, every class evaluated."""
-    labels, _, hooks, _ = characters._shapes(m)
+    labels = enumerate_partitions(m)
+    hooks, _ = class_algebra._level_table(m)
     column = characters._column
     weights = [a * b * h for a, b, h in zip(column(sigma.pad(m).parts),
                                             column(tau.pad(m).parts), hooks)]
