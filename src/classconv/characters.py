@@ -62,23 +62,18 @@ def character(lam: Partition, rho: Partition) -> int:
     return _column(rho.parts)[_positions(rho.size())[_beads(lam.parts)]]
 
 
-@cache
-def _dim(lam: tuple[int, ...]) -> int:
-    n = sum(lam)
-    conj = [0] * (lam[0] if lam else 0)
-    for part in lam:
+def dimension(lam: Partition) -> int:
+    """Number of standard Young tableaux of shape lam (hook lengths)."""
+    parts = lam.parts
+    conj = [0] * (parts[0] if parts else 0)
+    for part in parts:
         for j in range(part):
             conj[j] += 1
-    d = factorial(n)
-    for i, part in enumerate(lam):
+    d = factorial(lam.size())
+    for i, part in enumerate(parts):
         for j in range(part):
             d //= part - j + conj[j] - i - 1
     return d
-
-
-def dimension(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook lengths)."""
-    return _dim(lam.parts)
 
 
 @cache

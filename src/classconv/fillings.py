@@ -17,18 +17,30 @@ for one.  The canonical filling of rho has the cycles of
 Fillings made here from rows that are valid by construction skip the
 validation that ``Filling(rows)`` applies to outside input.
 
-``enumerate_F`` walks only the reading orders of the S-fillings (the
-arrangements that ``fillings_of_shape`` cuts into rows) that can have a T.
-Convolution reads S first, starts each product cycle at the first of its
-points it reads and keeps equal-length cycles in the order it reads them,
-so S*T is the canonical filling of rho only if S enters each row of rho it
-touches at the row's smallest point, and enters it after the previous row
-of rho of the same length; T's points off S, read after all of S, must
-keep the same rule.  The product forces T's core permutation S^-1 rho, so
-S must also agree with rho (S being the identity off its support) on
-exactly the points that tau's unit parts leave fixed.  The walk places
-S's points in reading order and cuts a branch as soon as either test
-fails; both depend on S and rho alone and only drop S with no T.
+``enumerate_F`` builds the pairs (S, T) whose convolution is the
+canonical filling of rho, and convolves none of them: every pair it builds
+meets that condition by construction.
+
+- The product.  Once S is fixed (S(x) = x off its support), T is S^-1 rho
+  on the points that S^-1 rho moves, plus fixed points: the points of
+  {1..r} off S and a choice of S's points that S^-1 rho fixes.  So
+  S T = rho on {1..r}, and the supports cover {1..r}.  T has shape tau
+  only if S^-1 rho moves exactly |tau| - m_1(tau) points, that is, only if
+  S agrees with rho on exactly the other points.
+- The rows.  Convolution starts each product cycle at the first of its
+  points it reads and keeps equal-length cycles in the order it first
+  reads them; the canonical filling starts each row at its smallest point
+  and puts equal-length rows in the order of those points.  So the rows
+  come out as the target's exactly when every point x is read after
+  before[x]: the first point of x's row or, for a first point, the first
+  point of the previous row of rho of the same length.  S's points keep
+  this reading rule as the walk places them, and T's points off S, read
+  after all of S, are checked against it.
+
+The walk places S's points in reading order and cuts a branch as soon as
+the reading rule fails or the count of agreements with rho can no longer
+come out right; both tests depend on S and rho alone and drop only S with
+no T.
 """
 
 from __future__ import annotations
@@ -190,25 +202,8 @@ def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filli
 def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
                 max_size: int = FILLINGS_DEFAULT_MAX) -> list[tuple[Filling, Filling]]:
     """All pairs (S, T) of shapes (sigma, tau) whose convolution is the
-    canonical filling of rho.
-
-    Convolution reads S before T, starts each product cycle at the first
-    of its points it reads and keeps equal-length cycles in the order it
-    first reads them; the rows of the canonical filling start at their
-    smallest points and equal-length rows stand in order of those points.
-    So S*T can be the target only if, in its reading order, every row of
-    rho is entered at its smallest point, and a row is entered only after
-    the row of rho before it of the same length.  S is walked under that
-    rule alone; T's points off S are read after all of S and must keep it
-    too before S and T are convolved.
-
-    Once S is fixed, the product forces T's permutation S^-1 rho on a core
-    support, leaving a binomial choice of extra fixed entries and the
-    usual row/rotation freedom.  The core must have the cycle type of tau
-    without its unit parts, so S^-1 rho moves exactly |tau| - m_1(tau)
-    points: S must agree with rho on exactly the rest.  The walk counts
-    those agreements as it places S's points and drops every S that misses
-    the count.  There are no pairs unless
+    canonical filling of rho, built as the module docstring argues, so
+    that none is convolved.  There are no pairs unless
     max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.
     """
     if sigma.size() > max_size or tau.size() > max_size:
@@ -239,17 +234,14 @@ def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
         for extra in combinations([x for x in fixed if x in s_inv], need):
             ones = [(x,) for x in sorted(free + list(extra))]
             for t in _fillings_of_cycles(core + ones):
-                if (_reads_in_order(t.reading_order(), before, s_inv)
-                        and convolve(s, t) == target):
+                if _reads_in_order(t.reading_order(), before, s_inv):
                     out.append((s, t))
     return out
 
 
 def _reading_rule(target: Filling) -> list[int]:
-    """before[x]: the point a reading order must read before x for its
-    convolution to come out as the target (0: none).  That is the first
-    point of x's row, or for a first point, the first point of the
-    previous row of the same length."""
+    """before[x] of the module docstring's reading rule for the target,
+    0 where no point must come first."""
     before = [0] * (len(target.support) + 1)
     last_head: dict[int, int] = {}
     for row in target.rows:
@@ -275,9 +267,9 @@ def _reads_in_order(order: Iterable[int], before: list[int], read: Iterable[int]
 def _s_arrangements(sigma: Partition, rho_img: dict[int, int], before: list[int],
                     moved: int) -> Iterator[tuple[int, ...]]:
     """The reading orders of the S-fillings of shape sigma on {1..r} that
-    read before[x] ahead of each x and agree with rho on exactly r - moved
-    points, where S(x) = x off S: each combination, then each permutation
-    of it, in the order of ``_arrangements``.
+    keep the module docstring's reading rule and agree with rho on exactly
+    r - moved points: each combination, then each permutation of it, in
+    the order of ``_arrangements``.
 
     A combination must hold before[x] for each x in it, and the fixed
     points of rho off it count as agreements.  Permutations are walked

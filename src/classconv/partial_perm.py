@@ -71,9 +71,6 @@ class PartialPermutation:
     def __mul__(self, other: "PartialPermutation") -> "PartialPermutation":
         return product(self, other)
 
-    def inverse(self) -> "PartialPermutation":
-        return PartialPermutation({v: k for k, v in self._map.items()})
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition on the support, fixed points as singletons.
 

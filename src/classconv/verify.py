@@ -302,15 +302,19 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
     return checks
 
 
-def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> list[Check]:
+def suite_homomorphism(max_factor: int = 4) -> list[Check]:
     """F-multiplicativity, F(x_mu) = s*_mu and the vanishing of s*.
+
+    F is evaluated at every |lambda| <= 2 max_factor, so every level of
+    each product is checked.
 
     The structure constants are themselves computed through the
     characters behind F, so the first check no longer pins products
     independently; the oracle, fillings and section 6/11 golden suites do.
     """
     checks = []
-    lambdas = partitions_up_to(max_lambda)
+    top = 2 * max_factor
+    lambdas = partitions_up_to(top)
     factors = partitions_up_to(max_factor)
     bad = []
     count = 0
@@ -325,7 +329,7 @@ def suite_homomorphism(max_factor: int = 4, max_lambda: int = 8) -> list[Check]:
                     bad.append((sigma, tau, lam))
     checks.append(_failures(
         f"F(A_sigma A_tau) = F(A_sigma) F(A_tau), |sigma|,|tau| <= {max_factor}, "
-        f"|lambda| <= {max_lambda}", bad, f"{count} evaluations"))
+        f"|lambda| <= {top}", bad, f"{count} evaluations"))
     bad = []
     for mu in partitions_up_to(3):
         xv = x_mu(mu)

@@ -12,6 +12,7 @@ from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
                                   falling_factorial, partitions_up_to)
 from classconv.semigroup_algebra import SemigroupAlgebraElement, class_element
+from classconv.verify import suite_homomorphism
 from oracles import (character_beta_tuples, character_table_bruteforce,
                      skew_syt_count_brute, syt_count_brute)
 
@@ -117,20 +118,25 @@ def test_column_cache_keeps_suffixes_not_tables():
             assert character(hook, rho) == rho.multiplicity(1) - 1, rho
 
 
-def test_tables_and_evaluations_build_no_product_data():
+def test_tables_and_evaluations_build_no_product_data(monkeypatch):
     # characters builds neither hook products nor a class index, and the
     # evaluations read dim lam off the column of 1^n, so no hook formula runs
-    for cache in (characters._positions, characters._column, characters._dim,
+    for cache in (characters._positions, characters._column,
                   characters._s_star_weights, class_algebra._level_table):
         cache.cache_clear()
-    CharacterTable(12)
-    lam = P(4, 2, 1)
-    value = p_sharp(P(3, 1), lam)
-    s_star(P(2, 1), lam)
-    s_star(P(3, 3), P(6, 2))
-    F_eval(ClassVector({P(3): Fraction(1, 2), P(1, 1): 2}), lam)
+
+    def refuse(lam):
+        raise AssertionError(f"hook length formula run for {lam}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(characters, "dimension", refuse)
+        CharacterTable(12)
+        lam = P(4, 2, 1)
+        value = p_sharp(P(3, 1), lam)
+        s_star(P(2, 1), lam)
+        s_star(P(3, 3), P(6, 2))
+        F_eval(ClassVector({P(3): Fraction(1, 2), P(1, 1): 2}), lam)
     assert class_algebra._level_table.cache_info().currsize == 0
-    assert characters._dim.cache_info().currsize == 0
     # the dimension read off the column is the hook length formula's
     assert value == Fraction(falling_factorial(7, 4) * character(lam, P(3, 1).pad(7)),
                              dimension(lam))
@@ -244,6 +250,15 @@ def test_F_eval_unit_and_homomorphism():
             for lam in partitions_up_to(sigma.size() + tau.size() + 2):
                 assert F_eval(prod, lam) == F_eval(u, lam) * F_eval(v, lam), (
                     sigma, tau, lam)
+
+
+def test_homomorphism_suite_evaluates_every_level_of_its_products():
+    # |lambda| runs to 2 max_factor, the top level of the largest product:
+    # 4 factors squared times the 12 shapes up to 4
+    first = suite_homomorphism(2)[0]
+    assert first.ok, first
+    assert first.label.endswith("|sigma|,|tau| <= 2, |lambda| <= 4"), first
+    assert first.detail == "192 evaluations"
 
 
 def test_F_eval_matches_per_term_sum():

@@ -349,6 +349,60 @@ def test_top_levels_match_characters_13_to_16(pair):
     _check_top_levels_against_characters(*pair)
 
 
+def _cut_and_join_level(nu):
+    # the level-|nu| terms of A_(2) A_nu, keys in canonical order: there the
+    # transposition lies inside the support, so g^mu counts the
+    # transpositions t of {1..|nu|} with t mu of type nu.  t cuts a k-cycle
+    # of mu into (i, k - i) in k ways (k/2 when i = k - i) or joins a
+    # k-cycle with another l-cycle in k l ways
+    def of_type(parts):
+        return Partition(sorted(parts, reverse=True)) == nu
+
+    row = []
+    for mu in enumerate_partitions(nu.size()):
+        parts = mu.parts
+        count = 0
+        for a, k in enumerate(parts):
+            rest = parts[:a] + parts[a + 1:]
+            for i in range(1, k // 2 + 1):
+                if of_type(rest + (i, k - i)):
+                    count += k // 2 if 2 * i == k else k
+            for b in range(a + 1, len(parts)):
+                l = parts[b]
+                if of_type(parts[:a] + parts[a + 1:b] + parts[b + 1:] + (k + l,)):
+                    count += k * l
+        if count:
+            row.append((mu, count))
+    return row
+
+
+def _level_of_product_with_transposition(nu):
+    # the level s + t - 2 that _expand reads off characters
+    return [(mu, g) for mu, g in product_expansion(P(2), nu).items()
+            if mu.size() == nu.size()]
+
+
+def test_cut_and_join_level_up_to_10():
+    shapes = partitions_up_to(10)
+    assert len(shapes) == 139
+    for nu in shapes:
+        assert _level_of_product_with_transposition(nu) == _cut_and_join_level(nu), nu
+
+
+@pytest.mark.parametrize("nu", [
+    P(13), P(7, 6), P(5, 4, 3, 2, 1), P(4, 4, 4, 4), P(*[1] * 17),
+    P(3, 3, 3, 3, 2, 2, 1, 1, 1, 1), P(20)])
+def test_cut_and_join_level_beyond_counted_guard(nu):
+    assert _level_of_product_with_transposition(nu) == _cut_and_join_level(nu)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=13, max_value=20).flatmap(
+    lambda n: st.sampled_from(enumerate_partitions(n))))
+def test_cut_and_join_level_13_to_20(nu):
+    assert _level_of_product_with_transposition(nu) == _cut_and_join_level(nu)
+
+
 def _F_beta_tuples(expansion: dict[Partition, int], lam: Partition) -> Fraction:
     """F(sum_rho c_rho A_rho)(lam) with p#_rho(lam) = (n)_r chi^lam_{rho 1^(n-r)} / dim lam
     read off the beta-tuple route, not off p_sharp."""

@@ -179,20 +179,46 @@ def test_enumerate_F_fast_matches_naive():
 
 
 def test_enumerate_F_rejects_S_by_reading_order(monkeypatch):
-    # an S whose reading order cannot start the rows of rho in place is
-    # never walked, and a T whose points off S break that order is never
-    # convolved: every convolution made finds a pair
-    calls = 0
+    # enumerate_F convolves nothing: its pairs meet the target by
+    # construction (the fillings module docstring), so every pair is
+    # convolved here instead.  The reading rule does the rejecting: each
+    # (sigma |- 4)*(1^4) -> rho with |rho| = 7 row, such as (2,2)*(1^4) ->
+    # (2,2,1,1,1), keeps 16 of its 96 T candidates
+    def refuse(s, t):
+        raise AssertionError("enumerate_F convolved a pair")
 
-    def counting_convolve(s, t):
-        nonlocal calls
-        calls += 1
-        return convolve(s, t)
+    rule = fillings_module._reads_in_order
+    tried = kept = 0
 
-    monkeypatch.setattr(fillings_module, "convolve", counting_convolve)
-    pairs = sum(len(enumerate_F(sigma, tau, rho)) for sigma, tau, rho in _triples(3))
-    assert pairs == 541
-    assert calls == pairs
+    def counting_rule(*args):
+        nonlocal tried, kept
+        ok = rule(*args)
+        tried += 1
+        kept += ok
+        return ok
+
+    monkeypatch.setattr(fillings_module, "convolve", refuse)
+    monkeypatch.setattr(fillings_module, "_reads_in_order", counting_rule)
+
+    def checked_pairs(sigma, tau, rho):
+        pairs = enumerate_F(sigma, tau, rho)
+        target = canonical_filling(rho)
+        for s, t in pairs:
+            assert (s.shape, t.shape) == (sigma, tau)
+            assert convolve(s, t) == target, (s, t, rho)
+        assert len(set(pairs)) == len(pairs) == f_constant(sigma, tau, rho)
+        return len(pairs)
+
+    assert sum(checked_pairs(*triple) for triple in _triples(3)) == 541
+    ones = P(1, 1, 1, 1)
+    for sigma in enumerate_partitions(4):
+        for rho in enumerate_partitions(7):
+            tried = kept = 0
+            pairs = checked_pairs(sigma, ones, rho)
+            if rho.strip_ones() == sigma.strip_ones():
+                assert (pairs, kept, tried) == (16, 16, 96), (sigma, rho)
+            else:
+                assert (pairs, tried) == (0, 0), (sigma, rho)
 
 
 def test_enumerate_F_walks_fewer_S_than_pairs(monkeypatch):
