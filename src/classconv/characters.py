@@ -5,9 +5,10 @@ removals.  Each shape is encoded as a bitmask of its beta numbers, where a
 strip removal is one bead moved down to an empty position.  The one
 per-size cache here, _positions(m), maps the bead mask of each shape of
 S_m to its canonical position; labels come from enumerate_partitions in
-the same order.  The hook products and the class index that the
-structure-constant route reads are class_algebra's, in its own level
-table; nothing here builds them.
+the same order.  The hook products that the structure-constant route
+reads, and the classes that each of its levels filters by (deg3, m_1) in
+canonical order, are class_algebra's, in its own level table; nothing
+here builds them.
 
 The one character cache is a column per cycle type: chi^lam_rho over every
 shape lam of S_|rho|, built in one loop over the shapes, a

@@ -43,9 +43,10 @@ mv(sigma) + mv(tau): at level m the allowed mu fill a rectangle in
 drops), so the peel only ever needs allowed classes.  Each character
 level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu
 from the characters module's column cache, one column per cycle type.
-The hook products of S_m and its class index (classes by deg3 and m_1)
+The hook products of S_m and its classes, each with its deg3 and m_1,
 belong to this module alone: _level_table(m) builds them, the products
-from the column of 1^m, and only _expand reads them.
+from the column of 1^m, and only _expand reads them; each level filters
+its classes by (deg3, m_1), in canonical order.
 
 Products of class vectors (multiply) and the psi sum into Z(Q[S_n])
 (to_C_basis, convolve_C_classes) add integers: a ClassVector holds its
@@ -84,32 +85,29 @@ from .partitions import Partition, enumerate_partitions, falling_factorial, part
 
 
 @cache
-def _level_table(m: int) -> tuple[tuple[int, ...],
-                                  dict[tuple[int, int], tuple[tuple[int, Partition], ...]]]:
+def _level_table(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, Partition], ...]]:
     """The hook products m!/dim lam of the shapes of S_m in canonical order,
     with dim lam = chi^lam_{1^m} read off the cached column of 1^m, and the
-    class index, which files each class mu as (position, mu) under its
-    Cayley length and unit parts (m - l(mu), m_1(mu)), positions
-    ascending."""
-    labels = enumerate_partitions(m)
-    classes: dict[tuple[int, int], tuple[tuple[int, Partition], ...]] = {}
-    for i, mu in enumerate(labels):
-        key = (m - len(mu.parts), mu.parts.count(1))
-        classes[key] = classes.get(key, ()) + ((i, mu),)
+    classes mu of S_m in canonical order, each as (m - l(mu), m_1(mu), mu):
+    its Cayley length and unit parts."""
+    classes = tuple((m - len(mu.parts), mu.parts.count(1), mu) for mu in enumerate_partitions(m))
     return tuple(factorial(m) // d for d in _column((1,) * m)), classes
 
 
+@cache
 def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
-    """The production route: every nonzero g_{sigma,tau}^mu, level by level.
+    """The production route: every nonzero g_{sigma,tau}^mu, level by level,
+    cached per ordered pair (product_expansion orders the pair).
 
     The levels m = max(s, t) .. s + t - 2 (s = |sigma|, t = |tau|) read
     characters.  Only the mu that deg2, deg3, the sign and the two
-    triangles allow (module docstring) are evaluated: the class index
-    groups of _level_table(m) in the (deg3, m_1) rectangle, sorted into
-    canonical order.  Each gets T_m(mu) from the cached columns and hook
-    products, then loses C(m_1, m_1') g for each nonzero g found at a lower
-    level for the same proper part with m_1' unit parts.  A division that
-    leaves a remainder raises RuntimeError instead of rounding.
+    triangles allow (module docstring) are evaluated: one pass over the
+    classes of _level_table(m), in canonical order, skips those outside
+    the (deg3, m_1) rectangle.  Each gets T_m(mu) from the cached columns
+    and hook products, then loses C(m_1, m_1') g for each nonzero g found
+    at a lower level for the same proper part with m_1' unit parts.  A
+    division that leaves a remainder raises RuntimeError instead of
+    rounding.
 
     The two top levels are closed forms in integers, with no division.
     With D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b):
@@ -143,8 +141,9 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
         m1s = range(max(0, m - mvs - mvt), min(cap2 - m, m - abs(mvs - mvt)) + 1)
-        for _, m1, mu in sorted((i, m1, mu) for d3 in deg3s for m1 in m1s
-                                for i, mu in classes.get((d3, m1), ())):
+        for d3, m1, mu in classes:
+            if d3 not in deg3s or m1 not in m1s:
+                continue
             g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
             if rem:
                 raise RuntimeError(
@@ -188,17 +187,12 @@ def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """Nonzero g_{sigma,tau}^rho for all rho, cached per unordered pair.
 
     Keys come in ascending size, reverse-lexicographically within a size.
-    The cache key is order-normalized; the tests check that the uncached
-    route is commutative and that it matches, keys in order, the counted
-    guard verify.product_expansion_counted.
+    The factor with the smaller parts tuple goes to the cached _expand
+    first; the tests check that _expand is commutative and that it
+    matches, keys in order, the counted guard
+    verify.product_expansion_counted.
     """
-    return _pair_expansion(*sorted((sigma.parts, tau.parts)))
-
-
-@cache
-def _pair_expansion(a: tuple[int, ...], b: tuple[int, ...]) -> dict[Partition, int]:
-    """The expansion of the pair of parts tuples a <= b, cached."""
-    return _expand(Partition(a), Partition(b))
+    return _expand(tau, sigma) if tau.parts < sigma.parts else _expand(sigma, tau)
 
 
 def g_constant(sigma: Partition, tau: Partition, rho: Partition) -> int:
@@ -316,26 +310,20 @@ class BinomialPolynomial:
         return sum(c * comb(n - r, k) for k, c in enumerate(self.coeffs))
 
     def monomial_coeffs(self) -> tuple[Fraction, ...]:
-        """Coefficients in ascending powers of n (exact rationals)."""
-        r = self.base.size()
-        total = [Fraction(0)] * (len(self.coeffs) + 1)
+        """Coefficients in ascending powers of n (exact rationals), summed in
+        integers over one denominator, (number of coefficients)!, which every
+        k! divides."""
+        r, den = self.base.size(), factorial(len(self.coeffs))
+        total = [0] * (len(self.coeffs) + 1)
+        poly = [1]  # (n - r)(n - r - 1) ... (n - r - k + 1), ascending powers
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            poly = [Fraction(1)]
-            for j in range(k):
-                shift = Fraction(r + j)
-                new = [Fraction(0)] * (len(poly) + 1)
-                for d, a in enumerate(poly):
-                    new[d + 1] += a
-                    new[d] -= a * shift
-                poly = new
-            scale = Fraction(c, factorial(k))
+            scale = c * (den // factorial(k))
             for d, a in enumerate(poly):
                 total[d] += scale * a
+            poly = [b - (r + k) * a for a, b in zip(poly + [0], [0] + poly)]
         while total and not total[-1]:
             total.pop()
-        return tuple(total)
+        return tuple(Fraction(a, den) for a in total)
 
     def monomial_string(self) -> str:
         mc = self.monomial_coeffs()

@@ -210,13 +210,9 @@ def suite_section11() -> list[Check]:
             ok, "" if ok else f"got {list(q.coeffs)}"))
     if polys:
         sigma, tau = polys[0].sigma, polys[0].tau
-        listed = {row.rho for row in polys}
-        extra = []
-        for rho in partitions_up_to(sigma.size() + tau.size()):
-            if not rho.is_proper() or rho in listed:
-                continue
-            if ca.q_polynomial(sigma, tau, rho).coeffs:
-                extra.append(rho)
+        # q is nonzero exactly for the proper parts of the expansion's keys
+        proper = {rho.strip_ones() for rho in ca.product_expansion(sigma, tau)}
+        extra = sorted(proper - {row.rho for row in polys}, key=Partition.sort_key)
         checks.append(Check(
             f"no unlisted classes in C({sigma})*C({tau})", not extra,
             "" if not extra else f"extra {[str(p) for p in extra]}"))
@@ -283,13 +279,12 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
     want = Filling.from_string("5,6,7,2;3,1;4;9;8")
     checks.append(Check("worked convolution example", got == want,
                         "" if got == want else f"got {got}"))
-    shapes = partitions_up_to(max_size)
     for ssz in range(max_size + 1):
         for tsz in range(max_size + 1):
             bad = []
             triples = 0
-            for sigma in (p for p in shapes if p.size() == ssz):
-                for tau in (p for p in shapes if p.size() == tsz):
+            for sigma in enumerate_partitions(ssz):
+                for tau in enumerate_partitions(tsz):
                     for r in range(max(ssz, tsz), ssz + tsz + 1):
                         for rho in enumerate_partitions(r):
                             triples += 1

@@ -4,14 +4,24 @@ Tier-1 runs every row through classconv.cli.main (tests/test_cli.py).  Run
 as a script, this file runs every row through the installed `classconv`
 console script instead, from any directory, and exits nonzero if any
 output differs.  Both compare the output through masked(), which hides
-only the elapsed time on a verify suite's summary line:
+only the elapsed time on a verify suite's summary line.  The script also
+runs `mult --lhs 6 --rhs 6` in a fresh interpreter and fails if it
+imported any module of NOT_FOR_MULT, the list tests/test_imports.py
+checks against the source tree:
 
     python tests/cli_pins.py
 """
 
+import json
 import re
 import subprocess
 import sys
+
+# modules that mult never runs: the suites, their data and guards, the
+# other subsystems and the stdlib modules only they need
+NOT_FOR_MULT = ["classconv.verify", "classconv.golden", "classconv.fillings",
+                "classconv.filtrations", "classconv.semigroup_algebra",
+                "classconv.partial_perm", "inspect", "dataclasses"]
 
 PINS: list[tuple[list[str], str]] = [
     (["gconst", "--sigma", "2", "--tau", "2", "--rho", "3"], "3\n"),
@@ -279,6 +289,16 @@ def main() -> int:
             print(f"FAIL classconv {' '.join(argv)} (exit {got.returncode})\n"
                   f"  want {want!r}\n  got  {got.stdout!r}\n{got.stderr}", file=sys.stderr)
     print(f"{len(PINS) - failed}/{len(PINS)} pinned command lines match")
+    code = ("import json, sys\nfrom classconv.cli import main\n"
+            "code = main(['mult', '--lhs', '6', '--rhs', '6'])\n"
+            f"print(json.dumps([code, [m for m in {NOT_FOR_MULT!r} if m in sys.modules]]))")
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    result = got.stdout.splitlines()[-1:]
+    if got.returncode or json.loads(result[0]) != [0, []]:
+        print(f"FAIL mult --lhs 6 --rhs 6 in a fresh interpreter (exit {got.returncode}): "
+              f"[exit code, modules it does not run] = {result}\n{got.stderr}", file=sys.stderr)
+        return 1
+    print(f"mult --lhs 6 --rhs 6 imports none of the {len(NOT_FOR_MULT)} modules it does not run")
     return 1 if failed else 0
 
 

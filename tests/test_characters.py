@@ -119,7 +119,7 @@ def test_column_cache_keeps_suffixes_not_tables():
 
 
 def test_tables_and_evaluations_build_no_product_data(monkeypatch):
-    # characters builds neither hook products nor a class index, and the
+    # characters builds no level table (hook products and classes), and the
     # evaluations read dim lam off the column of 1^n, so no hook formula runs
     for cache in (characters._positions, characters._column,
                   characters._s_star_weights, class_algebra._level_table):

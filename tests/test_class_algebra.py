@@ -94,9 +94,9 @@ def test_g_naive_spot_checks_larger():
 
 
 def test_g_symmetry_forced_sides():
-    # both orders computed independently through the uncached route,
-    # exhaustively for |sigma|, |tau| <= 5; this is what justifies the
-    # order-normalized cache in product_expansion
+    # both orders computed independently, each its own _expand cache
+    # entry, exhaustively for |sigma|, |tau| <= 5; this is what justifies
+    # product_expansion caching one order per unordered pair
     shapes = partitions_up_to(5)
     for i, sigma in enumerate(shapes):
         for tau in shapes[i + 1:]:
@@ -105,8 +105,9 @@ def test_g_symmetry_forced_sides():
 
 def test_g_symmetry_batched_size_5():
     # the batched g_table(5), built on an empty cache, must give each
-    # unordered pair the uncached expansion of either factor order
-    class_algebra._pair_expansion.cache_clear()
+    # unordered pair the expansion of either factor order; the reversed
+    # order is a separate _expand entry, computed independently
+    _expand.cache_clear()
     table = g_table(5)
     assert len(table) == 19 * 20 // 2
     for (sigma, tau), expansion in table.items():
@@ -127,13 +128,17 @@ def test_g_table_keys_and_order():
     assert (P(1, 1), P(2)) in table and (P(2), P(1, 1)) not in table
     for (sigma, tau), expansion in table.items():
         assert expansion is product_expansion(tau, sigma)
+    # both factor orders share one cache entry, the smaller parts tuple first
+    _expand.cache_clear()
+    assert product_expansion(P(3, 1), P(2, 2, 1)) is product_expansion(P(2, 2, 1), P(3, 1))
+    assert _expand.cache_info().currsize == 1
 
 
 def test_route_raises_on_inexact_division(monkeypatch):
     # spoil the (1,1) column, which (2)*(2) reads at level 2, its one
     # character level, as an allowed class; the level table of S_2 reads the
     # same column for its hook products, so it is built first, unspoiled
-    class_algebra._pair_expansion.cache_clear()
+    _expand.cache_clear()
     class_algebra._level_table(2)
     column, read = class_algebra._column, []
 
@@ -146,7 +151,7 @@ def test_route_raises_on_inexact_division(monkeypatch):
     with pytest.raises(RuntimeError, match="non-integral"):
         product_expansion(P(2), P(2))
     assert (1, 1) in read
-    assert class_algebra._pair_expansion.cache_info().currsize == 0
+    assert _expand.cache_info().currsize == 0
 
 
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
@@ -167,11 +172,11 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     monkeypatch.setattr(class_algebra, "_column", recorded)
     # a factor of size <= 1 leaves only the two closed-form levels
     for sigma, tau in [(EMPTY, P(3, 2)), (P(1), P(3, 2)), (P(1), P(1)), (EMPTY, EMPTY)]:
-        class_algebra._pair_expansion.cache_clear()
+        _expand.cache_clear()
         product_expansion(sigma, tau)
         assert not requested, (sigma, tau)
     for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1)), (P(1, 1), P(3, 1))]:
-        class_algebra._pair_expansion.cache_clear()
+        _expand.cache_clear()
         requested.clear()
         column.cache_clear()
         class_algebra._level_table.cache_clear()
@@ -201,18 +206,14 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     assert (2, 2) not in requested
 
 
-def test_level_table_hooks_and_class_index():
+def test_level_table_hooks_and_classes():
     deg3 = DegreeFunction.deg3()
     for m in range(12):
         labels = enumerate_partitions(m)
         hooks, classes = class_algebra._level_table(m)
-        # the class index files every class once, under its own (deg3, m_1)
-        # with its canonical position, positions ascending within a key
-        filed = [entry for group in classes.values() for entry in group]
-        assert sorted(filed) == list(enumerate(labels))
-        for (d3, m1), group in classes.items():
-            assert all((deg3(mu), mu.multiplicity(1)) == (d3, m1) for _, mu in group), (d3, m1)
-            assert [i for i, _ in group] == sorted(i for i, _ in group), (d3, m1)
+        # the classes of S_m in canonical order, each with its own (deg3, m_1)
+        assert [mu for _, _, mu in classes] == labels
+        assert all((d3, m1) == (deg3(mu), mu.multiplicity(1)) for d3, m1, mu in classes), m
         # hook product times dimension is m!, the dimension read off the beta-tuple route
         assert [h * character_beta_tuples(lam.parts, (1,) * m)
                 for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
@@ -228,8 +229,9 @@ def test_counted_guard_reads_no_characters(monkeypatch):
 
     monkeypatch.setattr(class_algebra, "_column", refuse)
     monkeypatch.setattr(class_algebra, "_level_table", refuse)
+    # want filled the cache, so the uncached route must be the one refused
     with pytest.raises(LookupError):
-        _expand(P(2), P(2))
+        _expand.__wrapped__(P(2), P(2))
     for pair in pairs:
         assert list(product_expansion_counted(*pair).items()) == list(want[pair].items())
 

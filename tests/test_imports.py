@@ -9,13 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from cli_pins import NOT_FOR_MULT
 
-# modules that mult never runs: the suites, their data and guards, the
-# other subsystems and the stdlib modules only they need
-NOT_FOR_MULT = ["classconv.verify", "classconv.golden", "classconv.fillings",
-                "classconv.filtrations", "classconv.semigroup_algebra",
-                "classconv.partial_perm", "inspect", "dataclasses"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every name the package exported when it imported its modules eagerly
 FORMER_NAMES = {
