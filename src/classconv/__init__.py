@@ -13,7 +13,7 @@ _EXPORTS = {
                       "product_expansion", "product_expansion_a", "psi_image",
                       "q_polynomial", "to_C_basis"),
     "characters": ("CharacterTable", "F_eval", "character", "dimension", "p_sharp",
-                   "s_star", "skew_dimension", "x_mu"),
+                   "s_star", "x_mu"),
     "fillings": ("Filling", "canonical_filling", "convolve", "enumerate_F"),
     "filtrations": ("DegreeFunction", "check_filtration", "check_gamma_inequalities",
                     "limit_ratio"),

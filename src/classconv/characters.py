@@ -15,9 +15,10 @@ shape lam of S_|rho|, built in one loop over the shapes, a
 Murnaghan-Nakayama step each, from the cached column of rho minus its first
 part.  Single reads, the shifted evaluations and the structure-constant
 route in class_algebra all read it; CharacterTable builds its own columns
-from the cached suffix columns and does not cache them.  dimension() uses
-the hook length formula and skew dimensions come from corner-removal
-recursion; the shifted evaluations, like class_algebra's hook products,
+from the cached suffix columns and does not cache them, so a dropped table
+leaves only its suffix columns behind.  dimension() uses the hook length
+formula, uncached; no production path runs it, and the tests compare
+against it.  The shifted evaluations, like class_algebra's hook products,
 read dim lam = chi^lam_{1^n} off the cached column of 1^n instead, whose
 suffixes every table and every padded class already builds.  On top of
 these sit the shifted power sums p#, the shifted Schur values s* obtained
@@ -27,9 +28,10 @@ class vectors x_mu whose F-images are the s*.
 The shifted evaluations run on integers and build one Fraction per
 answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
 1^(n-r)}; F sums the class vector's integer numerators over its one
-denominator.  The s* cache holds, per mu, the classes rho with
-chi^mu_rho != 0 and their weights chi^mu_rho r!/z_rho, so an s* value is
-one column read per nonzero term.
+denominator.  s* keeps its own orthogonality sum, not routed through F,
+so F(x_mu) = s*_mu stays an independent check.  The s* cache holds, per
+mu, the classes rho with chi^mu_rho != 0 and their weights
+chi^mu_rho r!/z_rho, so an s* value is one column read per nonzero term.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -75,27 +77,6 @@ def dimension(lam: Partition) -> int:
         for j in range(part):
             d //= part - j + conj[j] - i - 1
     return d
-
-
-@cache
-def _skew_dim(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if len(mu) > len(lam) or any(mu[i] > lam[i] for i in range(len(mu))):
-        return 0
-    if sum(lam) == sum(mu):
-        return 1
-    total = 0
-    for i in range(len(lam)):
-        if i + 1 < len(lam) and lam[i] == lam[i + 1]:
-            continue
-        smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
-        smaller = tuple(x for x in smaller if x)
-        total += _skew_dim(smaller, mu)
-    return total
-
-
-def skew_dimension(lam: Partition, mu: Partition) -> int:
-    """Number of standard tableaux of the skew shape lam/mu; 0 if mu not in lam."""
-    return _skew_dim(lam.parts, mu.parts)
 
 
 @cache

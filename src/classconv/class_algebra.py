@@ -15,7 +15,9 @@ of the character table of S_m gives, for every mu of size m, the integer
             = sum_j C(m_1(mu), j) g^{mu minus j unit parts},
 
 with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
-leaves g^mu; every step is exact integer arithmetic.
+leaves g^mu; every step is exact integer arithmetic, and a division that
+leaves a remainder raises RuntimeError instead of rounding.  Cost follows
+the character columns built, not s + t.
 
 At the two top levels, the largest ones, the supports of the two factors
 meet in at most one point, and counting pairs gives the constants in
@@ -62,7 +64,10 @@ that runs them: the counted guard fixes one factor and enumerates the
 other, so it finds every nonzero g^mu and checks the values and the
 pruning together; a brute-force group-algebra convolution checks the psi
 images.  The production route never consults them, and this module does
-not import partial_perm.
+not import partial_perm.  The closed-form top levels reach sizes where
+the counted guard does not, so the tests also pin them against the
+character sum of each of their classes and, for A_(2) A_nu, against
+cut-and-join counts of transpositions.
 
 All values are immutable and the caches only grow, so concurrent readers
 are safe; every cache is a functools cache.
@@ -78,7 +83,8 @@ from typing import Iterable
 
 from .characters import _column
 from .class_vector import ClassVector
-from .partitions import Partition, enumerate_partitions, falling_factorial, partitions_up_to
+from .partitions import (Partition, _ints, enumerate_partitions, falling_factorial,
+                         partitions_up_to)
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
@@ -218,8 +224,7 @@ def g_table(bound: int) -> dict[tuple[Partition, Partition], dict[Partition, int
     table = {}
     for i, a in enumerate(parts_all):
         for b in parts_all[i:]:
-            x, y = sorted((a.parts, b.parts))
-            table[(Partition(x), Partition(y))] = product_expansion(a, b)
+            table[(b, a) if b.parts < a.parts else (a, b)] = product_expansion(a, b)
     return table
 
 
@@ -293,7 +298,7 @@ class BinomialPolynomial:
     __slots__ = ("base", "coeffs")
 
     def __init__(self, base: Partition, coeffs: Iterable[int]) -> None:
-        cl = [int(c) for c in coeffs]
+        cl = _ints(coeffs, "coefficients")
         while cl and cl[-1] == 0:
             cl.pop()
         self.base = base

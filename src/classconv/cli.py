@@ -94,6 +94,8 @@ def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
 
 
 def _cmd_mult(args) -> int:
+    """mult: the product through multiply, the one truncation path;
+    --basis a rescales each of its terms through f_constant."""
     lhs, rhs = _partitions(args, "lhs", "rhs")
     if args.n is not None and args.n < 0:
         raise UsageError(f"truncation level --n must be nonnegative, got {args.n}")

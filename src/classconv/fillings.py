@@ -19,7 +19,8 @@ validation that ``Filling(rows)`` applies to outside input.
 
 ``enumerate_F`` builds the pairs (S, T) whose convolution is the
 canonical filling of rho, and convolves none of them: every pair it builds
-meets that condition by construction.
+meets that condition by construction.  Its naive twin, enumerate_F_naive
+in tests/oracles.py, convolves every pair it counts.
 
 - The product.  Once S is fixed (S(x) = x off its support), T is S^-1 rho
   on the points that S^-1 rho moves, plus fixed points: the points of

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .class_algebra import g_table
-from .partitions import Partition
+from .partitions import Partition, _ints
 
 FILTRATION_DEFAULT_MAX_BOUND = 5
 
@@ -47,14 +47,14 @@ class DegreeFunction:
     @classmethod
     def theta_J(cls, J) -> "DegreeFunction":
         """Size plus the multiplicities of part lengths in J."""
-        J = frozenset(int(k) for k in J)
+        J = frozenset(_ints(J, "theta_J lengths"))
         return cls("theta_J{" + ",".join(str(k) for k in sorted(J)) + "}",
                    lambda k: k + (k in J))
 
     @classmethod
     def additive(cls, gamma: Sequence[int]) -> "DegreeFunction":
         """theta(rho) = sum_k gamma_k m_k(rho) with gamma_k = gamma[k-1]."""
-        g = tuple(int(x) for x in gamma)
+        g = tuple(_ints(gamma, "gamma entries"))
 
         def gamma_k(k: int) -> int:
             if k > len(g):
@@ -135,7 +135,7 @@ def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolatio
     gamma_{k+1} <= k gamma_2; and its doubling special case
     gamma_{2k+1} <= 2 gamma_{k+1}.
     """
-    g = [int(x) for x in gamma]
+    g = _ints(gamma, "gamma entries")
     if K < 1:
         raise ValueError("K must be at least 1")
     if len(g) < K:
@@ -173,7 +173,7 @@ def limit_ratio(gamma: Sequence[int], K: int) -> Fraction:
     Only a proxy: the true quantity is the infimum over all k, which this
     artifact never claims to reach.
     """
-    g = [int(x) for x in gamma]
+    g = _ints(gamma, "gamma entries")
     if K < 1:
         raise ValueError("K must be at least 1")
     if len(g) < K + 1:

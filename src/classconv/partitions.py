@@ -173,6 +173,16 @@ def partition_count(r: int) -> int:
     return len(_partitions_tuple(r))
 
 
+def _ints(values: Iterable[int], what: str) -> list[int]:
+    """The values as a list, each an int: a float or Fraction entry raises
+    ValueError instead of being truncated."""
+    out = list(values)
+    for x in out:
+        if not isinstance(x, int):
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return out
+
+
 def falling_factorial(n: int, k: int) -> int:
     """(n)_k = n (n-1) ... (n-k+1)."""
     out = 1

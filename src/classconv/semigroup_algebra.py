@@ -105,16 +105,6 @@ class SemigroupAlgebraElement(_Element):
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted((str(k), v) for k, v in self.terms.items()))))
 
-    def dump(self) -> list[tuple[tuple[int, ...], str, Fraction]]:
-        """Structured record list sorted by (support size, support, cycle form)."""
-        rows = []
-        for pp, c in self.terms.items():
-            sup = tuple(sorted(pp.support))
-            cyc = "".join("(" + ",".join(map(str, cy)) + ")" for cy in pp.cycles())
-            rows.append((sup, cyc, c))
-        rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
-        return rows
-
     def __repr__(self) -> str:
         return f"SemigroupAlgebraElement({len(self.terms)} terms, n={self.n})"
 

@@ -1,0 +1,105 @@
+"""Mutants of the package that the tier-1 tests must kill.
+
+Each row of MUTANTS names a source file under src/classconv, a text that
+occurs in it exactly once, the text that replaces it, and the test (a
+pytest node id under tests/) that must fail once the change is made.
+Run as a script, from any directory:
+
+    python tests/mutants.py
+
+It copies src/, tests/ and pyproject.toml to a temporary directory and
+runs every named test there unmutated, where each must pass.  Then, for
+each row, it makes a fresh copy, applies the one change and runs the
+named test with PYTHONPATH at the copy; the mutant is killed when the
+test fails (pytest exit status 1).  The script exits 1 if a named test
+fails unmutated, a text does not occur exactly once, or a mutant
+survives.  A new route adds its own rows.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TOP_LEVELS = "test_class_algebra.py::test_top_levels_match_characters_beyond_counted_guard"
+
+MUTANTS: list[tuple[str, str, str, str]] = [
+    # F_eval evaluates a vector truncated below |lam|
+    ("characters.py", "if v.level is not None and v.level < n:", "if False:",
+     "test_characters.py::test_F_eval_refuses_truncated_vector_above_its_level"),
+    # class vectors skip reducing to lowest terms
+    ("class_vector.py", "g = gcd(den, *nums.values())", "g = 1",
+     "test_class_algebra.py::test_class_vector_canonical_form"),
+    # level s+t-1 drops the (k, l) terms of tau's first distinct part
+    ("class_algebra.py", "for l, rest_t in _one_removed(pt):",
+     "for l, rest_t in _one_removed(pt)[1:]:", TOP_LEVELS),
+    # level s+t-1 weighs a merged j-cycle by m_j(nu) instead of m_j(nu) + 1
+    ("class_algebra.py", "j * (nu.count(j) + 1) *", "j * nu.count(j) *", TOP_LEVELS),
+    # g_table keys each pair with the larger parts tuple first
+    ("class_algebra.py", "table[(b, a) if b.parts < a.parts else (a, b)]",
+     "table[(a, b) if b.parts < a.parts else (b, a)]",
+     "test_class_algebra.py::test_g_table_keys_and_order"),
+    # integer inputs are truncated by int() instead of refused
+    ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
+     "test_filtrations.py::test_gamma_entries_must_be_integers"),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests: list[str]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(f"tests/{test}" for test in tests)],
+        cwd=copy, env=env, capture_output=True, text=True)
+    return done.returncode
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        named = list(dict.fromkeys(test for *_, test in MUTANTS))
+        code = _pytest(base, named)
+        if code:
+            print(f"FAIL the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        print(f"ok {len(named)} named tests pass unmutated")
+        for i, (name, old, new, test) in enumerate(MUTANTS):
+            copy = Path(tmp) / f"mutant{i}"
+            _copy(copy)
+            path = copy / "src" / "classconv" / name
+            text = path.read_text()
+            label = f"{name}: {old!r} -> {new!r}"
+            if text.count(old) != 1:
+                print(f"FAIL {label}: text occurs {text.count(old)} times")
+                failures += 1
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            code = _pytest(copy, [test])
+            took = time.perf_counter() - start
+            if code == 1:
+                print(f"ok killed {label} by {test} ({took:.1f} s)")
+            else:
+                print(f"FAIL survived {label}: {test} exit {code} ({took:.1f} s)")
+                failures += 1
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,8 +50,11 @@ def syt_count_brute(lam: Partition) -> int:
     return count
 
 
+@cache
 def skew_syt_count_brute(lam: Partition, mu: Partition) -> int:
-    """Count standard tableaux of the skew shape by brute placement."""
+    """Count standard tableaux of the skew shape by brute placement; 0 if mu
+    is not contained in lam.  Cached: the shifted Schur test reads each pair
+    once per class."""
     if not lam.contains(mu):
         return 0
     cells = [(i, j) for i, ln in enumerate(lam.parts)

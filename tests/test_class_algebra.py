@@ -653,6 +653,9 @@ def test_binomial_polynomial_monomials():
     zero = BinomialPolynomial(P(2), (0, 0))
     assert zero.coeffs == () and zero.degree() == -1
     assert zero.monomial_string() == "0"
+    # truncated, these would read as the coefficients (0, 1)
+    with pytest.raises(ValueError, match=r"coefficients must be integers, got Fraction\(1, 2\)"):
+        BinomialPolynomial(P(3), [Fraction(1, 2), 1.9])
 
 
 def test_convolve_C_classes():

@@ -142,6 +142,18 @@ def test_limit_ratio():
         limit_ratio((1, 2, 3), 3)
 
 
+def test_gamma_entries_must_be_integers():
+    # truncated, [2.5, 2.2] would read as the passing [2, 2]
+    with pytest.raises(ValueError, match="gamma entries must be integers, got 2.5"):
+        check_gamma_inequalities([2.5, 2.2], 2)
+    with pytest.raises(ValueError, match=r"got Fraction\(3, 2\)"):
+        limit_ratio((1, Fraction(3, 2)), 1)
+    with pytest.raises(ValueError, match="gamma entries must be integers, got 1.0"):
+        DegreeFunction.additive((0, 1.0))
+    with pytest.raises(ValueError, match="theta_J lengths must be integers, got '2'"):
+        DegreeFunction.theta_J({"2"})
+
+
 def _cycle(*pts):
     return PartialPermutation.from_cycles([pts])
 

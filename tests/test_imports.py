@@ -1,10 +1,14 @@
 """What a cold interpreter imports: the package resolves its names lazily
-and each CLI subcommand loads only the modules it runs."""
+and each CLI subcommand loads only the modules it runs.  Also what the
+modules define that outlives a call: the functools caches."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from functools import cached_property
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -13,13 +17,14 @@ from cli_pins import NOT_FOR_MULT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name the package exported when it imported its modules eagerly
+# every name the package exports: each was exported when it imported its
+# modules eagerly
 FORMER_NAMES = {
     "BinomialPolynomial", "ClassVector", "convolve_C_classes", "f_constant",
     "g_constant", "g_table", "multiply", "oracle_convolve", "product_expansion",
     "product_expansion_a", "psi_image", "q_polynomial", "to_C_basis",
     "CharacterTable", "F_eval", "character", "dimension", "p_sharp", "s_star",
-    "skew_dimension", "x_mu", "Filling", "canonical_filling", "convolve",
+    "x_mu", "Filling", "canonical_filling", "convolve",
     "enumerate_F", "DegreeFunction", "check_filtration", "check_gamma_inequalities",
     "limit_ratio", "PartialPermutation", "canonical_rep", "enumerate_class",
     "product", "Partition", "enumerate_partitions", "partitions_up_to",
@@ -76,3 +81,27 @@ def test_unknown_attribute_raises():
     # a submodule that is not an exported name still imports by name
     from classconv import oracle_convolve, verify
     assert oracle_convolve is verify.oracle_convolve
+
+
+# every cache in the package, each read by a production path
+CACHES = {"partitions._partitions_tuple", "characters._positions", "characters._column",
+          "characters._s_star_weights", "class_algebra._level_table",
+          "class_algebra._expand"}
+
+
+def test_every_cache_is_listed():
+    import classconv
+    found = set()
+    for info in pkgutil.iter_modules(classconv.__path__):
+        module = import_module(f"classconv.{info.name}")
+        owners = [module] + [obj for obj in vars(module).values()
+                             if isinstance(obj, type) and obj.__module__ == module.__name__]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                cached = (isinstance(obj, cached_property)
+                          or hasattr(obj, "cache_info")
+                          and getattr(obj, "__module__", None) == module.__name__)
+                if cached:
+                    qualified = name if owner is module else f"{owner.__name__}.{name}"
+                    found.add(f"{info.name}.{qualified}")
+    assert found == CACHES

@@ -252,10 +252,3 @@ def test_invariant_algebra_strictly_inside_center_for_n2():
         rows.append(row)
     assert rank_over_Q(rows) == 4
 
-
-def test_dump_sorted():
-    e = epsilon({2}, 3) + SemigroupAlgebraElement.basis(
-        PartialPermutation.from_cycles([(1, 3)]), 3)
-    rows = e.dump()
-    keys = [(len(sup), sup, cyc) for sup, cyc, _ in rows]
-    assert keys == sorted(keys)
