@@ -5,10 +5,29 @@ structure constant g_{sigma,tau}^rho counts pairs of partial permutations
 of types sigma, tau multiplying to a fixed representative of type rho.
 
 The product A_sigma A_tau spreads over the levels m = max(s, t) .. s + t,
-s = |sigma| and t = |tau|.  The production route reads the levels below
-s + t - 1 off characters of symmetric groups.  The evaluation isomorphism
-sends A_rho to p#_rho / z_rho, so at each such level column orthogonality
-of the character table of S_m gives, for every mu of size m, the integer
+s = |sigma| and t = |tau|.  The evaluation isomorphism F sends A_rho to
+p#_rho / z_rho, with p#_rho(lam) = (n)_r chi^lam_{rho 1^(n-r)} / dim lam
+at lam of size n and r = |rho|.  Two consequences give the production
+route.
+
+Unit parts go through A_(1).  F(A_(1)) = p#_(1) = n.  For a proper rho'
+(no part equal to 1) and rho = rho' 1^k, the characters of rho and rho'
+at lam agree, (n)_{|rho|} = (n)_{|rho'|} (n - |rho'|)_k and z_rho =
+z_rho' k!, so F(A_rho) = C(n - |rho'|, k) F(A_rho'), and since F is
+injective
+
+    A_{rho' 1^k} = C(A_(1) - |rho'|, k) A_rho'.
+
+At k = 1 this is the two-term product A_(1) A_rho = |rho| A_rho +
+(m_1(rho) + 1) A_{rho u (1)}.  So with sigma = sigma' 1^i and tau =
+tau' 1^j, A_sigma A_tau is A_sigma' A_tau' times the i + j factors
+(A_(1) - c), c = |sigma'| .. |sigma'| + i - 1 and |tau'| .. |tau'| + j - 1,
+divided by i! j!.  Each factor acts on the terms by the two-term product,
+so a pair with unit parts reads no character beyond its proper pair's.
+
+A proper pair reads the levels below s + t - 1 off characters of
+symmetric groups: at each such level column orthogonality of the
+character table of S_m gives, for every mu of size m, the integer
 
     T_m(mu) = (m)_s (m)_t sum_lam chi^lam_mu chi^lam_{sigma 1^(m-s)}
               chi^lam_{tau 1^(m-t)} H_lam / (z_sigma z_tau (m!)^2)
@@ -26,8 +45,8 @@ the derivation).  At s + t the supports are disjoint, and the only class
 is sigma u tau, with g = prod_i C(m_i(sigma) + m_i(tau), m_i(sigma)) =
 z_{sigma u tau} / (z_sigma z_tau).  At s + t - 1 one cycle of each factor
 runs through the common point, and the two merge into one cycle: the
-join half of cut and join.  A product with a factor of size at most 1,
-such as the unit or A_(1), reads no character at all.
+join half of cut and join.  A product with a factor 1^k, such as the
+unit or A_(1), reads no character at all.
 
 Only the allowed mu are evaluated: g^mu vanishes unless deg2(mu) =
 |mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's filtration
@@ -37,14 +56,15 @@ support a product of partial permutations a b = r is a product of
 permutations, whose Cayley lengths (fewest transpositions) are deg3 of
 their types.  Since sign(r) = sign(a) sign(b) and a = r b^-1, g^mu also
 vanishes unless deg3(mu) has the parity of deg3(sigma) + deg3(tau) and is
-at least |deg3(sigma) - deg3(tau)|.  And r moves every point that exactly
-one of a, b moves and only points they move, so with mv = |.| - m_1 the
-moved points, g^mu vanishes unless |mv(sigma) - mv(tau)| <= mv(mu) <=
-mv(sigma) + mv(tau): at level m the allowed mu fill a rectangle in
-(deg3, m_1).  Dropping unit parts keeps mu allowed (deg3 and mv stay, deg2
-drops), so the peel only ever needs allowed classes.  Each character
-level reads the columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu
-from the characters module's column cache, one column per cycle type.
+at least |deg3(sigma) - deg3(tau)|.  For the proper pairs that reach the
+characters deg2 is the size, so at level m the allowed mu have
+m_1(mu) <= s + t - m: they fill a rectangle in (deg3, m_1).  (The moved
+points of r, mv = |.| - m_1, lie between |mv(sigma) - mv(tau)| and
+mv(sigma) + mv(tau); with mv = size that adds nothing at m >= max(s, t).)
+Dropping unit parts keeps mu allowed (deg3 stays, deg2 drops), so the
+peel only ever needs allowed classes.  Each character level reads the
+columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu from the
+characters module's column cache, one column per cycle type.
 The hook products of S_m and its classes, each with its deg3 and m_1,
 belong to this module alone: _level_table(m) builds them, the products
 from the column of 1^m, and only _expand reads them; each level filters
@@ -67,7 +87,8 @@ images.  The production route never consults them, and this module does
 not import partial_perm.  The closed-form top levels reach sizes where
 the counted guard does not, so the tests also pin them against the
 character sum of each of their classes and, for A_(2) A_nu, against
-cut-and-join counts of transpositions.
+cut-and-join counts of transpositions; and they pin products with unit
+parts there by F-multiplicativity on characters from beta tuples.
 
 All values are immutable and the caches only grow, so concurrent readers
 are safe; every cache is a functools cache.
@@ -105,23 +126,31 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     """The production route: every nonzero g_{sigma,tau}^mu, level by level,
     cached per ordered pair (product_expansion orders the pair).
 
-    The levels m = max(s, t) .. s + t - 2 (s = |sigma|, t = |tau|) read
-    characters.  Only the mu that deg2, deg3, the sign and the two
-    triangles allow (module docstring) are evaluated: one pass over the
-    classes of _level_table(m), in canonical order, skips those outside
-    the (deg3, m_1) rectangle.  Each gets T_m(mu) from the cached columns
-    and hook products, then loses C(m_1, m_1') g for each nonzero g found
-    at a lower level for the same proper part with m_1' unit parts.  A
-    division that leaves a remainder raises RuntimeError instead of
+    A pair with unit parts, sigma = sigma' 1^i or tau = tau' 1^j with i or
+    j nonzero, reads its proper pair's cached expansion and applies the
+    i + j factors (L - c) of the A_(1) reduction (module docstring).  Its
+    terms group into chains by proper part, entry a of a chain holding the
+    coefficient of A_{rho' 1^a}, and each factor maps a chain to
+    new_a = (|rho'| - c + a) old_a + a old_{a-1}.  The result is divided
+    exactly by i! j!, a remainder raising RuntimeError.  A factor 1^k
+    therefore reads no character.
+
+    For a proper pair the levels m = max(s, t) .. s + t - 2 (s = |sigma|,
+    t = |tau|) read characters.  Only the mu that deg2, deg3, the sign and
+    the Cayley triangle allow (module docstring) are evaluated: one pass
+    over the classes of _level_table(m), in canonical order, skips those
+    outside the (deg3, m_1) rectangle.  Each gets T_m(mu) from the cached
+    columns and hook products, then loses C(m_1, m_1') g for each nonzero g
+    found at a lower level for the same proper part with m_1' unit parts.
+    A division that leaves a remainder raises RuntimeError instead of
     rounding.
 
     The two top levels are closed forms in integers, with no division.
     With D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b):
 
     - Level s + t - 1 (s, t >= 1): the supports meet in one point x, and
-      the k-cycle of a and the l-cycle of b through x (a 1-cycle: x is a
-      fixed point in that factor's support) merge into one j-cycle,
-      j = k + l - 1.  On a fixed m-set, m C(m-1, s-1) (s!/z_sigma)
+      the k-cycle of a and the l-cycle of b through x merge into one
+      j-cycle, j = k + l - 1.  On a fixed m-set, m C(m-1, s-1) (s!/z_sigma)
       (t!/z_tau) pairs meet in one point; a share k m_k(sigma)/s of them
       put x in a k-cycle of a and l m_l(tau)/t in an l-cycle of b.
       Dividing by the m!/z_mu elements of type mu leaves, for each
@@ -131,22 +160,49 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     - Level s + t: the supports are disjoint, so the only class is
       sigma u tau, with g = D(sigma, tau).
     """
+    ps, pt = sigma.parts, tau.parts
+    i, j = ps.count(1), pt.count(1)
+    if i or j:
+        ps, pt = ps[:len(ps) - i], pt[:len(pt) - j]
+        s, t = sum(ps), sum(pt)
+        chains: dict[tuple[int, ...], list[int]] = {}
+        for rho, g in product_expansion(Partition._of(ps), Partition._of(pt)).items():
+            a = rho.parts.count(1)
+            chain = chains.setdefault(rho.parts[:len(rho.parts) - a], [])
+            chain += [0] * (a + 1 - len(chain))
+            chain[a] = g
+        den = factorial(i) * factorial(j)
+        terms: dict[tuple[int, ...], int] = {}
+        for bar, chain in chains.items():
+            for c in [*range(s, s + i), *range(t, t + j)]:
+                shift = sum(bar) - c
+                chain.append(0)
+                for a in range(len(chain) - 1, 0, -1):
+                    chain[a] = (shift + a) * chain[a] + a * chain[a - 1]
+                chain[0] *= shift
+            for a, x in enumerate(chain):
+                g, rem = divmod(x, den)
+                if rem:
+                    raise RuntimeError(f"non-integral class coefficient for {sigma}, "
+                                       f"{tau} -> {bar + (1,) * a}: internal bug")
+                if g:
+                    terms[bar + (1,) * a] = g
+        # canonical order: ascending size, reverse-lexicographic within a size
+        return {Partition._of(mu): terms[mu] for mu in sorted(sorted(terms, reverse=True), key=sum)}
     column = _column
     s, t = sigma.size(), tau.size()
     zz = sigma.centralizer_size() * tau.centralizer_size()
-    cap2 = s + sigma.multiplicity(1) + t + tau.multiplicity(1)
     d3s, d3t = s - sigma.length(), t - tau.length()
     deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
-    mvs, mvt = s - sigma.multiplicity(1), t - tau.multiplicity(1)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t - 1):
         hooks, classes = _level_table(m)
-        weights = [a * b * h for a, b, h in zip(column(sigma.parts + (1,) * (m - s)),
-                                                column(tau.parts + (1,) * (m - t)), hooks)]
+        weights = [a * b * h for a, b, h in zip(column(ps + (1,) * (m - s)),
+                                                column(pt + (1,) * (m - t)), hooks)]
         scale = falling_factorial(m, s) * falling_factorial(m, t)
         den = zz * factorial(m) ** 2
-        m1s = range(max(0, m - mvs - mvt), min(cap2 - m, m - abs(mvs - mvt)) + 1)
+        m1s = range(s + t - m + 1)
         for d3, m1, mu in classes:
             if d3 not in deg3s or m1 not in m1s:
                 continue
@@ -160,7 +216,6 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
             if g:
                 lower.append((m1, g))
                 out[mu] = g
-    ps, pt = sigma.parts, tau.parts
     if s and t:
         merged: dict[tuple[int, ...], int] = {}
         for k, rest_s in _one_removed(ps):

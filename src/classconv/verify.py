@@ -344,11 +344,11 @@ def suite_homomorphism(max_factor: int = 4) -> list[Check]:
 
 
 def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> list[Check]:
-    # the production route skips the classes that deg2, deg3, parity, the
-    # Cayley triangle and the moved-points triangle rule out, so the scans
-    # below would hold by construction unless the table is first checked
-    # against the counted guard, which reads no characters and finds every
-    # nonzero class
+    # the production route skips the classes that deg2, deg3, parity and the
+    # Cayley triangle rule out, and reads pairs with unit parts off their
+    # proper pairs, so the scans below would hold by construction unless
+    # the table is first checked against the counted guard, which reads no
+    # characters and finds every nonzero class
     mismatched = [(sigma, tau) for (sigma, tau), expansion in ca.g_table(bound).items()
                   if list(expansion.items())
                   != list(product_expansion_counted(sigma, tau).items())]

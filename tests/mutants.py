@@ -44,6 +44,14 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("class_algebra.py", "table[(b, a) if b.parts < a.parts else (a, b)]",
      "table[(a, b) if b.parts < a.parts else (b, a)]",
      "test_class_algebra.py::test_g_table_keys_and_order"),
+    # the A_(1) reduction drops the carry a old_{a-1} into A_{rho' 1^a}
+    ("class_algebra.py", "chain[a] = (shift + a) * chain[a] + a * chain[a - 1]",
+     "chain[a] = (shift + a) * chain[a]",
+     "test_class_algebra.py::test_identity_rows_closed_form"),
+    # the A_(1) reduction shifts every c of its factors (A_(1) - c) by one
+    ("class_algebra.py", "for c in [*range(s, s + i), *range(t, t + j)]:",
+     "for c in [*range(s + 1, s + i + 1), *range(t + 1, t + j + 1)]:",
+     "test_class_algebra.py::test_F_multiplicative_with_unit_parts_13_to_20"),
     # integer inputs are truncated by int() instead of refused
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),

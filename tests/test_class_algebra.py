@@ -94,9 +94,10 @@ def test_g_naive_spot_checks_larger():
 
 
 def test_g_symmetry_forced_sides():
-    # both orders computed independently, each its own _expand cache
-    # entry, exhaustively for |sigma|, |tau| <= 5; this is what justifies
-    # product_expansion caching one order per unordered pair
+    # both orders, each its own _expand cache entry, exhaustively for
+    # |sigma|, |tau| <= 5 (computed independently for a proper pair; a pair
+    # with unit parts reads its proper pair's one entry); this is what
+    # justifies product_expansion caching one order per unordered pair
     shapes = partitions_up_to(5)
     for i, sigma in enumerate(shapes):
         for tau in shapes[i + 1:]:
@@ -128,10 +129,15 @@ def test_g_table_keys_and_order():
     assert (P(1, 1), P(2)) in table and (P(2), P(1, 1)) not in table
     for (sigma, tau), expansion in table.items():
         assert expansion is product_expansion(tau, sigma)
-    # both factor orders share one cache entry, the smaller parts tuple first
+    # both factor orders share one cache entry, the smaller parts tuple
+    # first; a pair with unit parts also caches its proper pair, here (3)(2,2)
     _expand.cache_clear()
     assert product_expansion(P(3, 1), P(2, 2, 1)) is product_expansion(P(2, 2, 1), P(3, 1))
-    assert _expand.cache_info().currsize == 1
+    assert _expand.cache_info().currsize == 2
+    hits = _expand.cache_info().hits
+    _expand(P(2, 2, 1), P(3, 1))
+    _expand(P(2, 2), P(3))
+    assert _expand.cache_info() == (hits + 2, 2, None, 2)
 
 
 def test_route_raises_on_inexact_division(monkeypatch):
@@ -154,14 +160,24 @@ def test_route_raises_on_inexact_division(monkeypatch):
     assert _expand.cache_info().currsize == 0
 
 
+def test_unit_part_reduction_raises_on_inexact_division(monkeypatch):
+    # spoil the proper pair's expansion by a half: (1)(1) reads that of
+    # ()() and divides by 1! 1!, so the half is left over at A_(1)
+    _expand.cache_clear()
+    monkeypatch.setattr(class_algebra, "product_expansion",
+                        lambda sigma, tau: {EMPTY: Fraction(1, 2)})
+    with pytest.raises(RuntimeError, match=r"non-integral .* -> \(1,\)"):
+        _expand(P(1), P(1))
+    assert _expand.cache_info().currsize == 0
+
+
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
-    # only the levels below |sigma|+|tau|-1 read characters; (4)(2,1) has
-    # deg3 3 and 1, so the Cayley triangle rules out (1,1,1,1); (1,1)(3,1)
-    # moves 0 and 3 points, so at level 4 the moved-points triangle alone
-    # rules out (2,2), which deg2, deg3, the sign and the Cayley triangle allow;
-    # a level table built on the way reads the column of 1^m for its hooks
+    # only the levels below |sigma|+|tau|-1 of a proper pair read
+    # characters, and a pair with unit parts reads only its proper pair's
+    # columns; (4)(3) has deg3 3 and 2, so the sign rules out (5) and
+    # (2,2,1) at level 5; a level table built on the way reads the column of
+    # 1^m for its hooks
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
-    moved = lambda p: p.size() - p.multiplicity(1)
     column = characters._column
     requested = set()
 
@@ -170,27 +186,28 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         return column(parts)
 
     monkeypatch.setattr(class_algebra, "_column", recorded)
-    # a factor of size <= 1 leaves only the two closed-form levels
-    for sigma, tau in [(EMPTY, P(3, 2)), (P(1), P(3, 2)), (P(1), P(1)), (EMPTY, EMPTY)]:
+    # a factor 1^k leaves its proper pair only the two closed-form levels
+    for sigma, tau in [(EMPTY, P(3, 2)), (P(1), P(3, 2)), (P(1), P(1)), (EMPTY, EMPTY),
+                       (P(1, 1), P(3, 1))]:
         _expand.cache_clear()
         product_expansion(sigma, tau)
         assert not requested, (sigma, tau)
-    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(2, 1)), (P(1, 1), P(3, 1))]:
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(3)), (P(3, 1), P(3, 1, 1))]:
         _expand.cache_clear()
         requested.clear()
         column.cache_clear()
         class_algebra._level_table.cache_clear()
         product_expansion(sigma, tau)
+        sigma, tau = sigma.strip_ones(), tau.strip_ones()
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
-        floor_mv, cap_mv = abs(moved(sigma) - moved(tau)), moved(sigma) + moved(tau)
         levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() - 1)
         want = set()
         for m in levels:
             want |= {sigma.pad(m).parts, tau.pad(m).parts, (1,) * m}
             want |= {mu.parts for mu in enumerate_partitions(m)
                      if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
-                     and (deg3(mu) - cap3) % 2 == 0 and floor_mv <= moved(mu) <= cap_mv}
+                     and (deg3(mu) - cap3) % 2 == 0}
         assert requested == want, (sigma, tau)
         assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
         # each column _expand reads is built once, from the suffix columns it
@@ -202,8 +219,8 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             column(parts)
         again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
-    # requested holds the columns of the last pair, (1,1)(3,1)
-    assert (2, 2) not in requested
+    # requested holds the columns of the last pair, whose proper pair is (3)(3)
+    assert (2, 1) not in requested and (4,) not in requested
 
 
 def test_level_table_hooks_and_classes():
@@ -422,6 +439,38 @@ def _F_beta_tuples(expansion: dict[Partition, int], lam: Partition) -> Fraction:
 def test_F_multiplicative_on_beta_tuple_route(pair, lam):
     sigma, tau = pair
     prod = product_expansion(sigma, tau)
+    assert _F_beta_tuples(prod, lam) == (_F_beta_tuples({sigma: 1}, lam)
+                                         * _F_beta_tuples({tau: 1}, lam)), (sigma, tau, lam)
+
+
+_PROPER = [p for p in partitions_up_to(10) if p.is_proper()]
+
+
+@st.composite
+def _pair_with_unit_parts(draw):
+    # proper parts of total <= 10 keep their character levels cheap; unit
+    # parts, on one factor or both, bring the total to 13..20 with each
+    # factor of size <= 12; lam has max(|sigma|, |tau|) <= |lam| <= 12, since
+    # F(A_rho) vanishes at |lam| < |rho|
+    bar_s, bar_t = draw(st.sampled_from(_PROPER).flatmap(lambda a: st.tuples(
+        st.just(a), st.sampled_from([b for b in _PROPER if a.size() + b.size() <= 10]))))
+    free = draw(st.integers(min_value=13, max_value=20)) - bar_s.size() - bar_t.size()
+    i = draw(st.integers(min_value=max(0, free - 12 + bar_t.size()),
+                         max_value=min(free, 12 - bar_s.size())))
+    sigma, tau = bar_s.pad(bar_s.size() + i), bar_t.pad(bar_t.size() + free - i)
+    n = draw(st.integers(min_value=max(sigma.size(), tau.size()), max_value=12))
+    return sigma, tau, draw(st.sampled_from(enumerate_partitions(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pair_with_unit_parts())
+def test_F_multiplicative_with_unit_parts_13_to_20(case):
+    # above the counted guard's reach, the A_(1) reduction against
+    # characters from beta tuples, which read no _column
+    sigma, tau, lam = case
+    assert sigma.multiplicity(1) or tau.multiplicity(1)
+    prod = product_expansion(sigma, tau)
+    assert list(prod) == sorted(prod, key=Partition.sort_key)
     assert _F_beta_tuples(prod, lam) == (_F_beta_tuples({sigma: 1}, lam)
                                          * _F_beta_tuples({tau: 1}, lam)), (sigma, tau, lam)
 

@@ -51,6 +51,18 @@ def test_validation():
             list(fillings_of_shape(shape, points))
 
 
+def test_filling_rejects_bool_entries():
+    for rows in ([[True, 2]], [[3], [True]]):
+        with pytest.raises(ValueError, match="got True"):
+            Filling(rows)
+
+
+def test_fillings_of_shape_rejects_bool_points():
+    for shape, points in ((P(1), [True, 2]), (EMPTY, [True])):
+        with pytest.raises(ValueError, match="distinct positive integers"):
+            list(fillings_of_shape(shape, points))
+
+
 def test_to_partial_perm_example():
     f = Filling([[4, 3, 1], [9, 2, 7], [6, 5]])
     assert f.shape == P(3, 3, 2)

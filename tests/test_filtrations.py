@@ -154,6 +154,16 @@ def test_gamma_entries_must_be_integers():
         DegreeFunction.theta_J({"2"})
 
 
+def test_bool_entries_rejected():
+    # read as 1, additive((True, 2)) would be labelled additive(True,2)
+    with pytest.raises(ValueError, match="gamma entries must be integers, got True"):
+        DegreeFunction.additive((True, 2))
+    with pytest.raises(ValueError, match="gamma entries must be integers, got False"):
+        check_gamma_inequalities([2, False], 1)
+    with pytest.raises(ValueError, match="theta_J lengths must be integers, got True"):
+        DegreeFunction.theta_J({True})
+
+
 def _cycle(*pts):
     return PartialPermutation.from_cycles([pts])
 

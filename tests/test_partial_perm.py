@@ -29,6 +29,13 @@ def test_validation():
         PartialPermutation.from_cycles([(1, 2), (2, 3)])
 
 
+def test_bool_points_rejected():
+    # a bool key, and a bool image, which equals the point 1 of the support
+    for mapping in ({True: True}, {1: True}, {1: 2, 2: True}):
+        with pytest.raises(ValueError, match="got True"):
+            PartialPermutation(mapping)
+
+
 def test_counterexample_product():
     # (1,2,3,4)(1,5,4,6,3) = (1,5)(2,3)(4,6), the right factor acting first
     a = PartialPermutation.from_cycles([(1, 2, 3, 4)])

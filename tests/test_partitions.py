@@ -27,6 +27,13 @@ def test_validation():
     assert Partition(()).parts == ()
 
 
+def test_bool_parts_rejected():
+    # True equals and hashes as 1 but prints as True
+    for parts in ((True,), (2, True), (False,)):
+        with pytest.raises(ValueError, match="must be integers, got (True|False)"):
+            Partition(parts)
+
+
 def test_trusted_construction_matches_validated():
     shapes = partitions_up_to(8)
     for p in shapes:
