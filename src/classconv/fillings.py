@@ -50,7 +50,7 @@ from itertools import accumulate, combinations, permutations, product
 from typing import Iterable, Iterator
 
 from .partial_perm import PartialPermutation, _canonical_cycles, _cycles, _images
-from .partitions import Partition, _is_int
+from .partitions import Partition
 
 FILLINGS_DEFAULT_MAX = 4
 
@@ -73,7 +73,7 @@ class Filling:
             if i and len(rs[i - 1]) < len(row):
                 raise ValueError("row lengths must be weakly decreasing")
             for x in row:
-                if not _is_int(x) or x < 1:
+                if type(x) is not int or x < 1:
                     raise ValueError(f"entries must be positive integers, got {x!r}")
                 if x in seen:
                     raise ValueError(f"entry {x} repeated")
@@ -166,7 +166,7 @@ def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
     pts = sorted(points)
-    if (not all(map(_is_int, pts))
+    if (any(type(x) is not int for x in pts)
             or pts and (pts[0] < 1 or len(set(pts)) < len(pts))):
         raise ValueError(f"points must be distinct positive integers, got {pts}")
     spans = _row_spans(shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations as _itertools_perms
 from typing import Iterable, Iterator, Mapping
 
-from .partitions import Partition, _is_int
+from .partitions import Partition
 
 
 class PartialPermutation:
@@ -27,7 +27,7 @@ class PartialPermutation:
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
         m = dict(mapping)
         for x in (*m, *m.values()):
-            if not _is_int(x) or x < 1:
+            if type(x) is not int or x < 1:
                 raise ValueError(f"support points must be positive integers, got {x!r}")
         if set(m.values()) != set(m):
             raise ValueError("mapping is not a bijection of its support")

@@ -27,7 +27,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()) -> None:
         p = tuple(parts)
         for i, x in enumerate(p):
-            if not _is_int(x):
+            if type(x) is not int:
                 raise ValueError(f"partition parts must be integers, got {x!r}")
             if x < 1:
                 raise ValueError(f"partition parts must be positive, got {x}")
@@ -173,18 +173,12 @@ def partition_count(r: int) -> int:
     return len(_partitions_tuple(r))
 
 
-def _is_int(x: object) -> bool:
-    """An int and not a bool: True equals 1 and hashes as 1, but prints as
-    True, so a bool entry would pass as 1 and show as True."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _ints(values: Iterable[int], what: str) -> list[int]:
     """The values as a list, each an int: a float, Fraction or bool entry
     raises ValueError instead of being truncated or read as 0 or 1."""
     out = list(values)
     for x in out:
-        if not _is_int(x):
+        if type(x) is not int:
             raise ValueError(f"{what} must be integers, got {x!r}")
     return out
 

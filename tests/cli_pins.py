@@ -62,7 +62,7 @@ PINS: list[tuple[list[str], str]] = [
      "8 C(2,2)\n"
      "5 C(5)\n"
      "4 C(4,2)\n"),
-    # the moved-points triangle prunes (1,1,1,1) at level 4 here
+    # read off the proper pair (3)(2,2) through A_(1)
     (["mult", "--lhs", "3,1", "--rhs", "2,2"],
      "3 A(3,1)\n"
      "10 A(5)\n"

@@ -40,6 +40,10 @@ MUTANTS: list[tuple[str, str, str, str]] = [
      "for l, rest_t in _one_removed(pt)[1:]:", TOP_LEVELS),
     # level s+t-1 weighs a merged j-cycle by m_j(nu) instead of m_j(nu) + 1
     ("class_algebra.py", "j * (nu.count(j) + 1) *", "j * nu.count(j) *", TOP_LEVELS),
+    # the character levels drop the Cayley floor |deg3 sigma - deg3 tau|
+    ("class_algebra.py", "deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)",
+     "deg3s = range((d3s + d3t) % 2, d3s + d3t + 1, 2)",
+     "test_class_algebra.py::test_product_builds_only_factor_and_allowed_columns"),
     # g_table keys each pair with the larger parts tuple first
     ("class_algebra.py", "table[(b, a) if b.parts < a.parts else (a, b)]",
      "table[(a, b) if b.parts < a.parts else (b, a)]",

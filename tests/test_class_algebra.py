@@ -175,8 +175,9 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # only the levels below |sigma|+|tau|-1 of a proper pair read
     # characters, and a pair with unit parts reads only its proper pair's
     # columns; (4)(3) has deg3 3 and 2, so the sign rules out (5) and
-    # (2,2,1) at level 5; a level table built on the way reads the column of
-    # 1^m for its hooks
+    # (2,2,1) at level 5; (6)(2) has deg3 5 and 1, so the Cayley floor 4
+    # alone rules out (2,2,1,1) at level 6 (deg3 2, deg2 8 <= 8, even sign);
+    # a level table built on the way reads the column of 1^m for its hooks
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     column = characters._column
     requested = set()
@@ -192,12 +193,15 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         _expand.cache_clear()
         product_expansion(sigma, tau)
         assert not requested, (sigma, tau)
-    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(3)), (P(3, 1), P(3, 1, 1))]:
+    read = {}
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(3)), (P(6), P(2)),
+                       (P(3, 1), P(3, 1, 1))]:
         _expand.cache_clear()
         requested.clear()
         column.cache_clear()
         class_algebra._level_table.cache_clear()
         product_expansion(sigma, tau)
+        read[sigma, tau] = set(requested)
         sigma, tau = sigma.strip_ones(), tau.strip_ones()
         cap2, cap3 = deg2(sigma) + deg2(tau), deg3(sigma) + deg3(tau)
         floor3 = abs(deg3(sigma) - deg3(tau))
@@ -219,8 +223,9 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             column(parts)
         again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
-    # requested holds the columns of the last pair, whose proper pair is (3)(3)
-    assert (2, 1) not in requested and (4,) not in requested
+    assert (2, 2, 1, 1) not in read[P(6), P(2)]
+    # the proper pair of (3,1)(3,1,1) is (3)(3)
+    assert (2, 1) not in read[P(3, 1), P(3, 1, 1)] and (4,) not in read[P(3, 1), P(3, 1, 1)]
 
 
 def test_level_table_hooks_and_classes():
@@ -255,8 +260,8 @@ def test_counted_guard_reads_no_characters(monkeypatch):
 
 def test_whole_tables_obey_sign_and_cayley_triangle():
     # the counted guard prunes nothing, so this checks the conditions the
-    # production route prunes by (deg2 cap, sign, Cayley triangle and the
-    # moved-points triangle) on an independent route; for the last, ab moves
+    # production route prunes by (deg2 cap, sign and the Cayley triangle) on
+    # an independent route, and the moved-points triangle besides: ab moves
     # every point that exactly one of a, b moves and only points that a or
     # b moves, so |mv a - mv b| <= mv ab <= mv a + mv b
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
