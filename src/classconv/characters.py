@@ -2,36 +2,44 @@
 
 Characters come from the Murnaghan-Nakayama recursion over border-strip
 removals.  Each shape is encoded as a bitmask of its beta numbers, where a
-strip removal is one bead moved down to an empty position.  The one
-per-size cache here, _positions(m), maps the bead mask of each shape of
-S_m to its canonical position; labels come from enumerate_partitions in
-the same order.  The hook products that the structure-constant route
-reads, and the classes that each of its levels filters by (deg3, m_1) in
-canonical order, are class_algebra's, in its own level table; nothing
-here builds them.
+strip removal is one bead moved down to an empty position.  On top of the
+characters sit the shifted power sums p#, the shifted Schur values s*
+obtained from p# by character orthogonality, the evaluation isomorphism F,
+and the class vectors x_mu whose F-images are the s*.  The hook products
+that the structure-constant route reads, and the classes that each of its
+levels filters by (deg3, m_1) in canonical order, are class_algebra's, in
+its own level table; nothing here builds them.
 
-The one character cache is a column per cycle type: chi^lam_rho over every
-shape lam of S_|rho|, built in one loop over the shapes, a
-Murnaghan-Nakayama step each, from the cached column of rho minus its first
-part.  Single reads, the shifted evaluations and the structure-constant
-route in class_algebra all read it; CharacterTable builds its own columns
-from the cached suffix columns and does not cache them, so a dropped table
-leaves only its suffix columns behind.  dimension() uses the hook length
-formula, uncached; no production path runs it, and the tests compare
-against it.  The shifted evaluations, like class_algebra's hook products,
-read dim lam = chi^lam_{1^n} off the cached column of 1^n instead, whose
-suffixes every table and every padded class already builds.  On top of
-these sit the shifted power sums p#, the shifted Schur values s* obtained
-from p# by character orthogonality, the evaluation isomorphism F, and the
-class vectors x_mu whose F-images are the s*.
+Four caches, each read as follows:
+
+- per size, _positions(m): the bead mask of each shape of S_m mapped to
+  its canonical position (labels come from enumerate_partitions in the
+  same order).  _column walks it to build a column and looks up each
+  strip removal's result in it; _shape looks a shape up in it.
+- per cycle type, _column(rho): chi^lam_rho over every shape lam of
+  S_|rho|, built in one loop over the shapes, a Murnaghan-Nakayama step
+  each, from the cached column of rho minus its first part.  Single
+  reads, the shifted evaluations, the s* cache and the structure-constant
+  route in class_algebra all read it.  CharacterTable builds its own
+  columns from the cached suffix columns and does not cache them, so a
+  dropped table leaves only its suffix columns behind.
+- per shape, _shape(lam): lam's position among the shapes of S_|lam| and
+  dim lam = chi^lam_{1^|lam|}, read off the cached column of 1^|lam|,
+  whose suffixes every table and every padded class already builds.
+  character, p#, s*, F and the s* cache read a shape only through it, so
+  a repeated shape costs one lookup.
+- the s* cache, _s_star_weights(mu): the classes rho with chi^mu_rho != 0
+  and their weights chi^mu_rho r!/z_rho, r = |mu|, so an s* value is one
+  column read per nonzero term.  s* alone reads it.
+
+dimension() uses the hook length formula, uncached; no production path
+runs it, and the tests compare against it.
 
 The shifted evaluations run on integers and build one Fraction per
 answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
-1^(n-r)}; F sums the class vector's integer numerators over its one
-denominator.  s* keeps its own orthogonality sum, not routed through F,
-so F(x_mu) = s*_mu stays an independent check.  The s* cache holds, per
-mu, the classes rho with chi^mu_rho != 0 and their weights
-chi^mu_rho r!/z_rho, so an s* value is one column read per nonzero term.
+1^(n-r)}, with (n)_r from math.perm; F sums the class vector's integer
+numerators over its one denominator.  s* keeps its own orthogonality sum,
+not routed through F, so F(x_mu) = s*_mu stays an independent check.
 
 Everything is exact: characters are integers, evaluations are Fractions.
 """
@@ -40,10 +48,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, perm
 
 from .class_vector import ClassVector
-from .partitions import Partition, enumerate_partitions, falling_factorial
+from .partitions import Partition, enumerate_partitions
 
 
 # Each shape is held as its beta set in an int: bit lam_i + len(lam) - 1 - i
@@ -62,7 +70,7 @@ def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam on the class of cycle type rho."""
     if lam.size() != rho.size():
         raise ValueError(f"|{lam}| != |{rho}|")
-    return _column(rho.parts)[_positions(rho.size())[_beads(lam.parts)]]
+    return _column(rho.parts)[_shape(lam.parts)[0]]
 
 
 def dimension(lam: Partition) -> int:
@@ -84,6 +92,16 @@ def _positions(m: int) -> dict[int, int]:
     """The bead mask of each shape of S_m mapped to its canonical position;
     iterating the dict yields the masks in canonical order."""
     return {_beads(lam.parts): i for i, lam in enumerate(enumerate_partitions(m))}
+
+
+@cache
+def _shape(lam: tuple[int, ...]) -> tuple[int, int]:
+    """(position of lam among the shapes of S_n, dim lam), n = |lam|:
+    the position from _positions(n), dim lam = chi^lam_{1^n} from the
+    cached column of 1^n."""
+    n = sum(lam)
+    at = _positions(n)[_beads(lam)]
+    return at, _column((1,) * n)[at]
 
 
 @cache
@@ -144,7 +162,7 @@ def _shifted(parts: tuple[int, ...], n: int, at: int) -> int:
     among the shapes of S_n: the integer numerator of p#_parts(lam) over
     dim lam."""
     r = sum(parts)
-    return falling_factorial(n, r) * _column(parts + (1,) * (n - r))[at]
+    return perm(n, r) * _column(parts + (1,) * (n - r))[at]
 
 
 def p_sharp(rho: Partition, lam: Partition) -> Fraction:
@@ -152,8 +170,8 @@ def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if rho.size() > n:
         return Fraction(0)
-    at = _positions(n)[_beads(lam.parts)]
-    return Fraction(_shifted(rho.parts, n, at), _column((1,) * n)[at])
+    at, dim = _shape(lam.parts)
+    return Fraction(_shifted(rho.parts, n, at), dim)
 
 
 @cache
@@ -161,7 +179,7 @@ def _s_star_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], .
     """The s* cache: (rho, chi^mu_rho r!/z_rho) for the classes rho of S_r,
     r = |mu|, in canonical order, where chi^mu_rho != 0."""
     r = sum(mu)
-    mu_at, r_fact = _positions(r)[_beads(mu)], factorial(r)
+    mu_at, r_fact = _shape(mu)[0], factorial(r)
     weights = []
     for rho in enumerate_partitions(r):
         chi = _column(rho.parts)[mu_at]
@@ -179,12 +197,12 @@ def s_star(mu: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if r > n:
         return Fraction(0)
-    lam_at = _positions(n)[_beads(lam.parts)]
+    lam_at, dim = _shape(lam.parts)
     ones = (1,) * (n - r)
     total = 0
     for parts, weight in _s_star_weights(mu.parts):
         total += weight * _column(parts + ones)[lam_at]
-    return Fraction(falling_factorial(n, r) * total, factorial(r) * _column((1,) * n)[lam_at])
+    return Fraction(perm(n, r) * total, factorial(r) * dim)
 
 
 def F_eval(v: ClassVector, lam: Partition) -> Fraction:
@@ -199,12 +217,12 @@ def F_eval(v: ClassVector, lam: Partition) -> Fraction:
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot be evaluated "
                          f"at {lam}: its level is below |lam| = {n}")
-    at, n_fact = _positions(n)[_beads(lam.parts)], factorial(n)
+    (at, dim), n_fact = _shape(lam.parts), factorial(n)
     total = 0
     for rho, c in v.nums.items():
         if rho.size() <= n:
             total += c * _shifted(rho.parts, n, at) * (n_fact // rho.centralizer_size())
-    return Fraction(total, v.den * n_fact * _column((1,) * n)[at])
+    return Fraction(total, v.den * n_fact * dim)
 
 
 def x_mu(mu: Partition) -> ClassVector:

@@ -98,14 +98,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 from typing import Iterable
 
 from .characters import _column
-from .class_vector import ClassVector
-from .partitions import (Partition, _ints, enumerate_partitions, falling_factorial,
-                         partitions_up_to)
+from .class_vector import ClassVector, _check_level
+from .partitions import Partition, _ints, enumerate_partitions, partitions_up_to
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
@@ -200,7 +199,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
         hooks, classes = _level_table(m)
         weights = [a * b * h for a, b, h in zip(column(ps + (1,) * (m - s)),
                                                 column(pt + (1,) * (m - t)), hooks)]
-        scale = falling_factorial(m, s) * falling_factorial(m, t)
+        scale = perm(m, s) * perm(m, t)
         den = zz * factorial(m) ** 2
         m1s = range(s + t - m + 1)
         for d3, m1, mu in classes:
@@ -294,8 +293,10 @@ def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVecto
     integers over u.den v.den: a pair of numerators a, b adds a b g for
     each rho of its product expansion.  The expansion keys ascend in size,
     so each one is read only up to the first key above the truncation
-    level.  Terms that cancel to zero are dropped.
+    level.  Terms that cancel to zero are dropped.  n must be None or an
+    int >= 0 (ValueError otherwise).
     """
+    _check_level(n)
     levels = [x for x in (n, u.level, v.level) if x is not None]
     eff = min(levels) if levels else None
     out: dict[Partition, int] = {}
@@ -336,6 +337,7 @@ def _rescaled(sigma: Partition, tau: Partition, rho: Partition, zz: int, g: int)
 
 def psi_image(rho: Partition, n: int) -> tuple[int, Partition]:
     """Image of A_{rho;n} under support forgetting: a binomial times C_{rho;n}."""
+    _check_n(n)
     r = rho.size()
     if r > n:
         raise ValueError(f"|rho|={r} exceeds n={n}")
@@ -433,6 +435,7 @@ def q_polynomial(sigma: Partition, tau: Partition, rho: Partition) -> BinomialPo
 def convolve_C_classes(sigma: Partition, tau: Partition, n: int) -> ClassVector:
     """Convolution of conjugacy classes of S_n in the proper-class basis:
     the psi sum of the product expansion, the one to_C_basis runs."""
+    _check_n(n)
     if not sigma.is_proper() or not tau.is_proper():
         raise ValueError("inputs must be proper partitions")
     if sigma.size() > n or tau.size() > n:
@@ -448,10 +451,18 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
     needs, so its level must be absent or at least n (ValueError
     otherwise); terms with |rho| > n are skipped.
     """
+    _check_n(n)
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot map into "
                          f"Z(Q[S_{n}]): its level is below n = {n}")
     return _psi(v.nums.items(), v.den, n)
+
+
+def _check_n(n: int) -> None:
+    """Raise ValueError unless n is an int (not a bool) >= 0: the psi map
+    builds a vector at level n, which ClassVector's level check holds to."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
 
 
 def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVector:

@@ -15,6 +15,14 @@ from .partitions import EMPTY, Partition
 Coeff = int | Fraction
 
 
+def _check_level(level: int | None) -> None:
+    """Raise ValueError unless the truncation level is None or an int (not
+    a bool) >= 0."""
+    if level is not None and (type(level) is not int or level < 0):
+        raise ValueError(f"truncation level must be None or a nonnegative integer, "
+                         f"got {level!r}")
+
+
 class ClassVector:
     """Sparse rational combination of basis partitions.
 
@@ -28,12 +36,14 @@ class ClassVector:
     level).  `terms`, `coefficient` and `items` read them as reduced
     Fractions.  The integer sums (multiply, the psi sum, F) read `nums` and
     `den` directly and build their results through the trusted constructor
-    `_of`; the public constructor converts and checks outside input.
+    `_of`; the public constructor converts and checks outside input, the
+    level included.
     """
 
     __slots__ = ("nums", "den", "level")
 
     def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
+        _check_level(level)
         fracs = {p: Fraction(c) for p, c in terms.items() if c}
         if level is not None:
             for p in fracs:

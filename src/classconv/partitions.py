@@ -183,12 +183,4 @@ def _ints(values: Iterable[int], what: str) -> list[int]:
     return out
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """(n)_k = n (n-1) ... (n-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 EMPTY = Partition()

@@ -56,6 +56,12 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("class_algebra.py", "for c in [*range(s, s + i), *range(t, t + j)]:",
      "for c in [*range(s + 1, s + i + 1), *range(t + 1, t + j + 1)]:",
      "test_class_algebra.py::test_F_multiplicative_with_unit_parts_13_to_20"),
+    # the per-shape cache reads dim lam at position 0 instead of lam's
+    ("characters.py", "return at, _column((1,) * n)[at]", "return at, _column((1,) * n)[0]",
+     "test_characters.py::test_p_sharp"),
+    # multiply takes any truncation level, a float or a negative one included
+    ("class_algebra.py", "    _check_level(n)\n", "",
+     "test_class_algebra.py::test_multiply_level_must_be_nonnegative_int"),
     # integer inputs are truncated by int() instead of refused
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),

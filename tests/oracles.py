@@ -18,6 +18,15 @@ from classconv.fillings import Filling, canonical_filling, convolve, fillings_of
 from classconv.partitions import Partition, enumerate_partitions
 
 
+def falling_factorial(n: int, k: int) -> int:
+    """(n)_k = n (n-1) ... (n-k+1), multiplied out; the reference for the
+    math.perm that the package's shifted evaluations and level scales use."""
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
 def partitions_brute(r: int) -> set[tuple[int, ...]]:
     """All partitions of r by unordered recursive splitting."""
     if r == 0:

@@ -9,11 +9,10 @@ from classconv.characters import (CharacterTable, F_eval, character, dimension,
                                   p_sharp, s_star, x_mu)
 from classconv.class_algebra import ClassVector, multiply
 from classconv.partial_perm import enumerate_semigroup
-from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
-                                  falling_factorial, partitions_up_to)
+from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import SemigroupAlgebraElement, class_element
 from classconv.verify import suite_homomorphism
-from oracles import (character_beta_tuples, character_table_bruteforce,
+from oracles import (character_beta_tuples, character_table_bruteforce, falling_factorial,
                      skew_syt_count_brute, syt_count_brute)
 
 P = lambda *parts: Partition(parts)

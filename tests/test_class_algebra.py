@@ -12,11 +12,10 @@ from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      g_table, multiply, product_expansion,
                                      psi_image, q_polynomial, to_C_basis)
 from classconv.filtrations import DegreeFunction
-from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
-                                  falling_factorial, partitions_up_to)
+from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import class_element, truncate
 from classconv.verify import _counting_cost, oracle_convolve, product_expansion_counted
-from oracles import character_beta_tuples
+from oracles import character_beta_tuples, falling_factorial
 
 P = lambda *parts: Partition(parts)
 
@@ -480,6 +479,35 @@ def test_F_multiplicative_with_unit_parts_13_to_20(case):
                                          * _F_beta_tuples({tau: 1}, lam)), (sigma, tau, lam)
 
 
+def _proper_of(size):
+    return [p for p in enumerate_partitions(size) if p.is_proper()]
+
+
+@st.composite
+def _proper_pair_17_to_20(draw):
+    # a proper pair of total 17..20 runs every character level of _expand;
+    # lam has max(|sigma|, |tau|) <= |lam| <= |sigma| + |tau|
+    total = draw(st.integers(min_value=17, max_value=20))
+    s = draw(st.sampled_from([s for s in range(total + 1)
+                              if _proper_of(s) and _proper_of(total - s)]))
+    sigma = draw(st.sampled_from(_proper_of(s)))
+    tau = draw(st.sampled_from(_proper_of(total - s)))
+    n = draw(st.integers(min_value=max(s, total - s), max_value=total))
+    return sigma, tau, draw(st.sampled_from(enumerate_partitions(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_proper_pair_17_to_20())
+def test_F_multiplicative_on_proper_pairs_17_to_20(case):
+    # beyond test_top_levels_match_characters_13_to_16, at full depth, against
+    # characters from beta tuples, which read no _column
+    sigma, tau, lam = case
+    prod = product_expansion(sigma, tau)
+    assert list(prod) == sorted(prod, key=Partition.sort_key)
+    assert _F_beta_tuples(prod, lam) == (_F_beta_tuples({sigma: 1}, lam)
+                                         * _F_beta_tuples({tau: 1}, lam)), (sigma, tau, lam)
+
+
 small = st.sampled_from(partitions_up_to(4))
 
 
@@ -789,6 +817,43 @@ def test_to_C_basis_refuses_level_below_n():
         to_C_basis(v, 4)
     assert to_C_basis(v, 3) == convolve_C_classes(P(2), P(2), 3)
     assert to_C_basis(v, 2) == oracle_convolve(P(2), P(2), 2)
+
+
+NOT_LEVELS = [2.5, 2.0, -3, True, False, Fraction(2)]
+
+
+@pytest.mark.parametrize("level", NOT_LEVELS)
+def test_class_vector_level_must_be_nonnegative_int(level):
+    with pytest.raises(ValueError, match="truncation level must be None or a nonnegative"):
+        ClassVector({P(1): 1}, level=level)
+    assert ClassVector({}, level=0).level == 0
+
+
+@pytest.mark.parametrize("n", NOT_LEVELS)
+def test_multiply_level_must_be_nonnegative_int(n):
+    u = ClassVector.basis(P(2))
+    with pytest.raises(ValueError, match="truncation level must be None or a nonnegative"):
+        multiply(u, u, n=n)
+    assert multiply(u, u, n=2) == ClassVector({P(1, 1): 1})
+    assert multiply(u, u, n=0).is_zero()
+
+
+@pytest.mark.parametrize("n", [True, 4.0, Fraction(4), -1])
+def test_convolve_C_classes_n_must_be_nonnegative_int(n):
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        convolve_C_classes(EMPTY, EMPTY, n)
+
+
+@pytest.mark.parametrize("n", [True, 4.0, Fraction(4), -1])
+def test_to_C_basis_n_must_be_nonnegative_int(n):
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        to_C_basis(ClassVector.basis(P(2)), n)
+
+
+@pytest.mark.parametrize("n", [True, 4.0, Fraction(4), -1])
+def test_psi_image_n_must_be_nonnegative_int(n):
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        psi_image(P(1), n)
 
 
 def test_class_vector_basics():

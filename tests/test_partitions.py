@@ -1,13 +1,12 @@
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from classconv.partitions import (EMPTY, Partition, enumerate_partitions,
-                                  falling_factorial, partition_count,
+from classconv.partitions import (EMPTY, Partition, enumerate_partitions, partition_count,
                                   partitions_up_to)
-from oracles import partitions_brute
+from oracles import falling_factorial, partitions_brute
 
 P = lambda *parts: Partition(parts)
 
@@ -175,3 +174,5 @@ def test_falling_factorial():
     assert falling_factorial(5, 2) == 20
     assert falling_factorial(3, 5) == 0
     assert falling_factorial(7, 3) == 7 * 6 * 5
+    # the math.perm that the package reads (n)_k from
+    assert all(falling_factorial(n, k) == perm(n, k) for n in range(13) for k in range(15))
