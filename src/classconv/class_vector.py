@@ -15,6 +15,14 @@ from .partitions import EMPTY, Partition
 Coeff = int | Fraction
 
 
+def _coeff(c: Coeff) -> Fraction:
+    """c as a Fraction; ValueError unless c is an int (not a bool) or a
+    Fraction, so a float coefficient is refused instead of read in binary."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise ValueError(f"coefficients must be integers or Fractions, got {c!r}")
+    return Fraction(c)
+
+
 def _check_level(level: int | None) -> None:
     """Raise ValueError unless the truncation level is None or an int (not
     a bool) >= 0."""
@@ -44,7 +52,7 @@ class ClassVector:
 
     def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
         _check_level(level)
-        fracs = {p: Fraction(c) for p, c in terms.items() if c}
+        fracs = {p: f for p, c in terms.items() if (f := _coeff(c))}
         if level is not None:
             for p in fracs:
                 if p.size() > level:
@@ -104,7 +112,7 @@ class ClassVector:
         return ClassVector._of(out, den, level)
 
     def __rmul__(self, scalar: Coeff) -> "ClassVector":
-        s = Fraction(scalar)
+        s = _coeff(scalar)
         return ClassVector._of({p: c * s.numerator for p, c in self.nums.items()},
                                self.den * s.denominator, self.level)
 

@@ -52,6 +52,8 @@ from typing import Iterable, Iterator
 from .partial_perm import PartialPermutation, _canonical_cycles, _cycles, _images
 from .partitions import Partition
 
+# the default of max(|sigma|, |tau|) for the fillings-count subcommand and
+# the fillings suite; enumerate_F itself takes any size
 FILLINGS_DEFAULT_MAX = 4
 
 
@@ -200,16 +202,14 @@ def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filli
         yield from _fillings_of_cycles(list(pp.cycles()))
 
 
-def enumerate_F(sigma: Partition, tau: Partition, rho: Partition,
-                max_size: int = FILLINGS_DEFAULT_MAX) -> list[tuple[Filling, Filling]]:
+def enumerate_F(sigma: Partition, tau: Partition,
+                rho: Partition) -> list[tuple[Filling, Filling]]:
     """All pairs (S, T) of shapes (sigma, tau) whose convolution is the
     canonical filling of rho, built as the module docstring argues, so
     that none is convolved.  There are no pairs unless
-    max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.
+    max(|sigma|, |tau|) <= |rho| <= |sigma| + |tau|.  Any sizes are
+    enumerated; the cost grows with the S-fillings of sigma on {1..|rho|}.
     """
-    if sigma.size() > max_size or tau.size() > max_size:
-        raise ValueError(
-            f"filling enumeration size exceeds bound {max_size}; raise max_size explicitly")
     r = rho.size()
     if not max(sigma.size(), tau.size()) <= r <= sigma.size() + tau.size():
         return []

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .class_algebra import g_table
 from .partitions import Partition, _ints
 
-FILTRATION_DEFAULT_MAX_BOUND = 5
+FILTRATION_DEFAULT_BOUND = 5
 
 
 class DegreeFunction:
@@ -91,17 +91,13 @@ class Violation:
 
 
 def check_filtration(theta: DegreeFunction,
-                     bound: int = FILTRATION_DEFAULT_MAX_BOUND, *,
-                     max_bound: int = FILTRATION_DEFAULT_MAX_BOUND) -> list[Violation]:
+                     bound: int = FILTRATION_DEFAULT_BOUND) -> list[Violation]:
     """Scan all sigma, tau up to the size bound for filtration violations.
 
-    Consumes the cached structure-constant table; every rho with a nonzero
-    constant is tested against theta(sigma) + theta(tau).
+    Consumes the cached structure-constant table g_table(bound), at any
+    bound; every rho with a nonzero constant is tested against
+    theta(sigma) + theta(tau).
     """
-    if bound > max_bound:
-        raise ValueError(
-            f"scan bound {bound} exceeds configured maximum {max_bound}; "
-            "raise max_bound to override")
     out = []
     for (sigma, tau), expansion in sorted(
             g_table(bound).items(),

@@ -153,8 +153,16 @@ def _partitions_tuple(r: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _gen_parts(r, r if r else 1))
 
 
+def _check_int_size(r: int) -> None:
+    """Raise ValueError unless r is an int, as Partition requires of its
+    parts: the cache would read True as 1."""
+    if type(r) is not int:
+        raise ValueError(f"partition size must be an integer, got {r!r}")
+
+
 def enumerate_partitions(r: int) -> list[Partition]:
     """All partitions of r, reverse-lexicographically, each exactly once."""
+    _check_int_size(r)
     if r < 0:
         raise ValueError("cannot partition a negative integer")
     return list(_partitions_tuple(r))
@@ -162,6 +170,7 @@ def enumerate_partitions(r: int) -> list[Partition]:
 
 def partitions_up_to(r: int) -> list[Partition]:
     """All partitions of 0, 1, ..., r in canonical order."""
+    _check_int_size(r)
     out: list[Partition] = []
     for k in range(r + 1):
         out.extend(_partitions_tuple(k))
@@ -170,6 +179,7 @@ def partitions_up_to(r: int) -> list[Partition]:
 
 def partition_count(r: int) -> int:
     """p(r), the number of partitions of r."""
+    _check_int_size(r)
     return len(_partitions_tuple(r))
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
-from .class_vector import Coeff
+from .class_vector import Coeff, _coeff
 from .partial_perm import PartialPermutation, enumerate_class
 from .partitions import Partition, partition_count
 
@@ -24,7 +24,7 @@ from .partitions import Partition, partition_count
 def _clean(terms: Mapping[PartialPermutation, Coeff]) -> dict[PartialPermutation, Fraction]:
     out = {}
     for pp, c in terms.items():
-        c = Fraction(c)
+        c = _coeff(c)
         if c:
             out[pp] = c
     return out
@@ -59,8 +59,8 @@ class _Element:
         return self + (-1) * other
 
     def __rmul__(self, scalar: Coeff):
-        return type(self)({pp: Fraction(scalar) * c for pp, c in self.terms.items()},
-                          self._ambient)
+        s = _coeff(scalar)
+        return type(self)({pp: s * c for pp, c in self.terms.items()}, self._ambient)
 
     def __mul__(self, other):
         """Bilinear extension of the semigroup product."""

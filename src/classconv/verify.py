@@ -138,18 +138,15 @@ def product_expansion_counted(sigma: Partition, tau: Partition) -> dict[Partitio
     return out
 
 
-def oracle_convolve(sigma: Partition, tau: Partition, n: int,
-                    bound: int = ORACLE_DEFAULT_BOUND) -> ca.ClassVector:
+def oracle_convolve(sigma: Partition, tau: Partition, n: int) -> ca.ClassVector:
     """Convolve the psi images by explicit enumeration over S_n.
 
     Independent of the structure-constant engine: builds both class sums
     as explicit permutation lists, multiplies term by term, buckets the
     result by cycle type, and reads off proper-class coefficients.  Cost
-    is the product of the two class sizes, so n is capped.
+    is the product of the two class sizes, which grows like n! per factor;
+    suite_oracle's bound, which verify --max-size raises, is what limits n.
     """
-    if n > bound:
-        raise ValueError(
-            f"oracle bound exceeded: n={n} > {bound} (cost grows like n! per factor)")
     if sigma.size() > n or tau.size() > n:
         return ca.ClassVector({}, n)
     # padded to size n, each class is a set of permutations of {1..n}
@@ -251,7 +248,7 @@ def suite_oracle(max_total: int = ORACLE_DEFAULT_BOUND) -> list[Check]:
                     via_g = ca.to_C_basis(
                         ca.multiply(ca.ClassVector.basis(sigma),
                                     ca.ClassVector.basis(tau), n=n), n)
-                    via_oracle = oracle_convolve(sigma, tau, n, bound=max_total)
+                    via_oracle = oracle_convolve(sigma, tau, n)
                     pairs += 1
                     if (via_g != via_oracle
                             or list(ca.product_expansion(sigma, tau).items())
@@ -288,8 +285,7 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
                     for r in range(max(ssz, tsz), ssz + tsz + 1):
                         for rho in enumerate_partitions(r):
                             triples += 1
-                            found = len(enumerate_F(sigma, tau, rho,
-                                                    max_size=max_size))
+                            found = len(enumerate_F(sigma, tau, rho))
                             if found != ca.f_constant(sigma, tau, rho):
                                 bad.append((sigma, tau, rho))
             checks.append(_failures(f"|F| = f for |sigma|={ssz}, |tau|={tsz}", bad,
@@ -343,7 +339,7 @@ def suite_homomorphism(max_factor: int = 4) -> list[Check]:
     return checks
 
 
-def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> list[Check]:
+def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_BOUND) -> list[Check]:
     # the production route skips the classes that deg2, deg3, parity and the
     # Cayley triangle rule out, and reads pairs with unit parts off their
     # proper pairs, so the scans below would hold by construction unless
@@ -365,12 +361,12 @@ def suite_filtrations(bound: int = fl.FILTRATION_DEFAULT_MAX_BOUND) -> list[Chec
         theta = fl.DegreeFunction.theta_J(J)
         named.append((theta.label(), theta))
     for label, theta in named:
-        violations = fl.check_filtration(theta, bound, max_bound=bound)
+        violations = fl.check_filtration(theta, bound)
         checks.append(Check(f"{label} is a filtration at bound {bound}",
                             not violations,
                             "" if not violations else violations[0].line()))
     bad_theta = fl.DegreeFunction.additive((0,) + (1,) * (2 * bound - 1))
-    violations = fl.check_filtration(bad_theta, bound, max_bound=bound)
+    violations = fl.check_filtration(bad_theta, bound)
     target = (Partition((4,)), Partition((5,)), Partition((2, 2, 2)))
     hit = any((v.sigma, v.tau, v.rho) == target or (v.tau, v.sigma, v.rho) == target
               for v in violations)

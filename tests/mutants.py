@@ -65,6 +65,16 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # integer inputs are truncated by int() instead of refused
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),
+    # partition enumeration reads a bool size as 0 or 1 and fails on a float
+    ("partitions.py", "if type(r) is not int:", "if False:",
+     "test_partitions.py::test_partition_sizes_must_be_integers"),
+    # class-vector and semigroup coefficients take floats and bools
+    ("class_vector.py", "if type(c) is not int and not isinstance(c, Fraction):", "if False:",
+     "test_class_algebra.py::test_class_vector_coefficients_must_be_int_or_fraction"),
+    # fillings-count runs at any size: the CLI is the only size guard
+    ("cli.py",
+     '    _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)",\n'
+     "                FILLINGS_DEFAULT_MAX)\n", "", "test_cli.py::test_usage_errors"),
 ]
 
 

@@ -769,9 +769,8 @@ def test_oracle_examples():
     want = ClassVector({EMPTY: 40, P(3): 10, P(2, 2): 8, P(5): 5, P(3, 3): 2})
     assert oracle_convolve(P(3), P(3), 6) == want
     assert oracle_convolve(EMPTY, P(2), 3) == to_C_basis(ClassVector.basis(P(2)), 3)
-    with pytest.raises(ValueError):
-        oracle_convolve(P(2), P(2), 8)
-    assert oracle_convolve(P(2), P(2), 8, bound=8) is not None
+    assert oracle_convolve(P(3), P(3), 8) == to_C_basis(
+        multiply(ClassVector.basis(P(3)), ClassVector.basis(P(3)), n=8), 8)
 
 
 def test_oracle_skips_oversized_classes():
@@ -882,6 +881,16 @@ def _assert_canonical(v):
     assert all(type(c) is int and c for c in v.nums.values()), v
     assert all(type(c) is Fraction for c in v.terms.values()), v
     assert ClassVector(v.terms, v.level) == v, v
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 0.0, True, False])
+def test_class_vector_coefficients_must_be_int_or_fraction(c):
+    # a float would be read in binary and a bool as 0 or 1
+    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+        ClassVector({P(2): c})
+    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+        c * ClassVector.basis(P(2))
+    assert ClassVector({P(2): Fraction(1, 10)}) == Fraction(1, 10) * ClassVector.basis(P(2))
 
 
 def test_class_vector_canonical_form():

@@ -179,13 +179,6 @@ def test_usage_errors(capsys):
     assert code == 2 and "unknown suite" in err
 
 
-def test_oracle_bound_error_message():
-    from classconv.verify import oracle_convolve
-    from classconv.partitions import Partition
-    with pytest.raises(ValueError, match="oracle bound exceeded"):
-        oracle_convolve(Partition((2,)), Partition((2,)), 9)
-
-
 def test_verify_suites_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "section6")
     assert code == 0

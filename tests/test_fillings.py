@@ -182,7 +182,7 @@ def test_enumerate_F_fast_matches_naive():
     triples = list(_triples(5, total=5))
     assert len(triples) == 588
     for sigma, tau, rho in triples:
-        assert _pair_strings(enumerate_F(sigma, tau, rho, max_size=5)) == _pair_strings(
+        assert _pair_strings(enumerate_F(sigma, tau, rho)) == _pair_strings(
             enumerate_F_naive(sigma, tau, rho)), (sigma, tau, rho)
     spot = [(P(3), P(2), P(4)), (P(2, 1), P(2), P(2, 2, 1)), (P(3), P(3), P(2, 2))]
     for sigma, tau, rho in spot:
@@ -284,9 +284,8 @@ def test_enumerate_F_out_of_range_rho_enumerates_nothing(monkeypatch):
 
 
 def test_enumerate_F_bound_guard():
-    with pytest.raises(ValueError):
-        enumerate_F(P(5), P(2), P(5, 2))
-    assert len(enumerate_F(P(5), P(2), P(5, 2), max_size=5)) == f_constant(
+    # above the CLI's default bound 4 the library still counts
+    assert len(enumerate_F(P(5), P(2), P(5, 2))) == f_constant(
         P(5), P(2), P(5, 2))
 
 

@@ -104,9 +104,16 @@ def test_scan_lists_violations_in_canonical_order():
     assert check_filtration(cycle_count, 5)
 
 
-def test_bound_guard():
-    with pytest.raises(ValueError):
-        check_filtration(DegreeFunction.deg1(), 6)
+def test_scan_above_the_default_bound():
+    # the library takes any bound; at 6 the scan still lists the violations
+    # of the reference order, and only the cycle-count degree has any
+    cycle_count = DegreeFunction.additive((0,) + (1,) * 11)
+    counts = []
+    for theta in [DEG1, DEG2, DEG3, cycle_count]:
+        violations = check_filtration(theta, 6)
+        assert violations == _check_filtration_sorting_everything(theta, 6), theta.label()
+        counts.append(len(violations))
+    assert counts == [0, 0, 0, 62]
 
 
 def test_gamma_inequalities_pass_for_examples():

@@ -105,6 +105,17 @@ def test_enumerate_partitions():
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("r", [True, False, 2.0])
+def test_partition_sizes_must_be_integers(r):
+    # True equals and hashes as 1, so a cached enumeration would read it as 1
+    from classconv.characters import CharacterTable
+    from classconv.class_algebra import g_table
+    for build in (enumerate_partitions, partitions_up_to, partition_count,
+                  CharacterTable, g_table):
+        with pytest.raises(ValueError, match="partition size must be an integer"):
+            build(r)
+
+
 def test_enumeration_against_brute_force():
     for r in range(9):
         got = {p.parts for p in enumerate_partitions(r)}

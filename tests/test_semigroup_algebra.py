@@ -38,6 +38,19 @@ def test_unit_and_single_terms():
     assert coeff == 1 and pp == PartialPermutation.from_cycles([(1, 2, 3)])
 
 
+@pytest.mark.parametrize("c", [0.1, 1.0, True])
+def test_coefficients_must_be_int_or_fraction(c):
+    pp = PartialPermutation.from_cycles([(1, 2)])
+    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+        SemigroupAlgebraElement({pp: c}, 2)
+    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+        GroupAlgebraElement({pp: c}, [1, 2])
+    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
+        c * SemigroupAlgebraElement.basis(pp, 2)
+    half = Fraction(1, 2) * SemigroupAlgebraElement.basis(pp, 2)
+    assert half.terms == {pp: Fraction(1, 2)}
+
+
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         SemigroupAlgebraElement.unit(2) * SemigroupAlgebraElement.unit(3)
