@@ -29,8 +29,8 @@ A proper pair reads the levels below s + t - 1 off characters of
 symmetric groups: at each such level column orthogonality of the
 character table of S_m gives, for every mu of size m, the integer
 
-    T_m(mu) = (m)_s (m)_t sum_lam chi^lam_mu chi^lam_{sigma 1^(m-s)}
-              chi^lam_{tau 1^(m-t)} H_lam / (z_sigma z_tau (m!)^2)
+    T_m(mu) = sum_lam chi^lam_mu chi^lam_{sigma 1^(m-s)} chi^lam_{tau 1^(m-t)}
+              H_lam / (z_sigma z_tau (m-s)! (m-t)!)
             = sum_j C(m_1(mu), j) g^{mu minus j unit parts},
 
 with H_lam = m!/dim lam the hook product.  Peeling off the lower levels
@@ -39,14 +39,23 @@ leaves a remainder raises RuntimeError instead of rounding.  Cost follows
 the character columns built, not s + t.
 
 At the two top levels, the largest ones, the supports of the two factors
-meet in at most one point, and counting pairs gives the constants in
-closed form, in integers with no division and no characters (_expand has
-the derivation).  At s + t the supports are disjoint, and the only class
-is sigma u tau, with g = prod_i C(m_i(sigma) + m_i(tau), m_i(sigma)) =
-z_{sigma u tau} / (z_sigma z_tau).  At s + t - 1 one cycle of each factor
-runs through the common point, and the two merge into one cycle: the
-join half of cut and join.  A product with a factor 1^k, such as the
-unit or A_(1), reads no character at all.
+meet in at most one point, and one count gives the constants with no
+characters.  On a fixed m-set, the pairs (a, b) of types sigma, tau whose
+supports cover it and whose product has type mu number
+m! N_mu / (z_sigma z_tau); dividing by the m!/z_mu elements of type mu
+there gives
+
+    g^mu = z_mu N_mu / (z_sigma z_tau).
+
+At m = s + t the supports are disjoint: all C(m, s) (s!/z_sigma)
+(t!/z_tau) pairs have type sigma u tau, and N = 1.  At m = s + t - 1 they
+share one point x, and the cycles of a and b through x join into one: a
+k-cycle and an l-cycle give a (k + l - 1)-cycle, the join half of cut and
+join.  A given k-cycle of a and l-cycle of b hold x in
+m! k l / (z_sigma z_tau) of the pairs, so N_mu sums k l over the pairs of
+positions, one part of sigma and one of tau, whose join gives mu.  The
+division is exact, a remainder raising RuntimeError.  A product with a
+factor 1^k, such as the unit or A_(1), reads no character at all.
 
 Only the allowed mu are evaluated: g^mu vanishes unless deg2(mu) =
 |mu| + m_1(mu) is at most deg2(sigma) + deg2(tau) (the paper's filtration
@@ -84,8 +93,8 @@ that runs them: the counted guard fixes one factor and enumerates the
 other, so it finds every nonzero g^mu and checks the values and the
 pruning together; a brute-force group-algebra convolution checks the psi
 images.  The production route never consults them, and this module does
-not import partial_perm.  The closed-form top levels reach sizes where
-the counted guard does not, so the tests also pin them against the
+not import partial_perm.  The two top levels reach sizes where the
+counted guard does not, so the tests also pin them against the
 character sum of each of their classes and, for A_(2) A_nu, against
 cut-and-join counts of transpositions; and they pin products with unit
 parts there by F-multiplicativity on characters from beta tuples.
@@ -98,13 +107,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, perm
+from math import comb, factorial
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .characters import _column
 from .class_vector import ClassVector, _check_level
-from .partitions import Partition, _ints, enumerate_partitions, partitions_up_to
+from .partitions import Partition, _check_int, _ints, enumerate_partitions, partitions_up_to
 
 # ---------------------------------------------------------------------------
 # the structure-constant route
@@ -144,20 +153,12 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     A division that leaves a remainder raises RuntimeError instead of
     rounding.
 
-    The two top levels are closed forms in integers, with no division.
-    With D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b):
-
-    - Level s + t - 1 (s, t >= 1): the supports meet in one point x, and
-      the k-cycle of a and the l-cycle of b through x merge into one
-      j-cycle, j = k + l - 1.  On a fixed m-set, m C(m-1, s-1) (s!/z_sigma)
-      (t!/z_tau) pairs meet in one point; a share k m_k(sigma)/s of them
-      put x in a k-cycle of a and l m_l(tau)/t in an l-cycle of b.
-      Dividing by the m!/z_mu elements of type mu leaves, for each
-      distinct part k of sigma and l of tau, with sigma' = sigma minus k,
-      tau' = tau minus l and nu = sigma' u tau', the term
-      j (m_j(nu) + 1) D(sigma', tau') on g^{nu u (j)}.
-    - Level s + t: the supports are disjoint, so the only class is
-      sigma u tau, with g = D(sigma, tau).
+    The two top levels read no characters: every position of a part k of
+    sigma and a part l of tau adds k l to N_mu, mu = (sigma minus k) u
+    (tau minus l) u (k + l - 1), at level s + t - 1; sigma u tau has
+    N = 1 at level s + t; and g^mu = z_mu N_mu / (z_sigma z_tau) (module
+    docstring).  Every division in _expand goes through _inexact on a
+    remainder.
     """
     ps, pt = sigma.parts, tau.parts
     i, j = ps.count(1), pt.count(1)
@@ -182,8 +183,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
             for a, x in enumerate(chain):
                 g, rem = divmod(x, den)
                 if rem:
-                    raise RuntimeError(f"non-integral class coefficient for {sigma}, "
-                                       f"{tau} -> {bar + (1,) * a}: internal bug")
+                    _inexact(sigma, tau, bar + (1,) * a)
                 if g:
                     terms[bar + (1,) * a] = g
         # canonical order: ascending size, reverse-lexicographic within a size
@@ -199,48 +199,39 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
         hooks, classes = _level_table(m)
         weights = [a * b * h for a, b, h in zip(column(ps + (1,) * (m - s)),
                                                 column(pt + (1,) * (m - t)), hooks)]
-        scale = perm(m, s) * perm(m, t)
-        den = zz * factorial(m) ** 2
+        den = zz * factorial(m - s) * factorial(m - t)
         m1s = range(s + t - m + 1)
         for d3, m1, mu in classes:
             if d3 not in deg3s or m1 not in m1s:
                 continue
-            g, rem = divmod(scale * sum(map(mul, column(mu.parts), weights)), den)
+            g, rem = divmod(sum(map(mul, column(mu.parts), weights)), den)
             if rem:
-                raise RuntimeError(
-                    f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
+                _inexact(sigma, tau, mu)
             lower = found.setdefault(mu.parts[:len(mu.parts) - m1], [])
             for k, h in lower:
                 g -= comb(m1, k) * h
             if g:
                 lower.append((m1, g))
                 out[mu] = g
-    if s and t:
-        merged: dict[tuple[int, ...], int] = {}
-        for k, rest_s in _one_removed(ps):
-            for l, rest_t in _one_removed(pt):
-                j, nu = k + l - 1, rest_s + rest_t
-                mu = tuple(sorted(nu + (j,), reverse=True))
-                merged[mu] = merged.get(mu, 0) + j * (nu.count(j) + 1) * _binomials(rest_s, rest_t)
-        for mu in sorted(merged, reverse=True):
-            out[Partition._of(mu)] = merged[mu]
-    out[Partition._of(tuple(sorted(ps + pt, reverse=True)))] = _binomials(ps, pt)
+    counts = {tuple(sorted(ps + pt, reverse=True)): 1}
+    for a, k in enumerate(ps):
+        rest = ps[:a] + ps[a + 1:]
+        for b, l in enumerate(pt):
+            mu = tuple(sorted(rest + pt[:b] + pt[b + 1:] + (k + l - 1,), reverse=True))
+            counts[mu] = counts.get(mu, 0) + k * l
+    for parts in sorted(sorted(counts, reverse=True), key=sum):
+        mu = Partition._of(parts)
+        g, rem = divmod(mu.centralizer_size() * counts[parts], zz)
+        if rem:
+            _inexact(sigma, tau, mu)
+        out[mu] = g
     return out
 
 
-def _one_removed(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """(k, parts minus one k) for each distinct part k."""
-    return [(k, parts[:i] + parts[i + 1:]) for i, k in enumerate(parts)
-            if not i or parts[i - 1] != k]
-
-
-def _binomials(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """D(a, b) = prod_i C(m_i(a) + m_i(b), m_i(a)) = z_{a u b} / (z_a z_b)."""
-    d = 1
-    for i in set(a):
-        x = a.count(i)
-        d *= comb(x + b.count(i), x)
-    return d
+def _inexact(sigma: Partition, tau: Partition, mu: object) -> NoReturn:
+    """Raise for a division in _expand that leaves a remainder: the route
+    never rounds."""
+    raise RuntimeError(f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")
 
 
 def product_expansion(sigma: Partition, tau: Partition) -> dict[Partition, int]:
@@ -366,6 +357,9 @@ class BinomialPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, n: int) -> int:
+        """q(n); n must be an int (not a bool) of at least |base| (ValueError
+        otherwise)."""
+        _check_int(n, "evaluation point")
         r = self.base.size()
         if n < r:
             raise ValueError(f"evaluation point {n} below |base|={r}")

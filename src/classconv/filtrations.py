@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .class_algebra import g_table
-from .partitions import Partition, _ints
+from .partitions import Partition, _check_int, _ints
 
 FILTRATION_DEFAULT_BOUND = 5
 
@@ -122,6 +122,13 @@ class GammaViolation:
         return f"rule {self.rule} at ({idx}): {self.lhs} > {self.rhs}"
 
 
+def _check_K(K: int) -> None:
+    """Raise ValueError unless K is an int (not a bool) of at least 1."""
+    _check_int(K, "K")
+    if K < 1:
+        raise ValueError("K must be at least 1")
+
+
 def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolation]:
     """Check the numbered inequality families on gamma_1..gamma_K.
 
@@ -132,8 +139,7 @@ def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolatio
     gamma_{2k+1} <= 2 gamma_{k+1}.
     """
     g = _ints(gamma, "gamma entries")
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    _check_K(K)
     if len(g) < K:
         raise ValueError(f"need at least K={K} entries, got {len(g)}")
 
@@ -170,8 +176,7 @@ def limit_ratio(gamma: Sequence[int], K: int) -> Fraction:
     artifact never claims to reach.
     """
     g = _ints(gamma, "gamma entries")
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    _check_K(K)
     if len(g) < K + 1:
         raise ValueError(f"need at least K+1={K + 1} entries, got {len(g)}")
     return min(Fraction(g[k], k) for k in range(1, K + 1))

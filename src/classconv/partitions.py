@@ -153,16 +153,17 @@ def _partitions_tuple(r: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _gen_parts(r, r if r else 1))
 
 
-def _check_int_size(r: int) -> None:
-    """Raise ValueError unless r is an int, as Partition requires of its
-    parts: the cache would read True as 1."""
-    if type(r) is not int:
-        raise ValueError(f"partition size must be an integer, got {r!r}")
+def _check_int(value: int, what: str) -> None:
+    """Raise ValueError unless value is an int, as Partition requires of
+    its parts: a bool would be read as 0 or 1 (a cache too keys True as 1),
+    and a float would fail later with TypeError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def enumerate_partitions(r: int) -> list[Partition]:
     """All partitions of r, reverse-lexicographically, each exactly once."""
-    _check_int_size(r)
+    _check_int(r, "partition size")
     if r < 0:
         raise ValueError("cannot partition a negative integer")
     return list(_partitions_tuple(r))
@@ -170,7 +171,7 @@ def enumerate_partitions(r: int) -> list[Partition]:
 
 def partitions_up_to(r: int) -> list[Partition]:
     """All partitions of 0, 1, ..., r in canonical order."""
-    _check_int_size(r)
+    _check_int(r, "partition size")
     out: list[Partition] = []
     for k in range(r + 1):
         out.extend(_partitions_tuple(k))
@@ -179,7 +180,7 @@ def partitions_up_to(r: int) -> list[Partition]:
 
 def partition_count(r: int) -> int:
     """p(r), the number of partitions of r."""
-    _check_int_size(r)
+    _check_int(r, "partition size")
     return len(_partitions_tuple(r))
 
 

@@ -35,11 +35,17 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # class vectors skip reducing to lowest terms
     ("class_vector.py", "g = gcd(den, *nums.values())", "g = 1",
      "test_class_algebra.py::test_class_vector_canonical_form"),
-    # level s+t-1 drops the (k, l) terms of tau's first distinct part
-    ("class_algebra.py", "for l, rest_t in _one_removed(pt):",
-     "for l, rest_t in _one_removed(pt)[1:]:", TOP_LEVELS),
-    # level s+t-1 weighs a merged j-cycle by m_j(nu) instead of m_j(nu) + 1
-    ("class_algebra.py", "j * (nu.count(j) + 1) *", "j * nu.count(j) *", TOP_LEVELS),
+    # level s+t-1 drops the joins through tau's first cycle
+    ("class_algebra.py", "for b, l in enumerate(pt):", "for b, l in enumerate(pt[1:], 1):",
+     TOP_LEVELS),
+    # level s+t-1 weighs a join by k+l-1 instead of k l
+    ("class_algebra.py", "counts.get(mu, 0) + k * l", "counts.get(mu, 0) + k + l - 1",
+     TOP_LEVELS),
+    # level s+t counts sigma u tau twice
+    ("class_algebra.py", "reverse=True)): 1}", "reverse=True)): 2}", TOP_LEVELS),
+    # the character levels divide by (m-s)!^2 instead of (m-s)!(m-t)!
+    ("class_algebra.py", "factorial(m - s) * factorial(m - t)",
+     "factorial(m - s) * factorial(m - s)", TOP_LEVELS),
     # the character levels drop the Cayley floor |deg3 sigma - deg3 tau|
     ("class_algebra.py", "deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)",
      "deg3s = range((d3s + d3t) % 2, d3s + d3t + 1, 2)",
@@ -66,8 +72,11 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),
     # partition enumeration reads a bool size as 0 or 1 and fails on a float
-    ("partitions.py", "if type(r) is not int:", "if False:",
+    ("partitions.py", "if type(value) is not int:", "if False:",
      "test_partitions.py::test_partition_sizes_must_be_integers"),
+    # the gamma checks read K = True as 1 and fail on a float K with TypeError
+    ("filtrations.py", '    _check_int(K, "K")\n', "",
+     "test_filtrations.py::test_K_and_evaluation_point_must_be_integers"),
     # class-vector and semigroup coefficients take floats and bools
     ("class_vector.py", "if type(c) is not int and not isinstance(c, Fraction):", "if False:",
      "test_class_algebra.py::test_class_vector_coefficients_must_be_int_or_fraction"),

@@ -20,7 +20,8 @@ from classconv.partitions import Partition, enumerate_partitions
 
 def falling_factorial(n: int, k: int) -> int:
     """(n)_k = n (n-1) ... (n-k+1), multiplied out; the reference for the
-    math.perm that the package's shifted evaluations and level scales use."""
+    math.perm that the package's shifted evaluations use, and the level
+    scale of the tests' character sums."""
     out = 1
     for i in range(k):
         out *= n - i

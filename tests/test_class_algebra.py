@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -92,6 +93,28 @@ def test_g_naive_spot_checks_larger():
         assert product_expansion_counted(sigma, tau).get(rho, 0) == want
 
 
+def _digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_route_pinned_bit_for_bit():
+    # every ordered pair with |sigma| + |tau| <= 12 (3132), each with its
+    # keys in order, and the 927 keys of (5,4,3)^2: a rewrite of any level
+    # of the route must keep both digests byte for byte
+    rows = [(a.parts, b.parts, [(k.parts, v) for k, v in product_expansion(a, b).items()])
+            for total in range(13) for s in range(total + 1)
+            for a in enumerate_partitions(s) for b in enumerate_partitions(total - s)]
+    assert len(rows) == 3132
+    assert _digest(rows) == "28a8f595a00b59a89b1067f8adcc1b878ec74583044c78279e775c6a63eba6e0"
+    big = product_expansion(P(5, 4, 3), P(5, 4, 3))
+    assert len(big) == 927
+    assert _digest([[(k.parts, v) for k, v in big.items()]]) == (
+        "f0ebc672b1b03460bf5c146ae174126dead17520b75a058da73c8317aa611b82")
+
+
 def test_g_symmetry_forced_sides():
     # both orders, each its own _expand cache entry, exhaustively for
     # |sigma|, |tau| <= 5 (computed independently for a proper pair; a pair
@@ -170,6 +193,17 @@ def test_unit_part_reduction_raises_on_inexact_division(monkeypatch):
     assert _expand.cache_info().currsize == 0
 
 
+def test_top_levels_raise_on_inexact_division(monkeypatch):
+    # ()(2) reads no character level; spoiling z_() to 2 leaves its one
+    # class (2) with z_(2) N / (z_() z_(2)) = 2 / 4
+    _expand.cache_clear()
+    z = Partition.centralizer_size
+    monkeypatch.setattr(Partition, "centralizer_size", lambda p: z(p) if p.parts else 2)
+    with pytest.raises(RuntimeError, match=r"non-integral .* -> 2: internal bug"):
+        product_expansion(EMPTY, P(2))
+    assert _expand.cache_info().currsize == 0
+
+
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # only the levels below |sigma|+|tau|-1 of a proper pair read
     # characters, and a pair with unit parts reads only its proper pair's
@@ -186,7 +220,7 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         return column(parts)
 
     monkeypatch.setattr(class_algebra, "_column", recorded)
-    # a factor 1^k leaves its proper pair only the two closed-form levels
+    # a factor 1^k leaves its proper pair only the two counted top levels
     for sigma, tau in [(EMPTY, P(3, 2)), (P(1), P(3, 2)), (P(1), P(1)), (EMPTY, EMPTY),
                        (P(1, 1), P(3, 1))]:
         _expand.cache_clear()
@@ -336,7 +370,7 @@ def _level_sums(sigma, tau, m):
 
 
 def _check_top_levels_against_characters(sigma, tau):
-    # the route reads the two top levels off closed forms; here every class
+    # the route counts the two top levels, with no characters; here every class
     # of those levels is checked against T_m(mu) = sum_j C(m_1, j) g^{mu
     # minus j unit parts}, the lower levels' g read from the route as well
     s, t = sigma.size(), tau.size()

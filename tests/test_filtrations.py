@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from classconv import filtrations
-from classconv.class_algebra import g_table, product_expansion, q_polynomial
+from classconv.class_algebra import BinomialPolynomial, g_table, product_expansion, q_polynomial
 from classconv.filtrations import (DegreeFunction, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
@@ -159,6 +159,21 @@ def test_gamma_entries_must_be_integers():
         DegreeFunction.additive((0, 1.0))
     with pytest.raises(ValueError, match="theta_J lengths must be integers, got '2'"):
         DegreeFunction.theta_J({"2"})
+
+
+def test_K_and_evaluation_point_must_be_integers():
+    # True equals 1, so K = True would check gamma_1 alone and give the
+    # proxy for K = 1; a float would fail later with TypeError
+    for K in (True, 2.0):
+        with pytest.raises(ValueError, match=f"K must be an integer, got {K!r}"):
+            check_gamma_inequalities((1, 2, 3), K)
+        with pytest.raises(ValueError, match=f"K must be an integer, got {K!r}"):
+            limit_ratio((1, 2, 3), K)
+    q = BinomialPolynomial(Partition(()), (1, 1))
+    assert q.evaluate(1) == 2
+    for n in (True, 3.0):
+        with pytest.raises(ValueError, match=f"evaluation point must be an integer, got {n!r}"):
+            q.evaluate(n)
 
 
 def test_bool_entries_rejected():
