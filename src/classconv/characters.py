@@ -10,27 +10,48 @@ that the structure-constant route reads, and the classes that each of its
 levels filters by (deg3, m_1) in canonical order, are class_algebra's, in
 its own level table; nothing here builds them.
 
+Columns hold half the shapes.  The involution omega gives
+chi^{lam'}_rho = eps_rho chi^lam_rho, eps_rho = (-1)^(|rho| - l(rho))
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I), so a column
+needs one shape of each conjugate pair.  The representatives are the lam
+that come no later than lam' in canonical order, the self-conjugate ones
+included; a column lists chi^lam_rho over them in canonical order, and
+every reader of a conjugate lam' takes its representative's entry times
+eps_rho.  The structure-constant route in class_algebra reads the half
+columns as they are, weighing each conjugate pair twice (its docstring
+says why the sign drops out there).
+
 Four caches, each read as follows:
 
-- per size, _positions(m): the bead mask of each shape of S_m mapped to
-  its canonical position (labels come from enumerate_partitions in the
-  same order).  _column walks it to build a column and looks up each
-  strip removal's result in it; _shape looks a shape up in it.
-- per cycle type, _column(rho): chi^lam_rho over every shape lam of
-  S_|rho|, built in one loop over the shapes, a Murnaghan-Nakayama step
-  each, from the cached column of rho minus its first part.  Single
-  reads, the shifted evaluations, the s* cache and the structure-constant
-  route in class_algebra all read it.  CharacterTable builds its own
-  columns from the cached suffix columns and does not cache them, so a
-  dropped table leaves only its suffix columns behind.
-- per shape, _shape(lam): lam's position among the shapes of S_|lam| and
-  dim lam = chi^lam_{1^|lam|}, read off the cached column of 1^|lam|,
-  whose suffixes every table and every padded class already builds.
-  character, p#, s*, F and the s* cache read a shape only through it, so
-  a repeated shape costs one lookup.
+- per size, _positions(m): the representatives' bead masks in canonical
+  order, and every shape's mask mapped to its position, h for the
+  representative at half index h and H + h for its conjugate, H the
+  number of representatives.  The conjugate's mask comes from the mask
+  itself, reversed and complemented within its lam_1 + l(lam) places.
+  _column walks the representatives and looks up each strip removal's
+  result; _shape looks a shape up.
+- per cycle type, _column(rho): chi^lam_rho over the representatives lam
+  of S_|rho|, built in one loop, a Murnaghan-Nakayama step each, from the
+  cached column of rho minus its first part.  The step reads that column
+  doubled, its H entries followed by the same entries times eps of the
+  rest, so a strip landing on a conjugate, at position H + h, is still
+  one index.  Single reads, the shifted evaluations, the s* cache and the
+  structure-constant route in class_algebra all read it.  CharacterTable
+  builds its own half columns from the cached suffix columns and does
+  not cache them, so a dropped table leaves only its suffix columns
+  behind; it gets the row of each conjugate lam' as eps times the row of
+  lam.
+- per shape, _shape(lam): lam's half index, its flip (1 if lam comes
+  after lam' in canonical order, else 0) and dim lam = chi^lam_{1^|lam|},
+  read off the cached column of 1^|lam| (eps is 1 there).  character, p#,
+  s*, F and the s* cache read a shape only through it, so a repeated
+  shape costs one lookup; a read at cycle type rho negates the entry
+  when (|rho| - l(rho)) & flip is 1.
 - the s* cache, _s_star_weights(mu): the classes rho with chi^mu_rho != 0
-  and their weights chi^mu_rho r!/z_rho, r = |mu|, so an s* value is one
-  column read per nonzero term.  s* alone reads it.
+  and their weights chi^mu_rho r!/z_rho, r = |mu|, listed twice: as they
+  are, for a representative lam, and times eps_rho, for a conjugate one.
+  So an s* value picks one list by lam's flip and is one column read per
+  nonzero term.  s* alone reads it.
 
 dimension() uses the hook length formula, uncached; no production path
 runs it, and the tests compare against it.
@@ -49,6 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, perm
+from operator import mul, neg
 
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions
@@ -66,11 +88,23 @@ def _beads(lam: tuple[int, ...]) -> int:
     return mask
 
 
+_SWAP = str.maketrans("01", "10")
+
+
+def _conjugate(mask: int) -> int:
+    """The bead mask of lam' from that of lam: its lam_1 + l(lam) places
+    (bit 0 clear, the top bit set) reversed and complemented."""
+    return int(bin(mask)[:1:-1].translate(_SWAP), 2) if mask else 0
+
+
 def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam on the class of cycle type rho."""
-    if lam.size() != rho.size():
+    n = lam.size()
+    if n != rho.size():
         raise ValueError(f"|{lam}| != |{rho}|")
-    return _column(rho.parts)[_shape(lam.parts)[0]]
+    at, flip, _ = _shape(lam.parts)
+    chi = _column(rho.parts)[at]
+    return -chi if (n - len(rho.parts)) & flip else chi
 
 
 def dimension(lam: Partition) -> int:
@@ -88,35 +122,52 @@ def dimension(lam: Partition) -> int:
 
 
 @cache
-def _positions(m: int) -> dict[int, int]:
-    """The bead mask of each shape of S_m mapped to its canonical position;
-    iterating the dict yields the masks in canonical order."""
-    return {_beads(lam.parts): i for i, lam in enumerate(enumerate_partitions(m))}
+def _positions(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The bead masks of the representatives of S_m (lam at or before lam'
+    in canonical order), in canonical order, and every shape's mask mapped
+    to its position: h for the representative at half index h, H + h for
+    its conjugate, H the number of representatives.  Iterating the dict
+    yields every mask in canonical order."""
+    masks = [_beads(lam.parts) for lam in enumerate_partitions(m)]
+    half: dict[int, int] = {}
+    for mask in masks:
+        # lam' came earlier exactly when it is a representative already
+        if _conjugate(mask) not in half:
+            half[mask] = len(half)
+    count = len(half)
+    return tuple(half), {mask: half[mask] if mask in half else count + half[_conjugate(mask)]
+                         for mask in masks}
 
 
 @cache
-def _shape(lam: tuple[int, ...]) -> tuple[int, int]:
-    """(position of lam among the shapes of S_n, dim lam), n = |lam|:
-    the position from _positions(n), dim lam = chi^lam_{1^n} from the
-    cached column of 1^n."""
+def _shape(lam: tuple[int, ...]) -> tuple[int, int, int]:
+    """(half index of lam, flip, dim lam), n = |lam|: flip is 1 when lam is
+    the conjugate of the representative at that index, else 0; dim lam =
+    chi^lam_{1^n} from the cached column of 1^n, where eps is 1."""
     n = sum(lam)
-    at = _positions(n)[_beads(lam)]
-    return at, _column((1,) * n)[at]
+    reps, positions = _positions(n)
+    flip, at = divmod(positions[_beads(lam)], len(reps))
+    return at, flip, _column((1,) * n)[at]
 
 
 @cache
 def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam_parts over the shapes lam of S_|parts|, k = parts[0]:
-    for each lam the sum over its size-k border strips of (-1)^height
-    chi^(lam minus strip), read from the cached column of parts[1:]."""
+    """chi^lam_parts over the representatives lam of S_|parts|, k =
+    parts[0]: for each lam the sum over its size-k border strips of
+    (-1)^height chi^(lam minus strip), read from the cached column of
+    parts[1:], doubled with a copy times eps of parts[1:] so that a strip
+    landing on a conjugate reads one index."""
     if not parts:
         return (1,)
     k, rest = parts[0], parts[1:]
-    below, at = _column(rest), _positions(sum(rest))
+    below = _column(rest)
+    r = sum(rest)
+    at = _positions(r)[1]
+    below += tuple(map(neg, below)) if (r - len(rest)) & 1 else below
     between = (1 << (k - 1)) - 1
     move = (1 << k) | 1
     out = []
-    for mask in _positions(sum(parts)):
+    for mask in _positions(sum(parts))[0]:
         targets = (mask >> k) & ~mask
         total = 0
         while targets:
@@ -146,7 +197,11 @@ class CharacterTable:
         # nothing else reads a table's own columns, so they are built past the
         # cache; only their suffix columns, shared with single reads, are kept
         build = _column.__wrapped__
-        self.matrix = [list(row) for row in zip(*(build(rho.parts) for rho in self.labels))]
+        half = [list(row) for row in zip(*(build(rho.parts) for rho in self.labels))]
+        # the row of a conjugate lam' is eps times the row of its representative
+        eps = [-1 if (n - len(rho.parts)) & 1 else 1 for rho in self.labels]
+        self.matrix = [half[at] if at < len(half) else list(map(mul, eps, half[at - len(half)]))
+                       for at in _positions(n)[1].values()]
         self._index = {lam: i for i, lam in enumerate(self.labels)}
 
     def value(self, lam: Partition, rho: Partition) -> int:
@@ -157,12 +212,13 @@ class CharacterTable:
         return [row[one_col] for row in self.matrix]
 
 
-def _shifted(parts: tuple[int, ...], n: int, at: int) -> int:
-    """(n)_r chi^lam_{parts 1^(n-r)} for r = |parts| <= n, lam at position at
-    among the shapes of S_n: the integer numerator of p#_parts(lam) over
-    dim lam."""
+def _shifted(parts: tuple[int, ...], n: int, at: int, flip: int) -> int:
+    """(n)_r chi^lam_{parts 1^(n-r)} for r = |parts| <= n, lam at half
+    index at with its flip among the shapes of S_n: the integer numerator
+    of p#_parts(lam) over dim lam.  eps of the padded class is eps_parts."""
     r = sum(parts)
-    return perm(n, r) * _column(parts + (1,) * (n - r))[at]
+    x = perm(n, r) * _column(parts + (1,) * (n - r))[at]
+    return -x if (r - len(parts)) & flip else x
 
 
 def p_sharp(rho: Partition, lam: Partition) -> Fraction:
@@ -170,37 +226,42 @@ def p_sharp(rho: Partition, lam: Partition) -> Fraction:
     n = lam.size()
     if rho.size() > n:
         return Fraction(0)
-    at, dim = _shape(lam.parts)
-    return Fraction(_shifted(rho.parts, n, at), dim)
+    at, flip, dim = _shape(lam.parts)
+    return Fraction(_shifted(rho.parts, n, at, flip), dim)
 
 
 @cache
-def _s_star_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _s_star_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """The s* cache: (rho, chi^mu_rho r!/z_rho) for the classes rho of S_r,
-    r = |mu|, in canonical order, where chi^mu_rho != 0."""
+    r = |mu|, in canonical order, where chi^mu_rho != 0; then the same
+    list with each weight times eps_rho, the one a conjugate lam reads."""
     r = sum(mu)
-    mu_at, r_fact = _shape(mu)[0], factorial(r)
-    weights = []
+    (mu_at, flip, _), r_fact = _shape(mu), factorial(r)
+    plain, signed = [], []
     for rho in enumerate_partitions(r):
+        odd = (r - len(rho.parts)) & 1
         chi = _column(rho.parts)[mu_at]
         if chi:
-            weights.append((rho.parts, chi * (r_fact // rho.centralizer_size())))
-    return tuple(weights)
+            weight = (-chi if odd & flip else chi) * (r_fact // rho.centralizer_size())
+            plain.append((rho.parts, weight))
+            signed.append((rho.parts, -weight if odd else weight))
+    return tuple(plain), tuple(signed)
 
 
 def s_star(mu: Partition, lam: Partition) -> Fraction:
     """Shifted Schur value, inverted from p# by character orthogonality:
     (n)_r / (r! dim lam) times sum_rho chi^mu_rho (r!/z_rho) chi^lam_{rho 1^(n-r)}.
     The weights chi^mu_rho r!/z_rho of the nonzero terms come from the s*
-    cache, so each term is one column read and the sum is one integer."""
+    cache, times eps_rho for a conjugate lam, so each term is one column
+    read and the sum is one integer."""
     r = mu.size()
     n = lam.size()
     if r > n:
         return Fraction(0)
-    lam_at, dim = _shape(lam.parts)
+    lam_at, flip, dim = _shape(lam.parts)
     ones = (1,) * (n - r)
     total = 0
-    for parts, weight in _s_star_weights(mu.parts):
+    for parts, weight in _s_star_weights(mu.parts)[flip]:
         total += weight * _column(parts + ones)[lam_at]
     return Fraction(perm(n, r) * total, factorial(r) * dim)
 
@@ -217,11 +278,11 @@ def F_eval(v: ClassVector, lam: Partition) -> Fraction:
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot be evaluated "
                          f"at {lam}: its level is below |lam| = {n}")
-    (at, dim), n_fact = _shape(lam.parts), factorial(n)
+    (at, flip, dim), n_fact = _shape(lam.parts), factorial(n)
     total = 0
     for rho, c in v.nums.items():
         if rho.size() <= n:
-            total += c * _shifted(rho.parts, n, at) * (n_fact // rho.centralizer_size())
+            total += c * _shifted(rho.parts, n, at, flip) * (n_fact // rho.centralizer_size())
     return Fraction(total, v.den * n_fact * dim)
 
 

@@ -74,10 +74,24 @@ Dropping unit parts keeps mu allowed (deg3 stays, deg2 drops), so the
 peel only ever needs allowed classes.  Each character level reads the
 columns of sigma 1^(m-s), tau 1^(m-t) and the allowed mu from the
 characters module's column cache, one column per cycle type.
-The hook products of S_m and its classes, each with its deg3 and m_1,
-belong to this module alone: _level_table(m) builds them, the products
-from the column of 1^m, and only _expand reads them; each level filters
-its classes by (deg3, m_1), in canonical order.
+
+Those columns hold only the representatives lam, the shapes at or
+before lam' in canonical order, and T_m(mu) is summed over them alone.
+Since chi^{lam'}_rho = eps_rho chi^lam_rho with eps_rho = (-1)^deg3(rho),
+and eps is the same for rho and rho 1^k, the summand at lam' is
+eps_mu eps_sigma eps_tau times the one at lam; and H_lam' = H_lam.  An
+allowed mu has deg3(mu) of the parity of deg3(sigma) + deg3(tau), so that
+sign is +1, and
+
+    T_m(mu) = sum over representatives lam of w_lam chi^lam_mu
+              chi^lam_{sigma 1^(m-s)} chi^lam_{tau 1^(m-t)} H_lam
+              / (z_sigma z_tau (m-s)! (m-t)!),
+
+w_lam = 1 for a self-conjugate lam and 2 otherwise.  The hook products
+of S_m with that weight folded in, and the classes of S_m, each with its
+deg3 and m_1, belong to this module alone: _level_table(m) builds them,
+the products from the column of 1^m, and only _expand reads them; each
+level filters its classes by (deg3, m_1), in canonical order.
 
 Products of class vectors (multiply) and the psi sum into Z(Q[S_n])
 (to_C_basis, convolve_C_classes) add integers: a ClassVector holds its
@@ -111,7 +125,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable, NoReturn
 
-from .characters import _column
+from .characters import _column, _conjugate, _positions
 from .class_vector import ClassVector, _check_level
 from .partitions import Partition, _check_int, _ints, enumerate_partitions, partitions_up_to
 
@@ -121,12 +135,16 @@ from .partitions import Partition, _check_int, _ints, enumerate_partitions, part
 
 @cache
 def _level_table(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, Partition], ...]]:
-    """The hook products m!/dim lam of the shapes of S_m in canonical order,
-    with dim lam = chi^lam_{1^m} read off the cached column of 1^m, and the
-    classes mu of S_m in canonical order, each as (m - l(mu), m_1(mu), mu):
-    its Cayley length and unit parts."""
+    """The weighted hook products of the representatives lam of S_m in
+    canonical order, m!/dim lam times 2 for a shape with a distinct
+    conjugate and 1 for a self-conjugate one, with dim lam = chi^lam_{1^m}
+    read off the cached column of 1^m; and the classes mu of S_m in
+    canonical order, each as (m - l(mu), m_1(mu), mu): its Cayley length
+    and unit parts."""
     classes = tuple((m - len(mu.parts), mu.parts.count(1), mu) for mu in enumerate_partitions(m))
-    return tuple(factorial(m) // d for d in _column((1,) * m)), classes
+    hooks = tuple((1 + (_conjugate(mask) != mask)) * (factorial(m) // d)
+                  for mask, d in zip(_positions(m)[0], _column((1,) * m)))
+    return hooks, classes
 
 
 @cache
@@ -148,7 +166,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     the Cayley triangle allow (module docstring) are evaluated: one pass
     over the classes of _level_table(m), in canonical order, skips those
     outside the (deg3, m_1) rectangle.  Each gets T_m(mu) from the cached
-    columns and hook products, then loses C(m_1, m_1') g for each nonzero g
+    half columns and weighted hook products, then loses C(m_1, m_1') g for each nonzero g
     found at a lower level for the same proper part with m_1' unit parts.
     A division that leaves a remainder raises RuntimeError instead of
     rounding.

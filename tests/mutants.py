@@ -63,8 +63,17 @@ MUTANTS: list[tuple[str, str, str, str]] = [
      "for c in [*range(s + 1, s + i + 1), *range(t + 1, t + j + 1)]:",
      "test_class_algebra.py::test_F_multiplicative_with_unit_parts_13_to_20"),
     # the per-shape cache reads dim lam at position 0 instead of lam's
-    ("characters.py", "return at, _column((1,) * n)[at]", "return at, _column((1,) * n)[0]",
-     "test_characters.py::test_p_sharp"),
+    ("characters.py", "return at, flip, _column((1,) * n)[at]",
+     "return at, flip, _column((1,) * n)[0]", "test_characters.py::test_p_sharp"),
+    # the column step reads a strip landing on a conjugate shape without eps
+    ("characters.py", "below += tuple(map(neg, below)) if (r - len(rest)) & 1 else below",
+     "below += below", "test_characters.py::test_tables_match_beta_tuple_route"),
+    # a single read of a conjugate shape drops eps_rho
+    ("characters.py", "return -chi if (n - len(rho.parts)) & flip else chi",
+     "return chi", "test_characters.py::test_conjugate_reads_carry_eps_at_15_to_20"),
+    # the level table weighs a self-conjugate shape 2, as it does a pair
+    ("class_algebra.py", "(1 + (_conjugate(mask) != mask)) * (factorial(m) // d)",
+     "2 * (factorial(m) // d)", "test_class_algebra.py::test_level_table_hooks_and_classes"),
     # multiply takes any truncation level, a float or a negative one included
     ("class_algebra.py", "    _check_level(n)\n", "",
      "test_class_algebra.py::test_multiply_level_must_be_nonnegative_int"),

@@ -28,6 +28,13 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
+def conjugate_parts(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of lam', column lengths of lam's diagram counted cell by
+    cell; the reference for the bead-mask conjugation of the characters
+    module."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
 def partitions_brute(r: int) -> set[tuple[int, ...]]:
     """All partitions of r by unordered recursive splitting."""
     if r == 0:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -12,8 +13,8 @@ from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import SemigroupAlgebraElement, class_element
 from classconv.verify import suite_homomorphism
-from oracles import (character_beta_tuples, character_table_bruteforce, falling_factorial,
-                     skew_syt_count_brute, syt_count_brute)
+from oracles import (character_beta_tuples, character_table_bruteforce, conjugate_parts,
+                     falling_factorial, skew_syt_count_brute, syt_count_brute)
 
 P = lambda *parts: Partition(parts)
 
@@ -63,6 +64,29 @@ def test_orthogonality():
                 assert col == want
 
 
+def test_conjugate_reads_carry_eps_at_15_to_20():
+    # a conjugate lam' is read off its representative's entry times eps_rho:
+    # seeded lam, their lam' and self-conjugate shapes against beta tuples,
+    # at cycle types of at most 3 parts, past the sizes the tables cover
+    rng = random.Random(31)
+    flipped_odd = 0
+    for n in range(15, 21):
+        labels = enumerate_partitions(n)
+        short = [rho for rho in labels if rho.length() <= 3]
+        selfconj = [lam for lam in labels if conjugate_parts(lam.parts) == lam.parts]
+        shapes = rng.sample(labels, 4) + rng.sample(selfconj, min(2, len(selfconj)))
+        shapes += [Partition(conjugate_parts(lam.parts)) for lam in shapes]
+        if n == 15:
+            shapes.append(P(5, 4, 3, 2, 1))
+        for lam in shapes:
+            flip = characters._shape(lam.parts)[1]
+            for rho in rng.sample(short, 6) + [Partition((n,)), Partition((n - 1, 1))]:
+                chi = character(lam, rho)
+                assert chi == character_beta_tuples(lam.parts, rho.parts), (lam, rho)
+                flipped_odd += flip and (n - rho.length()) % 2 == 1 and chi != 0
+    assert flipped_odd
+
+
 def test_tables_match_beta_tuple_route():
     for n in range(15):
         t = CharacterTable(n)
@@ -71,13 +95,30 @@ def test_tables_match_beta_tuple_route():
                             for lam in t.labels]
     for m in range(12):
         labels = enumerate_partitions(m)
-        # the position cache iterates the masks in canonical order
-        positions = characters._positions(m)
-        assert list(positions) == [characters._beads(lam.parts) for lam in labels]
-        assert list(positions.values()) == list(range(len(labels)))
+        masks = [characters._beads(lam.parts) for lam in labels]
+        reps, positions = characters._positions(m)
+        # the position cache iterates every mask in canonical order
+        assert list(positions) == masks
+        # the representatives: lam at or before lam' in canonical order
+        index = {lam.parts: i for i, lam in enumerate(labels)}
+        half = [lam.parts for lam in labels if index[lam.parts] <= index[conjugate_parts(lam.parts)]]
+        assert reps == tuple(characters._beads(lam) for lam in half)
+        where = {lam: h for h, lam in enumerate(half)}
+        # each shape as (half index, flip): its own index, or its conjugate's
+        shapes = [(where[lam.parts], 0) if lam.parts in where
+                  else (where[conjugate_parts(lam.parts)], 1) for lam in labels]
+        ones = characters._column((1,) * m)
+        for lam, mask, (h, flip) in zip(labels, masks, shapes):
+            assert characters._conjugate(mask) == characters._beads(conjugate_parts(lam.parts))
+            assert positions[mask] == h + flip * len(half), lam
+            assert characters._shape(lam.parts) == (h, flip, ones[h]), lam
         for mu in labels:
-            assert characters._column(mu.parts) == tuple(
-                character_beta_tuples(lam.parts, mu.parts) for lam in labels), mu
+            column = characters._column(mu.parts)
+            assert len(column) == len(half), mu
+            # the half column, expanded by eps_mu, on every shape
+            eps = (-1) ** (m - mu.length())
+            assert [column[h] * eps ** flip for h, flip in shapes] == [
+                character_beta_tuples(lam.parts, mu.parts) for lam in labels], mu
 
 
 def test_large_tables_against_closed_forms():
@@ -142,7 +183,7 @@ def test_tables_and_evaluations_build_no_product_data(monkeypatch):
 
 
 def test_table_column_orthogonality():
-    for n in range(13):
+    for n in range(16):
         t = CharacterTable(n)
         columns = list(zip(*t.matrix))
         for i, r1 in enumerate(t.labels):
@@ -302,13 +343,16 @@ def test_s_star_cache_holds_nonzero_weights_of_asked_mu():
     assert held.currsize == held.misses == len(distinct)
     for parts in distinct:
         mu, r = Partition(parts), sum(parts)
-        want = tuple((rho.parts, character(mu, rho) * (factorial(r) // rho.centralizer_size()))
-                     for rho in enumerate_partitions(r) if character(mu, rho))
-        assert cache(parts) == want, mu
+        want = [(rho, character(mu, rho) * (factorial(r) // rho.centralizer_size()))
+                for rho in enumerate_partitions(r) if character(mu, rho)]
+        # as they are, then times eps_rho, the list a conjugate lam reads
+        assert cache(parts) == (tuple((rho.parts, w) for rho, w in want),
+                                tuple((rho.parts, (-1) ** (r - rho.length()) * w)
+                                      for rho, w in want)), mu
     again = cache.cache_info()
     assert (again.hits, again.misses) == (held.hits + len(distinct), held.misses)
     # chi^(2,1) vanishes on (2,1), so that class is not listed
-    assert [rho for rho, _ in cache((2, 1))] == [(3,), (1, 1, 1)]
+    assert [rho for rho, _ in cache((2, 1))[0]] == [(3,), (1, 1, 1)]
 
 
 def test_x_mu():

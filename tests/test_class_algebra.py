@@ -16,7 +16,7 @@ from classconv.filtrations import DegreeFunction
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import class_element, truncate
 from classconv.verify import _counting_cost, oracle_convolve, product_expansion_counted
-from oracles import character_beta_tuples, falling_factorial
+from oracles import character_beta_tuples, conjugate_parts, falling_factorial
 
 P = lambda *parts: Partition(parts)
 
@@ -163,22 +163,23 @@ def test_g_table_keys_and_order():
 
 
 def test_route_raises_on_inexact_division(monkeypatch):
-    # spoil the (1,1) column, which (2)*(2) reads at level 2, its one
-    # character level, as an allowed class; the level table of S_2 reads the
-    # same column for its hook products, so it is built first, unspoiled
+    # spoil the (1,1,1) column, which (3)*(3) reads at level 3, a character
+    # level, as an allowed class: T_3((1,1,1)) = (12 + 6) / 9 becomes
+    # (24 + 6) / 9.  The level table of S_3 reads the same column for its
+    # hook products, so it is built first, unspoiled
     _expand.cache_clear()
-    class_algebra._level_table(2)
+    class_algebra._level_table(3)
     column, read = class_algebra._column, []
 
     def spoiled(parts):
         read.append(parts)
         col = column(parts)
-        return (col[0] + 1,) + col[1:] if parts == (1, 1) else col
+        return (col[0] + 1,) + col[1:] if parts == (1, 1, 1) else col
 
     monkeypatch.setattr(class_algebra, "_column", spoiled)
-    with pytest.raises(RuntimeError, match="non-integral"):
-        product_expansion(P(2), P(2))
-    assert (1, 1) in read
+    with pytest.raises(RuntimeError, match=r"non-integral .* -> 1,1,1: internal bug"):
+        product_expansion(P(3), P(3))
+    assert (1, 1, 1) in read
     assert _expand.cache_info().currsize == 0
 
 
@@ -269,9 +270,14 @@ def test_level_table_hooks_and_classes():
         # the classes of S_m in canonical order, each with its own (deg3, m_1)
         assert [mu for _, _, mu in classes] == labels
         assert all((d3, m1) == (deg3(mu), mu.multiplicity(1)) for d3, m1, mu in classes), m
-        # hook product times dimension is m!, the dimension read off the beta-tuple route
-        assert [h * character_beta_tuples(lam.parts, (1,) * m)
-                for lam, h in zip(labels, hooks)] == [factorial(m)] * len(labels)
+        # one hook product per representative, lam at or before lam' in
+        # canonical order; times the dimension read off the beta-tuple route
+        # it is m!, doubled for a shape with a distinct conjugate
+        index = {lam.parts: i for i, lam in enumerate(labels)}
+        half = [lam.parts for lam in labels if index[lam.parts] <= index[conjugate_parts(lam.parts)]]
+        assert len(hooks) == len(half)
+        assert [h * character_beta_tuples(lam, (1,) * m) for lam, h in zip(half, hooks)] == [
+            factorial(m) * (1 if conjugate_parts(lam) == lam else 2) for lam in half]
 
 
 def test_counted_guard_reads_no_characters(monkeypatch):
@@ -351,19 +357,28 @@ def test_pruned_route_matches_counted_guard_up_to_16(pair):
     assert list(got.items()) == list(want.items()), (sigma, tau)
 
 
+def _full_column(parts):
+    """chi^lam_parts over every shape lam of S_|parts|, in canonical order:
+    the half column read through each shape's half index and flip."""
+    half, odd = characters._column(parts), (sum(parts) - len(parts)) & 1
+    shapes = (characters._shape(lam.parts) for lam in enumerate_partitions(sum(parts)))
+    return [-half[at] if odd & flip else half[at] for at, flip, _ in shapes]
+
+
 def _level_sums(sigma, tau, m):
     """T_m(mu) for every mu of size m, from the character sum in the
-    class_algebra module docstring, every class evaluated."""
+    class_algebra module docstring over every shape, unweighted, every
+    class evaluated."""
     labels = enumerate_partitions(m)
-    hooks, _ = class_algebra._level_table(m)
-    column = characters._column
-    weights = [a * b * h for a, b, h in zip(column(sigma.pad(m).parts),
-                                            column(tau.pad(m).parts), hooks)]
+    hooks = [factorial(m) // d for d in _full_column((1,) * m)]
+    weights = [a * b * h for a, b, h in zip(_full_column(sigma.pad(m).parts),
+                                            _full_column(tau.pad(m).parts), hooks)]
     scale = falling_factorial(m, sigma.size()) * falling_factorial(m, tau.size())
     den = sigma.centralizer_size() * tau.centralizer_size() * factorial(m) ** 2
     sums = {}
     for mu in labels:
-        total, rem = divmod(scale * sum(x * w for x, w in zip(column(mu.parts), weights)), den)
+        total, rem = divmod(scale * sum(x * w for x, w in zip(_full_column(mu.parts), weights)),
+                            den)
         assert not rem, (sigma, tau, mu)
         sums[mu] = total
     return sums
