@@ -346,7 +346,7 @@ def _rescaled(sigma: Partition, tau: Partition, rho: Partition, zz: int, g: int)
 
 def psi_image(rho: Partition, n: int) -> tuple[int, Partition]:
     """Image of A_{rho;n} under support forgetting: a binomial times C_{rho;n}."""
-    _check_n(n)
+    _check_int(n, "n", nonnegative=True)
     r = rho.size()
     if r > n:
         raise ValueError(f"|rho|={r} exceeds n={n}")
@@ -447,7 +447,7 @@ def q_polynomial(sigma: Partition, tau: Partition, rho: Partition) -> BinomialPo
 def convolve_C_classes(sigma: Partition, tau: Partition, n: int) -> ClassVector:
     """Convolution of conjugacy classes of S_n in the proper-class basis:
     the psi sum of the product expansion, the one to_C_basis runs."""
-    _check_n(n)
+    _check_int(n, "n", nonnegative=True)
     if not sigma.is_proper() or not tau.is_proper():
         raise ValueError("inputs must be proper partitions")
     if sigma.size() > n or tau.size() > n:
@@ -463,18 +463,11 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
     needs, so its level must be absent or at least n (ValueError
     otherwise); terms with |rho| > n are skipped.
     """
-    _check_n(n)
+    _check_int(n, "n", nonnegative=True)
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot map into "
                          f"Z(Q[S_{n}]): its level is below n = {n}")
     return _psi(v.nums.items(), v.den, n)
-
-
-def _check_n(n: int) -> None:
-    """Raise ValueError unless n is an int (not a bool) >= 0: the psi map
-    builds a vector at level n, which ClassVector's level check holds to."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
 
 
 def _psi(terms: Iterable[tuple[Partition, int]], den: int, n: int) -> ClassVector:

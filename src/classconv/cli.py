@@ -1,6 +1,9 @@
 """Command-line surface: one subcommand per library operation or suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Plain
+Exit codes: 0 success, 1 verification failure, 2 bad input.  Bad input
+is a ValueError, raised by the CLI's own checks or by the library below
+it; main prints it as "error: <message>" with empty stdout.  Any other
+exception, such as the RuntimeError of an internal fault, propagates.  Plain
 output is line oriented and canonically sorted; --json emits a single
 document with fields {command, inputs, results}, plus {ok, violations?}
 for verify, where partitions are integer arrays and rationals are
@@ -25,16 +28,12 @@ from .partitions import Partition
 DEFAULT_SIZE_BOUND = 12
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse(kind, text: str, flag: str):
-    """kind.from_string(text); a malformed string is a usage error naming flag."""
+    """kind.from_string(text); a malformed string raises ValueError naming flag."""
     try:
         return kind.from_string(text)
     except ValueError as exc:
-        raise UsageError(
+        raise ValueError(
             f"malformed {kind.__name__.lower()} string for {flag}: {exc}") from exc
 
 
@@ -45,33 +44,31 @@ def _check_size(args, total: int, what: str, default: int = DEFAULT_SIZE_BOUND) 
     size it is asked for."""
     bound = default if args.max_size is None else args.max_size
     if total > bound:
-        raise UsageError(
+        raise ValueError(
             f"size bounds exceeded: {what} = {total} > {bound} "
             "(raise --max-size explicitly to override)")
+    _warn_cost(bound, default, "default")
+
+
+def _warn_cost(bound: int, default: int, what: str) -> None:
+    """Warn on stderr when --max-size raises a bound above its default."""
     if bound > default:
-        print(f"warning: --max-size {bound} above default "
-              f"{default}; this may take a long time", file=sys.stderr)
+        print(f"warning: --max-size {bound} above {what} {default}; "
+              "this may take a long time", file=sys.stderr)
 
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return value.numerator
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, Partition):
-        return list(value.parts)
+        return (value.numerator if value.denominator == 1
+                else {"num": value.numerator, "den": value.denominator})
     return value
 
 
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _partitions(args, *flags: str) -> list[Partition]:
-    """The partitions given by the named flags, in order."""
-    return [_parse(Partition, getattr(args, flag), f"--{flag}") for flag in flags]
+def _partitions(args, *flags: str) -> tuple[list[Partition], dict]:
+    """The partitions given by the named flags, in order, and their --json
+    echo {flag: parts}."""
+    parts = [_parse(Partition, getattr(args, flag), f"--{flag}") for flag in flags]
+    return parts, {flag: list(p.parts) for flag, p in zip(flags, parts)}
 
 
 def _emit(args, inputs: dict, results, lines: list[str], **extra) -> None:
@@ -86,26 +83,23 @@ def _emit(args, inputs: dict, results, lines: list[str], **extra) -> None:
 
 
 def _terms(v: ca.ClassVector) -> list[dict]:
-    return [{"coeff": _jsonable(c), "partition": _jsonable(p)} for p, c in v.items()]
+    return [{"coeff": _jsonable(c), "partition": list(p.parts)} for p, c in v.items()]
 
 
 def _vector_lines(v: ca.ClassVector, basis: str) -> list[str]:
     """One line per term; the zero vector prints as 0."""
-    return [f"{_fraction_text(c)} {basis}({p})" for p, c in v.items()] or ["0"]
+    return [f"{c} {basis}({p})" for p, c in v.items()] or ["0"]
 
 
 def _cmd_mult(args) -> int:
     """mult: the product through multiply, the one truncation path;
     --basis a rescales each of its terms through f_constant."""
-    lhs, rhs = _partitions(args, "lhs", "rhs")
-    if args.n is not None and args.n < 0:
-        raise UsageError(f"truncation level --n must be nonnegative, got {args.n}")
+    (lhs, rhs), inputs = _partitions(args, "lhs", "rhs")
     _check_size(args, lhs.size() + rhs.size(), "|lhs|+|rhs|")
     v = ca.multiply(ca.ClassVector.basis(lhs), ca.ClassVector.basis(rhs), args.n)
     if args.basis == "a":
         v = ca.ClassVector({rho: ca.f_constant(lhs, rhs, rho) for rho in v.nums}, args.n)
-    _emit(args, {"basis": args.basis, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs),
-                 "n": args.n},
+    _emit(args, {"basis": args.basis, **inputs, "n": args.n},
           _terms(v), _vector_lines(v, args.basis))
     return 0
 
@@ -113,36 +107,27 @@ def _cmd_mult(args) -> int:
 def _cmd_constant(args) -> int:
     """gconst and fconst: one value of the structure-constant function bound
     to the subcommand."""
-    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    (sigma, tau, rho), inputs = _partitions(args, "sigma", "tau", "rho")
     _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
     value = args.constant(sigma, tau, rho)
-    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
-          value, [str(value)])
+    _emit(args, inputs, value, [str(value)])
     return 0
 
 
 def _cmd_qpoly(args) -> int:
-    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    (sigma, tau, rho), inputs = _partitions(args, "sigma", "tau", "rho")
     _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
-    try:
-        q = ca.q_polynomial(sigma, tau, rho)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
-          {"coeffs": list(q.coeffs), "monomial": q.monomial_string()},
+    q = ca.q_polynomial(sigma, tau, rho)
+    _emit(args, inputs, {"coeffs": list(q.coeffs), "monomial": q.monomial_string()},
           ["[" + ",".join(str(c) for c in q.coeffs) + "]", q.monomial_string()])
     return 0
 
 
 def _cmd_csn_mult(args) -> int:
-    sigma, tau = _partitions(args, "sigma", "tau")
+    (sigma, tau), inputs = _partitions(args, "sigma", "tau")
     _check_size(args, sigma.size() + tau.size(), "|sigma|+|tau|")
-    try:
-        v = ca.convolve_C_classes(sigma, tau, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "n": args.n},
-          _terms(v), _vector_lines(v, "C"))
+    v = ca.convolve_C_classes(sigma, tau, args.n)
+    _emit(args, {**inputs, "n": args.n}, _terms(v), _vector_lines(v, "C"))
     return 0
 
 
@@ -158,40 +143,38 @@ def _cmd_fillings_conv(args) -> int:
 
 def _cmd_fillings_count(args) -> int:
     from .fillings import FILLINGS_DEFAULT_MAX, enumerate_F
-    sigma, tau, rho = _partitions(args, "sigma", "tau", "rho")
+    (sigma, tau, rho), inputs = _partitions(args, "sigma", "tau", "rho")
     _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)",
                 FILLINGS_DEFAULT_MAX)
     count = len(enumerate_F(sigma, tau, rho))
-    _emit(args, {"sigma": _jsonable(sigma), "tau": _jsonable(tau), "rho": _jsonable(rho)},
-          count, [str(count)])
+    _emit(args, inputs, count, [str(count)])
     return 0
 
 
 def _cmd_shifted(args) -> int:
     """peval and sstar: the shifted function bound to the subcommand (p# or
     s*) of the partition given by the flag args.index (rho or mu), at --lam."""
-    index, lam = _partitions(args, args.index, "lam")
+    (index, lam), inputs = _partitions(args, args.index, "lam")
     _check_size(args, max(index.size(), lam.size()), f"|{args.index}| or |lambda|")
     value = args.shifted(index, lam)
-    _emit(args, {args.index: _jsonable(index), "lam": _jsonable(lam)},
-          _jsonable(value), [_fraction_text(value)])
+    _emit(args, inputs, _jsonable(value), [str(value)])
     return 0
 
 
 def _parse_term(text: str) -> tuple[Fraction, Partition]:
     coeff_text, sep, part_text = text.partition(":")
     if not sep:
-        raise UsageError(
+        raise ValueError(
             f"malformed term {text!r}: expected '<coeff>:<partition>'")
     try:
         coeff = Fraction(coeff_text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed coefficient in term {text!r}") from exc
+        raise ValueError(f"malformed coefficient in term {text!r}") from exc
     return coeff, _parse(Partition, part_text, "--term")
 
 
 def _cmd_feval(args) -> int:
-    (lam,) = _partitions(args, "lam")
+    (lam,), inputs = _partitions(args, "lam")
     terms: dict[Partition, Fraction] = {}
     for chunk in args.term:
         coeff, rho = _parse_term(chunk)
@@ -200,28 +183,22 @@ def _cmd_feval(args) -> int:
     _check_size(args, max(sizes, default=0), "largest partition")
     v = ca.ClassVector(terms)
     value = F_eval(v, lam)
-    _emit(args, {"lam": _jsonable(lam), "terms": _terms(v)},
-          _jsonable(value), [_fraction_text(value)])
+    _emit(args, {**inputs, "terms": _terms(v)}, _jsonable(value), [str(value)])
     return 0
 
 
 def _cmd_verify(args) -> int:
     from . import verify as vf
-    if args.suite not in vf.SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {sorted(vf.SUITES)}")
     options = {}
     if args.max_size is not None:
         bound = vf.size_bound(args.suite)
         if bound is None:
-            raise UsageError(f"suite {args.suite!r} does not take --max-size")
+            raise ValueError(f"suite {args.suite!r} does not take --max-size")
         if args.max_size < bound.default:
-            raise UsageError(
+            raise ValueError(
                 f"--max-size {args.max_size} below suite default {bound.default}; "
                 "it can only raise a suite's bound")
-        if args.max_size > bound.default:
-            print(f"warning: --max-size {args.max_size} above suite default "
-                  f"{bound.default}; this may take a long time", file=sys.stderr)
+        _warn_cost(args.max_size, bound.default, "suite default")
         options = {bound.name: args.max_size}
     result = vf.run_suite(args.suite, **options)
     extra = {"ok": result.ok}
@@ -285,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

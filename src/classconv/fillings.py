@@ -167,10 +167,11 @@ def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
 def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
     """All fillings of the given shape with support inside the point set."""
-    pts = sorted(points)
+    pts = list(points)
     if (any(type(x) is not int for x in pts)
-            or pts and (pts[0] < 1 or len(set(pts)) < len(pts))):
+            or pts and (min(pts) < 1 or len(set(pts)) < len(pts))):
         raise ValueError(f"points must be distinct positive integers, got {pts}")
+    pts.sort()
     spans = _row_spans(shape)
     for arrangement in _arrangements(shape.size(), pts):
         yield Filling._of(tuple(arrangement[a:b] for a, b in spans))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations as _itertools_perms
 from typing import Iterable, Iterator, Mapping
 
-from .partitions import Partition
+from .partitions import Partition, _check_int
 
 
 class PartialPermutation:
@@ -114,9 +114,9 @@ class PartialPermutation:
         cycles = []
         rest = cyc_text.strip()
         while rest:
-            if not rest.startswith("("):
+            close = rest.find(")")
+            if not rest.startswith("(") or close < 0:
                 raise ValueError(f"malformed cycle list {cyc_text!r}")
-            close = rest.index(")")
             inner = rest[1:close].strip()
             if inner:
                 cycles.append([int(t) for t in inner.split(",")])
@@ -202,6 +202,7 @@ def permutations_of_type(points: Iterable[int], rho: Partition) -> Iterator[dict
 
 def enumerate_class(rho: Partition, n: int) -> Iterator[PartialPermutation]:
     """All partial permutations in P_n with support size |rho| and type rho."""
+    _check_int(n, "n", nonnegative=True)
     r = rho.size()
     if r > n:
         return
@@ -212,6 +213,7 @@ def enumerate_class(rho: Partition, n: int) -> Iterator[PartialPermutation]:
 
 def enumerate_semigroup(n: int) -> Iterator[PartialPermutation]:
     """Every element of P_n: all supports, all bijections."""
+    _check_int(n, "n", nonnegative=True)
     for k in range(n + 1):
         for d in combinations(range(1, n + 1), k):
             for images in _itertools_perms(d):
@@ -220,6 +222,7 @@ def enumerate_semigroup(n: int) -> Iterator[PartialPermutation]:
 
 def semigroup_size(n: int) -> int:
     """|P_n| = sum_k C(n,k) k!, via the recurrence s_n = n s_{n-1} + 1."""
+    _check_int(n, "n", nonnegative=True)
     s = 1
     for k in range(1, n + 1):
         s = k * s + 1

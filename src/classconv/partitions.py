@@ -153,12 +153,14 @@ def _partitions_tuple(r: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _gen_parts(r, r if r else 1))
 
 
-def _check_int(value: int, what: str) -> None:
+def _check_int(value: int, what: str, nonnegative: bool = False) -> None:
     """Raise ValueError unless value is an int, as Partition requires of
-    its parts: a bool would be read as 0 or 1 (a cache too keys True as 1),
-    and a float would fail later with TypeError."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    its parts, and, if nonnegative is set, at least 0: a bool would be read
+    as 0 or 1 (a cache too keys True as 1), and a float would fail later
+    with TypeError."""
+    if type(value) is not int or nonnegative and value < 0:
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
 def enumerate_partitions(r: int) -> list[Partition]:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .class_vector import Coeff, _coeff
 from .partial_perm import PartialPermutation, enumerate_class
-from .partitions import Partition, partition_count
+from .partitions import Partition, _check_int, partition_count
 
 
 def _clean(terms: Mapping[PartialPermutation, Coeff]) -> dict[PartialPermutation, Fraction]:
@@ -83,6 +83,7 @@ class SemigroupAlgebraElement(_Element):
     __slots__ = ("terms", "n")
 
     def __init__(self, terms: Mapping[PartialPermutation, Coeff], n: int) -> None:
+        _check_int(n, "n", nonnegative=True)
         self.terms = _clean(terms)
         self.n = n
         full = frozenset(range(1, n + 1))
@@ -188,11 +189,13 @@ def class_element(rho: Partition, n: int) -> SemigroupAlgebraElement:
 
 def center_dimension(n: int) -> int:
     """dim Z(B_n) = sum_k C(n,k) p(k)."""
+    _check_int(n, "n", nonnegative=True)
     return sum(comb(n, k) * partition_count(k) for k in range(n + 1))
 
 
 def center_dimension_by_pairs(n: int) -> int:
     """Independent count of pairs (d, lambda |- |d|) with d inside {1..n}."""
+    _check_int(n, "n", nonnegative=True)
     count = 0
     for k in range(n + 1):
         for _d in combinations(range(1, n + 1), k):

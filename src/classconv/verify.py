@@ -467,18 +467,24 @@ SUITES = {
 }
 
 
+def _suite(name: str):
+    """SUITES[name]; an unknown name raises ValueError listing the suites."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return SUITES[name]
+
+
 def size_bound(name: str) -> inspect.Parameter | None:
     """The size bound of SUITES[name], its first parameter, or None if the
     suite takes none; the parameter's default is the bound the CLI runs at."""
-    params = list(inspect.signature(SUITES[name]).parameters.values())
+    params = list(inspect.signature(_suite(name)).parameters.values())
     return params[0] if params else None
 
 
 def run_suite(name: str, **options) -> SuiteResult:
     """Run SUITES[name] with the given options; the result carries the
     suite's name, its checks and the time it took."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    suite = _suite(name)
     start = time.perf_counter()
-    checks = SUITES[name](**options)
+    checks = suite(**options)
     return SuiteResult(name, checks, time.perf_counter() - start)

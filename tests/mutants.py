@@ -81,8 +81,12 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),
     # partition enumeration reads a bool size as 0 or 1 and fails on a float
-    ("partitions.py", "if type(value) is not int:", "if False:",
+    ("partitions.py", "if type(value) is not int or nonnegative and value < 0:",
+     "if nonnegative and value < 0:",
      "test_partitions.py::test_partition_sizes_must_be_integers"),
+    # the ambient n of P_n, B_n and Z(B_n) may be negative: semigroup_size(-1) == 1
+    ("partitions.py", " or nonnegative and value < 0", "",
+     "test_semigroup_algebra.py::test_ambient_n_must_be_nonnegative_int"),
     # the gamma checks read K = True as 1 and fail on a float K with TypeError
     ("filtrations.py", '    _check_int(K, "K")\n', "",
      "test_filtrations.py::test_K_and_evaluation_point_must_be_integers"),
@@ -93,6 +97,10 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("cli.py",
      '    _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)",\n'
      "                FILLINGS_DEFAULT_MAX)\n", "", "test_cli.py::test_usage_errors"),
+    # main reports only some ValueErrors as bad input; the rest escape as tracebacks
+    ("cli.py", "        return args.func(args)\n    except ValueError as exc:",
+     "        return args.func(args)\n    except UnicodeError as exc:",
+     "test_cli.py::test_usage_errors"),
 ]
 
 

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from classconv import verify as vf
+from classconv import class_algebra as ca, verify as vf
 from classconv.cli import main
 from classconv.partitions import Partition
 from cli_pins import PINS, masked
+
+P = lambda *parts: Partition(parts)
 
 
 def run(capsys, *argv):
@@ -169,7 +171,7 @@ def test_usage_errors(capsys):
     assert code == 2 and "size bounds exceeded" in err
     code, out, err = run(capsys, "mult", "--basis", "A", "--lhs", "2", "--rhs", "2",
                          "--n", "-1")
-    assert code == 2 and out == "" and "must be nonnegative" in err
+    assert code == 2 and out == "" and "nonnegative integer" in err
     code, _, err = run(capsys, "fillings-count", "--sigma", "5", "--tau", "2",
                        "--rho", "5,2")
     assert code == 2 and "size bounds exceeded" in err
@@ -177,6 +179,29 @@ def test_usage_errors(capsys):
     assert code == 2 and "malformed term" in err
     code, _, err = run(capsys, "verify", "--suite", "nosuch")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize("argv, call", [
+    ("qpoly --sigma 2,1 --tau 3 --rho 3", lambda: ca.q_polynomial(P(2, 1), P(3), P(3))),
+    ("csn-mult --sigma 3 --tau 2 --n 2", lambda: ca.convolve_C_classes(P(3), P(2), 2)),
+    ("csn-mult --sigma 2 --tau 2 --n -1", lambda: ca.convolve_C_classes(P(2), P(2), -1)),
+])
+def test_library_value_errors_exit_2(capsys, argv, call):
+    # main prints the library's own message; no handler re-checks or re-words it
+    with pytest.raises(ValueError) as exc:
+        call()
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+def test_library_runtime_error_propagates(capsys, monkeypatch):
+    # an internal fault is not bad input: it leaves main instead of exiting 2
+    def fault(*args):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(ca, "g_constant", fault)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        main(["gconst", "--sigma", "2", "--tau", "2", "--rho", "3"])
 
 
 def test_verify_suites_exit_codes(capsys):
@@ -219,12 +244,18 @@ def test_verify_override_warns(capsys):
     code, out, err = run(capsys, "verify", "--suite", "gamma", "--max-size", "9")
     assert code == 0
     assert "warning" in err
+    code, out, err = run(capsys, "verify", "--suite", "nosuch", "--max-size", "9")
+    assert (code, out) == (2, "") and "unknown suite" in err and "warning" not in err
 
 
 def test_cost_warning_on_raised_bound(capsys):
     code, out, err = run(capsys, "mult", "--basis", "A", "--lhs", "2", "--rhs", "2",
                          "--max-size", "13")
     assert code == 0 and "warning" in err
+    # a refused size is refused before any warning
+    code, out, err = run(capsys, "mult", "--lhs", "7", "--rhs", "7", "--max-size", "13")
+    assert (code, out) == (2, "") and err.startswith("error: size bounds exceeded")
+    assert "warning" not in err
 
 
 def test_argparse_usage_exit():

@@ -58,7 +58,8 @@ def test_filling_rejects_bool_entries():
 
 
 def test_fillings_of_shape_rejects_bool_points():
-    for shape, points in ((P(1), [True, 2]), (EMPTY, [True])):
+    # a str point is refused too, before the points are sorted
+    for shape, points in ((P(1), [True, 2]), (EMPTY, [True]), (P(1), [1, "a"])):
         with pytest.raises(ValueError, match="distinct positive integers"):
             list(fillings_of_shape(shape, points))
 

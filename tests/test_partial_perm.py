@@ -159,6 +159,8 @@ def test_string_roundtrip():
         PartialPermutation.from_string("1,3:(1,3)")
     with pytest.raises(ValueError):
         PartialPermutation.from_string("{1,3}:(1,4)")
+    with pytest.raises(ValueError, match="malformed cycle list"):
+        PartialPermutation.from_string("{1,2}:(1,2")
 
 
 @given(partial_perms())

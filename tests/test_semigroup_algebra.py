@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from classconv.partial_perm import PartialPermutation, enumerate_semigroup
+from classconv.partial_perm import (PartialPermutation, enumerate_class,
+                                    enumerate_semigroup, semigroup_size)
 from classconv.partitions import Partition, partition_count, partitions_up_to
 from classconv.semigroup_algebra import (GroupAlgebraElement,
                                          SemigroupAlgebraElement,
@@ -190,6 +191,18 @@ def test_center_dimension():
     assert center_dimension(4) == sum(comb(4, k) * partition_count(k) for k in range(5))
     for n in range(7):
         assert center_dimension(n) == center_dimension_by_pairs(n)
+
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 2.5, Fraction(2)])
+def test_ambient_n_must_be_nonnegative_int(n):
+    # True equals 1 and -1 counts as an empty range, so each read a wrong P_n
+    for build in (semigroup_size, center_dimension, center_dimension_by_pairs,
+                  lambda n: list(enumerate_semigroup(n)),
+                  lambda n: list(enumerate_class(P(1), n)),
+                  lambda n: SemigroupAlgebraElement({}, n)):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            build(n)
 
 
 def test_dimension_of_algebra_matches_semigroup_size():
