@@ -57,11 +57,9 @@ def _warn_cost(bound: int, default: int, what: str) -> None:
               "this may take a long time", file=sys.stderr)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return (value.numerator if value.denominator == 1
-                else {"num": value.numerator, "den": value.denominator})
-    return value
+def _jsonable(value: Fraction):
+    return (value.numerator if value.denominator == 1
+            else {"num": value.numerator, "den": value.denominator})
 
 
 def _partitions(args, *flags: str) -> tuple[list[Partition], dict]:

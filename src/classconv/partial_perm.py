@@ -5,6 +5,11 @@ the single global convention that the right factor acts first:
 (w1 * w2)(x) = w1(w2(x)).  Values are immutable and all operations are
 pure, so everything here is safe to use concurrently.
 
+A value is built from an image mapping (``PartialPermutation({1: 3, 3: 1})``),
+from cycles (``PartialPermutation.from_cycles``), as the identity of a point
+set (``PartialPermutation.identity``) or as the canonical representative of
+a class (``canonical_rep``).
+
 The private helpers ``_images`` (cycles to an image dict), ``_cycles``
 (an image dict back to cycles) and ``_canonical_cycles`` are the one copy
 of these walks; ``fillings`` imports them, and ``verify`` imports
@@ -39,21 +44,15 @@ class PartialPermutation:
         return cls({x: x for x in points})
 
     @classmethod
-    def from_cycles(cls, cycles: Iterable[Iterable[int]],
-                    fixed: Iterable[int] = ()) -> "PartialPermutation":
-        """Build from a list of cycles plus extra fixed support points."""
-        m: dict[int, int] = {x: x for x in fixed}
-        seen: set[int] = set()
+    def from_cycles(cls, cycles: Iterable[Iterable[int]]) -> "PartialPermutation":
+        """Build from a list of cycles; a singleton cycle (x,) is a fixed point."""
+        m: dict[int, int] = {}
         for cyc in cycles:
-            c = list(cyc)
-            if not c:
-                continue
+            c = tuple(cyc)
             for x in c:
-                if x in seen or (x in m and len(c) > 1):
+                if x in m:
                     raise ValueError(f"point {x} appears in more than one cycle")
-            for i, x in enumerate(c):
-                m[x] = c[(i + 1) % len(c)]
-            seen.update(c)
+            m.update(_images((c,)))
         return cls(m)
 
     @property
@@ -101,30 +100,6 @@ class PartialPermutation:
         sup = "{" + ",".join(str(x) for x in sorted(self._map)) + "}"
         cyc = "".join("(" + ",".join(str(x) for x in c) + ")" for c in self.cycles())
         return sup + ":" + cyc
-
-    @classmethod
-    def from_string(cls, text: str) -> "PartialPermutation":
-        """Parse the "{1,3,5}:(1,3)(5)" form."""
-        text = text.strip()
-        if ":" not in text or not text.startswith("{"):
-            raise ValueError(f"malformed partial permutation {text!r}")
-        sup_text, _, cyc_text = text.partition(":")
-        sup_text = sup_text.strip()[1:-1].strip()
-        support = {int(t) for t in sup_text.split(",")} if sup_text else set()
-        cycles = []
-        rest = cyc_text.strip()
-        while rest:
-            close = rest.find(")")
-            if not rest.startswith("(") or close < 0:
-                raise ValueError(f"malformed cycle list {cyc_text!r}")
-            inner = rest[1:close].strip()
-            if inner:
-                cycles.append([int(t) for t in inner.split(",")])
-            rest = rest[close + 1:].strip()
-        pp = cls.from_cycles(cycles)
-        if pp.support != frozenset(support):
-            raise ValueError("support does not match the cycle decomposition")
-        return pp
 
 
 def product(a: PartialPermutation, b: PartialPermutation) -> PartialPermutation:

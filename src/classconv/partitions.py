@@ -57,7 +57,7 @@ class Partition:
 
     def multiplicity(self, k: int) -> int:
         """Number of parts equal to k, for k >= 1."""
-        if k < 1:
+        if type(k) is not int or k < 1:
             raise ValueError("part size must be a positive integer")
         return self._parts.count(k)
 
@@ -78,8 +78,8 @@ class Partition:
     def pad(self, n: int) -> "Partition":
         """The partition of n obtained by appending parts of size 1."""
         r = self.size()
-        if n < r:
-            raise ValueError(f"cannot pad a partition of {r} to size {n}")
+        if type(n) is not int or n < r:
+            raise ValueError(f"cannot pad a partition of {r} to size {n!r}")
         return Partition(self._parts + (1,) * (n - r))
 
     def strip_ones(self) -> "Partition":
@@ -116,9 +116,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self._parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self._parts)

@@ -104,7 +104,7 @@ class SemigroupAlgebraElement(_Element):
         return cls({pp: Fraction(1)}, n)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted((str(k), v) for k, v in self.terms.items()))))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"SemigroupAlgebraElement({len(self.terms)} terms, n={self.n})"
@@ -121,7 +121,7 @@ class GroupAlgebraElement(_Element):
 
     def __init__(self, terms: Mapping[PartialPermutation, Coeff],
                  domain: Iterable[int]) -> None:
-        self.domain = frozenset(domain)
+        self.domain = PartialPermutation.identity(domain).support
         self.terms = _clean(terms)
         for pp in self.terms:
             if pp.support != self.domain:
@@ -160,6 +160,7 @@ def forget_support(b: SemigroupAlgebraElement) -> GroupAlgebraElement:
 
 def truncate(b: SemigroupAlgebraElement, m: int) -> SemigroupAlgebraElement:
     """theta_m: keep terms supported inside {1..m}."""
+    _check_int(m, "truncation level", nonnegative=True)
     if m > b.n:
         raise ValueError("truncation level exceeds ambient bound")
     cut = frozenset(range(1, m + 1))

@@ -87,6 +87,13 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # the ambient n of P_n, B_n and Z(B_n) may be negative: semigroup_size(-1) == 1
     ("partitions.py", " or nonnegative and value < 0", "",
      "test_semigroup_algebra.py::test_ambient_n_must_be_nonnegative_int"),
+    # Partition.pad reads True as 1 and fails on a float with TypeError
+    ("partitions.py", "if type(n) is not int or n < r:", "if n < r:",
+     "test_partitions.py::test_sizes_and_levels_refuse_bools_and_floats"),
+    # a group algebra takes any hashable as a domain point: [True], [0, -1]
+    ("semigroup_algebra.py", "self.domain = PartialPermutation.identity(domain).support",
+     "self.domain = frozenset(domain)",
+     "test_semigroup_algebra.py::test_group_algebra_domain_points_follow_the_support_rule"),
     # the gamma checks read K = True as 1 and fail on a float K with TypeError
     ("filtrations.py", '    _check_int(K, "K")\n', "",
      "test_filtrations.py::test_K_and_evaluation_point_must_be_integers"),

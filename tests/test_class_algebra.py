@@ -789,6 +789,17 @@ def test_binomial_polynomial_monomials():
         BinomialPolynomial(P(3), [Fraction(1, 2), 1.9])
 
 
+def test_binomial_polynomial_equality_and_domain():
+    q = BinomialPolynomial(P(3), (1, 3))
+    assert q == BinomialPolynomial(P(3), [1, 3, 0])
+    assert q != BinomialPolynomial(P(2, 1), (1, 3))
+    assert q != BinomialPolynomial(P(3), (1, 2))
+    assert q != (1, 3)
+    assert q.evaluate(3) == 1
+    with pytest.raises(ValueError, match=r"evaluation point 2 below \|base\|=3"):
+        q.evaluate(2)
+
+
 def test_convolve_C_classes():
     got = convolve_C_classes(P(3), P(3), 4)
     assert got == ClassVector({EMPTY: 8, P(3): 4, P(2, 2): 8})

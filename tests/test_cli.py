@@ -177,6 +177,8 @@ def test_usage_errors(capsys):
     assert code == 2 and "size bounds exceeded" in err
     code, _, err = run(capsys, "feval", "--lam", "2", "--term", "nonsense")
     assert code == 2 and "malformed term" in err
+    code, out, err = run(capsys, "feval", "--lam", "2", "--term=1/0:2")
+    assert code == 2 and out == "" and "malformed coefficient in term '1/0:2'" in err
     code, _, err = run(capsys, "verify", "--suite", "nosuch")
     assert code == 2 and "unknown suite" in err
 

@@ -5,7 +5,7 @@ import pytest
 
 from classconv import filtrations
 from classconv.class_algebra import BinomialPolynomial, g_table, product_expansion, q_polynomial
-from classconv.filtrations import (DegreeFunction, Violation,
+from classconv.filtrations import (DegreeFunction, GammaViolation, Violation,
                                    check_filtration, check_gamma_inequalities,
                                    limit_ratio)
 from classconv.partial_perm import PartialPermutation, product
@@ -129,6 +129,10 @@ def test_gamma_inequalities_violations():
     assert any(v.rule == "inverse" for v in out)
     out = check_gamma_inequalities((0, 1, 2, 3, 4, 5, 6, 100), 8)
     assert any(v.rule in {"split", "chain", "double"} for v in out)
+    out = check_gamma_inequalities((-1, 0, 1, 2), 3)
+    assert out[0] == GammaViolation("nonneg", (1,), 0, -1)
+    assert out[0].line() == "rule nonneg at (1): 0 > -1"
+    assert GammaViolation("split", (0, 2), 5, 4).line() == "rule split at (0,2): 5 > 4"
     with pytest.raises(ValueError):
         check_gamma_inequalities((1, 2), 8)
     for K in (0, -1):

@@ -106,7 +106,7 @@ def test_class_elements_distinct_and_typed():
 
 def test_conjugate():
     a = PartialPermutation.from_cycles([(1, 2)])
-    v = PartialPermutation.from_cycles([(2, 3)], fixed=[1])
+    v = PartialPermutation.from_cycles([(2, 3), (1,)])
     assert a.conjugate(v) == PartialPermutation.from_cycles([(1, 3)])
     ident = PartialPermutation.identity(range(1, 4))
     assert a.conjugate(ident) == a
@@ -150,23 +150,30 @@ def test_permutations_of_type_counts():
         assert len({tuple(sorted(m.items())) for m in perms}) == len(perms)
 
 
-def test_string_roundtrip():
-    pp = PartialPermutation.from_cycles([(1, 3)], fixed=[5])
+def test_str_form():
+    pp = PartialPermutation.from_cycles([(1, 3), (5,)])
     assert str(pp) == "{1,3,5}:(1,3)(5)"
-    assert PartialPermutation.from_string(str(pp)) == pp
-    assert PartialPermutation.from_string("{}:") == PartialPermutation()
-    with pytest.raises(ValueError):
-        PartialPermutation.from_string("1,3:(1,3)")
-    with pytest.raises(ValueError):
-        PartialPermutation.from_string("{1,3}:(1,4)")
-    with pytest.raises(ValueError, match="malformed cycle list"):
-        PartialPermutation.from_string("{1,2}:(1,2")
+    assert str(PartialPermutation()) == "{}:"
+
+
+def test_from_cycles_singletons_are_fixed_points():
+    assert PartialPermutation.from_cycles([(5,), (1, 3)]) == PartialPermutation({1: 3, 3: 1, 5: 5})
+    assert PartialPermutation.from_cycles([(), (2,)]) == PartialPermutation.identity({2})
+    for cycles in ([(1, 2), (2,)], [(2,), (2,)]):
+        with pytest.raises(ValueError, match="point 2 appears in more than one cycle"):
+            PartialPermutation.from_cycles(cycles)
+
+
+def test_permutations_of_type_refuses_wrong_point_count():
+    for points in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="support size does not match"):
+            permutations_of_type(points, P(3))
 
 
 @given(partial_perms())
-def test_string_roundtrip_and_cycle_order(pp):
-    assert PartialPermutation.from_string(str(pp)) == pp
+def test_cycle_order(pp):
     cycles = pp.cycles()
+    assert PartialPermutation.from_cycles(cycles) == pp
     assert all(c[0] == min(c) for c in cycles)
     starts = [c[0] for c in cycles]
     assert all(a < b for a, b in zip(starts, starts[1:]))

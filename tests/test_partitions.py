@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import factorial, perm
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions, partition_count,
                                   partitions_up_to)
+from classconv.semigroup_algebra import SemigroupAlgebraElement, truncate
 from oracles import falling_factorial, partitions_brute
 
 P = lambda *parts: Partition(parts)
@@ -103,6 +105,8 @@ def test_enumerate_partitions():
     # reverse-lexicographic order is the documented canonical order
     assert [p.parts for p in enumerate_partitions(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    with pytest.raises(ValueError, match="cannot partition a negative integer"):
+        enumerate_partitions(-1)
 
 
 @pytest.mark.parametrize("r", [True, False, 2.0])
@@ -114,6 +118,25 @@ def test_partition_sizes_must_be_integers(r):
                   CharacterTable, g_table):
         with pytest.raises(ValueError, match="partition size must be an integer"):
             build(r)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EMPTY.pad(True), "cannot pad a partition of 0 to size True"),
+    (lambda: P(1).pad(2.0), "cannot pad a partition of 1 to size 2.0"),
+    (lambda: P(1, 1).multiplicity(True), "part size must be a positive integer"),
+    (lambda: P(1, 1).multiplicity(1.0), "part size must be a positive integer"),
+    (lambda: truncate(SemigroupAlgebraElement.unit(3), 2.0),
+     "truncation level must be a nonnegative integer, got 2.0"),
+    (lambda: truncate(SemigroupAlgebraElement.unit(3), True),
+     "truncation level must be a nonnegative integer, got True"),
+    (lambda: truncate(SemigroupAlgebraElement.unit(3), -1),
+     "truncation level must be a nonnegative integer, got -1"),
+], ids=["pad-True", "pad-2.0", "multiplicity-True", "multiplicity-1.0",
+        "truncate-2.0", "truncate-True", "truncate--1"])
+def test_sizes_and_levels_refuse_bools_and_floats(call, message):
+    # True equals 1: EMPTY.pad(True) read as (1,) and P(1, 1).multiplicity(True) as 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_enumeration_against_brute_force():

@@ -52,6 +52,36 @@ def test_coefficients_must_be_int_or_fraction(c):
     assert half.terms == {pp: Fraction(1, 2)}
 
 
+def test_subtraction_and_hash():
+    swap = SemigroupAlgebraElement.basis(PartialPermutation.from_cycles([(1, 2)]), 2)
+    e = SemigroupAlgebraElement.unit(2)
+    assert (e + swap) - swap == e
+    assert (swap - e).terms == {PartialPermutation.from_cycles([(1, 2)]): 1,
+                                PartialPermutation(): -1}
+    assert (e - e).is_zero()
+    # equal elements built in different term orders hash alike
+    assert hash(e + swap) == hash(swap + e) and len({e + swap, swap + e, e}) == 2
+
+
+def test_supports_and_subsets_inside_the_ambient():
+    with pytest.raises(ValueError, match="exceeds ambient bound 3"):
+        SemigroupAlgebraElement.basis(PartialPermutation.from_cycles([(1, 4)]), 3)
+    with pytest.raises(ValueError, match="total permutations of the domain"):
+        GroupAlgebraElement({PartialPermutation.identity({1}): 1}, {1, 2})
+    with pytest.raises(ValueError, match="x must be a subset of the ambient set"):
+        phi_x(SemigroupAlgebraElement.unit(2), {1, 3})
+    with pytest.raises(ValueError, match="d must be a subset of the ambient set"):
+        epsilon({3}, 2)
+
+
+@pytest.mark.parametrize("domain", [[True], [0, -1], [1.0]])
+def test_group_algebra_domain_points_follow_the_support_rule(domain):
+    # True equals the point 1 and 0, -1 are no points of any support
+    for build in (lambda d: GroupAlgebraElement({}, d), GroupAlgebraElement.unit):
+        with pytest.raises(ValueError, match="support points must be positive integers"):
+            build(domain)
+
+
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         SemigroupAlgebraElement.unit(2) * SemigroupAlgebraElement.unit(3)
