@@ -21,26 +21,36 @@ eps_rho.  The structure-constant route in class_algebra reads the half
 columns as they are, weighing each conjugate pair twice (its docstring
 says why the sign drops out there).
 
-Four caches, each read as follows:
+Five caches, each read as follows:
 
 - per size, _positions(m): the representatives' bead masks in canonical
   order, and every shape's mask mapped to its position, h for the
   representative at half index h and H + h for its conjugate, H the
   number of representatives.  The conjugate's mask comes from the mask
   itself, reversed and complemented within its lam_1 + l(lam) places.
-  _column walks the representatives and looks up each strip removal's
+  _strips walks the representatives and looks up each strip removal's
   result; _shape looks a shape up.
+- per size and strip size, _strips(m, k): for each representative lam
+  of S_m in canonical order, the run of places that lam minus each of
+  its size-k border strips takes in the column of S_(m-k) taken four
+  times: as is, times eps, negated and negated times eps.  A strip
+  landing on a conjugate, at position H + h, reads the second quarter,
+  and one of odd height reads the negated half, so each strip is one
+  index with its sign.  The runs are one flat array('i') with the
+  offsets of each run, built once by the bead-mask loop; every column
+  of size m and first part k reads the same table, CharacterTable's
+  own columns included.
 - per cycle type, _column(rho): chi^lam_rho over the representatives lam
-  of S_|rho|, built in one loop, a Murnaghan-Nakayama step each, from the
-  cached column of rho minus its first part.  The step reads that column
-  doubled, its H entries followed by the same entries times eps of the
-  rest, so a strip landing on a conjugate, at position H + h, is still
-  one index.  Single reads, the shifted evaluations, the s* cache and the
+  of S_|rho|, a Murnaghan-Nakayama step from the cached column of rho
+  minus its first part, with no loop over shapes: that column taken
+  four times is read along the flat array of _strips(|rho|, rho_1),
+  and each entry is the difference of two prefix sums at its run's
+  offsets.  Single reads, the shifted evaluations, the s* cache and the
   structure-constant route in class_algebra all read it.  CharacterTable
   builds its own half columns from the cached suffix columns and does
-  not cache them, so a dropped table leaves only its suffix columns
-  behind; it gets the row of each conjugate lam' as eps times the row of
-  lam.
+  not cache them, so a dropped table leaves only its suffix columns and
+  the strip tables behind; it gets the row of each conjugate lam' as eps
+  times the row of lam.
 - per shape, _shape(lam): lam's half index, its flip (1 if lam comes
   after lam' in canonical order, else 0) and dim lam = chi^lam_{1^|lam|},
   read off the cached column of 1^|lam| (eps is 1 there).  character, p#,
@@ -67,10 +77,12 @@ Everything is exact: characters are integers, evaluations are Fractions.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import factorial, perm
-from operator import mul, neg
+from operator import itemgetter, mul, neg, sub
 
 from .class_vector import ClassVector
 from .partitions import Partition, enumerate_partitions
@@ -151,25 +163,22 @@ def _shape(lam: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 @cache
-def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi^lam_parts over the representatives lam of S_|parts|, k =
-    parts[0]: for each lam the sum over its size-k border strips of
-    (-1)^height chi^(lam minus strip), read from the cached column of
-    parts[1:], doubled with a copy times eps of parts[1:] so that a strip
-    landing on a conjugate reads one index."""
-    if not parts:
-        return (1,)
-    k, rest = parts[0], parts[1:]
-    below = _column(rest)
-    r = sum(rest)
-    at = _positions(r)[1]
-    below += tuple(map(neg, below)) if (r - len(rest)) & 1 else below
+def _strips(m: int, k: int) -> tuple[array, array]:
+    """(flat, ends), the size-k border strips of the representatives lam
+    of S_m for the column step: flat lists, for each lam in canonical
+    order, where lam minus each strip sits in the column of S_(m-k) taken
+    four times, as is, times eps, negated, and negated times eps.  A
+    strip landing on a shape at position p of _positions(m - k) points at
+    p, or at p + 2H, H the number of representatives of S_(m-k), when its
+    height is odd; lam's run is flat[ends[i]:ends[i + 1]] for its half
+    index i."""
+    reps, at = _positions(m - k)
+    odd = 2 * len(reps)
     between = (1 << (k - 1)) - 1
     move = (1 << k) | 1
-    out = []
-    for mask in _positions(sum(parts))[0]:
+    flat, ends = array("i"), array("i", [0])
+    for mask in _positions(m)[0]:
         targets = (mask >> k) & ~mask
-        total = 0
         while targets:
             low = targets & -targets
             targets ^= low
@@ -178,16 +187,40 @@ def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
             if not t:
                 # beads at 0, 1, ... stand for zero parts: drop them
                 new >>= ((new + 1) & ~new).bit_length() - 1
-            if ((mask >> (t + 1)) & between).bit_count() & 1:
-                total -= below[at[new]]
-            else:
-                total += below[at[new]]
-        out.append(total)
-    return tuple(out)
+            flat.append(at[new] + odd * (((mask >> (t + 1)) & between).bit_count() & 1))
+        ends.append(len(flat))
+    return flat, ends
+
+
+@cache
+def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """chi^lam_parts over the representatives lam of S_|parts|, k =
+    parts[0]: for each lam the sum over its size-k border strips of
+    (-1)^height chi^(lam minus strip), read from the cached column of
+    parts[1:] taken four times in the order of _strips(|parts|, k), so
+    each entry is a difference of two prefix sums over its run."""
+    if not parts:
+        return (1,)
+    rest = parts[1:]
+    below = _column(rest)
+    minus = tuple(map(neg, below))
+    if (sum(rest) - len(rest)) & 1:
+        quad = below + minus + minus + below
+    else:
+        quad = below + below + minus + minus
+    flat, ends = _strips(sum(parts), parts[0])
+    # the leading quad[0] keeps the getter's result a tuple when there is
+    # one strip; it adds the same constant to every prefix sum
+    sums = list(accumulate(itemgetter(0, *flat)(quad)))
+    edges = itemgetter(*ends)(sums)
+    return tuple(map(sub, edges[1:], edges))
 
 
 class CharacterTable:
-    """The full character table of S_n in the canonical partition order."""
+    """The full character table of S_n in the canonical partition order.
+
+    Its half columns are built past the _column cache, each from a cached
+    suffix column and the cached strip table of (n, rho_1)."""
 
     __slots__ = ("n", "labels", "matrix", "_index")
 

@@ -66,8 +66,15 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("characters.py", "return at, flip, _column((1,) * n)[at]",
      "return at, flip, _column((1,) * n)[0]", "test_characters.py::test_p_sharp"),
     # the column step reads a strip landing on a conjugate shape without eps
-    ("characters.py", "below += tuple(map(neg, below)) if (r - len(rest)) & 1 else below",
-     "below += below", "test_characters.py::test_tables_match_beta_tuple_route"),
+    ("characters.py", "quad = below + minus + minus + below",
+     "quad = below + below + minus + minus",
+     "test_characters.py::test_tables_match_beta_tuple_route"),
+    # the strip tables drop the height sign: every strip counts +1
+    ("characters.py", "flat.append(at[new] + odd * (((mask >> (t + 1)) & between).bit_count() & 1))",
+     "flat.append(at[new])", "test_characters.py::test_strip_tables_match_border_strip_oracle"),
+    # each run of a strip table ends one strip early
+    ("characters.py", "ends.append(len(flat))", "ends.append(len(flat) - 1)",
+     "test_characters.py::test_tables_match_beta_tuple_route"),
     # a single read of a conjugate shape drops eps_rho
     ("characters.py", "return -chi if (n - len(rho.parts)) & flip else chi",
      "return chi", "test_characters.py::test_conjugate_reads_carry_eps_at_15_to_20"),

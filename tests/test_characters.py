@@ -13,8 +13,8 @@ from classconv.partial_perm import enumerate_semigroup
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
 from classconv.semigroup_algebra import SemigroupAlgebraElement, class_element
 from classconv.verify import suite_homomorphism
-from oracles import (character_beta_tuples, character_table_bruteforce, conjugate_parts,
-                     falling_factorial, skew_syt_count_brute, syt_count_brute)
+from oracles import (_border_strip_removals, character_beta_tuples, character_table_bruteforce,
+                     conjugate_parts, falling_factorial, skew_syt_count_brute, syt_count_brute)
 
 P = lambda *parts: Partition(parts)
 
@@ -121,6 +121,31 @@ def test_tables_match_beta_tuple_route():
                 character_beta_tuples(lam.parts, mu.parts) for lam in labels], mu
 
 
+def test_strip_tables_match_border_strip_oracle():
+    # each run of _strips(m, k), decoded through _positions(m - k) to
+    # (shape, sign), is the oracle's list of size-k border strip removals
+    shapes = {characters._beads(lam.parts): lam.parts for lam in partitions_up_to(14)}
+    for m in range(1, 15):
+        reps = characters._positions(m)[0]
+        hooks = [0] * len(reps)
+        for k in range(1, m + 1):
+            below, positions = characters._positions(m - k)
+            width = 2 * len(below)
+            mask_at = {p: mask for mask, p in positions.items()}
+            flat, ends = characters._strips(m, k)
+            assert (flat.typecode, ends.typecode, len(ends)) == ("i", "i", len(reps) + 1)
+            for h, mask in enumerate(reps):
+                run = flat[ends[h]:ends[h + 1]]
+                assert all(0 <= i < 2 * width for i in run), (m, k, h)
+                got = sorted((shapes[mask_at[i % width]], -1 if i >= width else 1) for i in run)
+                want = sorted((mu, (-1) ** height)
+                              for mu, height in _border_strip_removals(shapes[mask], k))
+                assert got == want, (m, k, shapes[mask])
+                hooks[h] += len(run)
+        # one strip per hook: m cells, m hooks
+        assert hooks == [m] * len(reps), m
+
+
 def test_large_tables_against_closed_forms():
     # the sizes the characters benchmark workload builds, past the beta-tuple check
     for n in range(15, 19):
@@ -156,6 +181,24 @@ def test_column_cache_keeps_suffixes_not_tables():
             assert character(P(n), rho) == 1
             assert character(Partition((1,) * n), rho) == (-1) ** (n - rho.length())
             assert character(hook, rho) == rho.multiplicity(1) - 1, rho
+
+
+def test_strip_tables_shared_by_size_and_first_part():
+    # one strip table per (|c|, c_1) of the columns a table builds, its own
+    # and their suffixes; a second table builds none
+    characters._column.cache_clear()
+    characters._strips.cache_clear()
+    CharacterTable(12)
+    keys = {(sum(rho.parts[i:]), rho.parts[i]) for rho in enumerate_partitions(12)
+            for i in range(rho.length())}
+    held = characters._strips.cache_info()
+    assert held.misses == held.currsize == len(keys)
+    for m, k in keys:
+        characters._strips(m, k)
+    assert characters._strips.cache_info().misses == held.misses
+    CharacterTable(12)
+    again = characters._strips.cache_info()
+    assert (again.misses, again.currsize) == (held.misses, held.currsize)
 
 
 def test_tables_and_evaluations_build_no_product_data(monkeypatch):

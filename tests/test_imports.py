@@ -85,7 +85,7 @@ def test_unknown_attribute_raises():
 
 # every cache in the package, each read by a production path
 CACHES = {"partitions._partitions_tuple", "characters._positions", "characters._shape",
-          "characters._column", "characters._s_star_weights",
+          "characters._strips", "characters._column", "characters._s_star_weights",
           "class_algebra._level_table", "class_algebra._expand"}
 
 
