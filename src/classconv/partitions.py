@@ -160,17 +160,23 @@ def _check_int(value: int, what: str, nonnegative: bool = False) -> None:
         raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
-def enumerate_partitions(r: int) -> list[Partition]:
-    """All partitions of r, reverse-lexicographically, each exactly once."""
+def _check_size(r: int) -> None:
+    """Raise ValueError unless r is an int of at least 0: a negative size
+    would otherwise read as no partitions at all."""
     _check_int(r, "partition size")
     if r < 0:
         raise ValueError("cannot partition a negative integer")
+
+
+def enumerate_partitions(r: int) -> list[Partition]:
+    """All partitions of r, reverse-lexicographically, each exactly once."""
+    _check_size(r)
     return list(_partitions_tuple(r))
 
 
 def partitions_up_to(r: int) -> list[Partition]:
     """All partitions of 0, 1, ..., r in canonical order."""
-    _check_int(r, "partition size")
+    _check_size(r)
     out: list[Partition] = []
     for k in range(r + 1):
         out.extend(_partitions_tuple(k))
@@ -179,7 +185,7 @@ def partitions_up_to(r: int) -> list[Partition]:
 
 def partition_count(r: int) -> int:
     """p(r), the number of partitions of r."""
-    _check_int(r, "partition size")
+    _check_size(r)
     return len(_partitions_tuple(r))
 
 

@@ -17,11 +17,11 @@ import re
 import subprocess
 import sys
 
-# modules that mult never runs: the suites, their data and guards, the
-# other subsystems and the stdlib modules only they need
-NOT_FOR_MULT = ["classconv.verify", "classconv.golden", "classconv.fillings",
-                "classconv.filtrations", "classconv.semigroup_algebra",
-                "classconv.partial_perm", "inspect", "dataclasses"]
+# modules that mult never runs: the suites with their tables and guards,
+# the other subsystems and the stdlib modules only they need
+NOT_FOR_MULT = ["classconv.verify", "classconv.fillings", "classconv.filtrations",
+                "classconv.semigroup_algebra", "classconv.partial_perm", "inspect",
+                "dataclasses"]
 
 PINS: list[tuple[list[str], str]] = [
     (["gconst", "--sigma", "2", "--tau", "2", "--rho", "3"], "3\n"),

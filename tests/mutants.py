@@ -111,6 +111,22 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("cli.py",
      '    _check_size(args, max(sigma.size(), tau.size()), "max(|sigma|,|tau|)",\n'
      "                FILLINGS_DEFAULT_MAX)\n", "", "test_cli.py::test_usage_errors"),
+    # a rescaled constant that does not divide is truncated, not refused
+    ("class_algebra.py", "if num % den:", "if False:",
+     "test_class_algebra.py::test_guards_raise_on_a_spoiled_centralizer[f_constant]"),
+    # the counted guard truncates a count that does not divide
+    ("verify.py", "if rem:", "if False:",
+     "test_class_algebra.py::test_guards_raise_on_a_spoiled_centralizer[counted]"),
+    # the oracle reads a class off its first count without checking the rest
+    ("verify.py", "if len(counts) != size or len(set(counts)) != 1:", "if False:",
+     "test_class_algebra.py::test_guards_raise_on_a_spoiled_centralizer[oracle]"),
+    # partitions_up_to(-1) is [], so g_table(-2) is {} and its scans pass vacuously
+    ("partitions.py", "_check_size(r)\n    out: list[Partition] = []",
+     '_check_int(r, "partition size")\n    out: list[Partition] = []',
+     "test_partitions.py::test_enumerate_partitions"),
+    # a suite that ran no check is ok
+    ("verify.py", "return bool(self.checks) and all(", "return all(",
+     "test_acceptance.py::test_a_suite_that_runs_no_check_is_not_ok"),
     # main reports only some ValueErrors as bad input; the rest escape as tracebacks
     ("cli.py", "        return args.func(args)\n    except ValueError as exc:",
      "        return args.func(args)\n    except UnicodeError as exc:",

@@ -205,6 +205,23 @@ def test_top_levels_raise_on_inexact_division(monkeypatch):
     assert _expand.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: f_constant(P(2), P(2), P(3)), "non-integral f constant for 2, 2 -> 3: internal bug"),
+    (lambda: product_expansion_counted(EMPTY, P(3)), "non-integral count for , 3 -> 3: internal bug"),
+    (lambda: oracle_convolve(P(2), P(2), 3), "oracle produced a non-central element"),
+], ids=["f_constant", "counted", "oracle"])
+def test_guards_raise_on_a_spoiled_centralizer(monkeypatch, call, message):
+    # with z_(3) spoiled to 5 and g_(2),(2)^(3) = 3 cached before: f reads
+    # z_(2)^2 g / z_(3) = 12 / 5; the counted guard reads ()(3) as
+    # z_(3) N / (z_() 3!) = 5 * 2 / 6; and the oracle meets two three-cycles
+    # of S_3 where a class of z_(3) = 5 has 3!/5 = 1 member
+    product_expansion(P(2), P(2))
+    z = Partition.centralizer_size
+    monkeypatch.setattr(Partition, "centralizer_size", lambda p: 5 if p.parts == (3,) else z(p))
+    with pytest.raises(RuntimeError, match=message):
+        call()
+
+
 def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # only the levels below |sigma|+|tau|-1 of a proper pair read
     # characters, and a pair with unit parts reads only its proper pair's

@@ -105,8 +105,12 @@ def test_enumerate_partitions():
     # reverse-lexicographic order is the documented canonical order
     assert [p.parts for p in enumerate_partitions(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    with pytest.raises(ValueError, match="cannot partition a negative integer"):
-        enumerate_partitions(-1)
+    # a negative size is refused, not read as no partitions, where g_table(-1)
+    # would be {} and every scan over it would pass without a pair
+    from classconv.class_algebra import g_table
+    for build in (enumerate_partitions, partitions_up_to, partition_count, g_table):
+        with pytest.raises(ValueError, match="cannot partition a negative integer"):
+            build(-1)
 
 
 @pytest.mark.parametrize("r", [True, False, 2.0])
