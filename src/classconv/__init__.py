@@ -12,8 +12,7 @@ _EXPORTS = {
                       "f_constant", "g_constant", "g_table", "multiply",
                       "product_expansion", "product_expansion_a", "psi_image",
                       "q_polynomial", "to_C_basis"),
-    "characters": ("CharacterTable", "F_eval", "character", "dimension", "p_sharp",
-                   "s_star", "x_mu"),
+    "characters": ("CharacterTable", "F_eval", "character", "p_sharp", "s_star", "x_mu"),
     "fillings": ("Filling", "canonical_filling", "convolve", "enumerate_F"),
     "filtrations": ("DegreeFunction", "check_filtration", "check_gamma_inequalities",
                     "limit_ratio"),

@@ -63,9 +63,6 @@ Five caches, each read as follows:
   So an s* value picks one list by lam's flip and is one column read per
   nonzero term.  s* alone reads it.
 
-dimension() uses the hook length formula, uncached; no production path
-runs it, and the tests compare against it.
-
 The shifted evaluations run on integers and build one Fraction per
 answer.  p# and F share one helper for the integer (n)_r chi^lam_{rho
 1^(n-r)}, with (n)_r from math.perm; F sums the class vector's integer
@@ -117,20 +114,6 @@ def character(lam: Partition, rho: Partition) -> int:
     at, flip, _ = _shape(lam.parts)
     chi = _column(rho.parts)[at]
     return -chi if (n - len(rho.parts)) & flip else chi
-
-
-def dimension(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook lengths)."""
-    parts = lam.parts
-    conj = [0] * (parts[0] if parts else 0)
-    for part in parts:
-        for j in range(part):
-            conj[j] += 1
-    d = factorial(lam.size())
-    for i, part in enumerate(parts):
-        for j in range(part):
-            d //= part - j + conj[j] - i - 1
-    return d
 
 
 @cache
@@ -217,12 +200,13 @@ def _column(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class CharacterTable:
-    """The full character table of S_n in the canonical partition order.
+    """The full character table of S_n in the canonical partition order:
+    matrix[i][j] = chi^lam_rho for lam = labels[i] and rho = labels[j].
 
     Its half columns are built past the _column cache, each from a cached
     suffix column and the cached strip table of (n, rho_1)."""
 
-    __slots__ = ("n", "labels", "matrix", "_index")
+    __slots__ = ("n", "labels", "matrix")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -235,14 +219,6 @@ class CharacterTable:
         eps = [-1 if (n - len(rho.parts)) & 1 else 1 for rho in self.labels]
         self.matrix = [half[at] if at < len(half) else list(map(mul, eps, half[at - len(half)]))
                        for at in _positions(n)[1].values()]
-        self._index = {lam: i for i, lam in enumerate(self.labels)}
-
-    def value(self, lam: Partition, rho: Partition) -> int:
-        return self.matrix[self._index[lam]][self._index[rho]]
-
-    def dimensions(self) -> list[int]:
-        one_col = self._index[Partition((1,) * self.n)]
-        return [row[one_col] for row in self.matrix]
 
 
 def _shifted(parts: tuple[int, ...], n: int, at: int, flip: int) -> int:

@@ -370,12 +370,10 @@ class BinomialPolynomial:
         self.base = base
         self.coeffs = tuple(cl)
 
-    def degree(self) -> int:
-        """Degree in n; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def evaluate(self, n: int) -> int:
-        """q(n); n must be an int (not a bool) of at least |base| (ValueError
+        """q(n), the coefficient of C_{base;n} in the class convolution at n.
+
+        n must be an int (not a bool) of at least |base| (ValueError
         otherwise)."""
         _check_int(n, "evaluation point")
         r = self.base.size()
@@ -437,7 +435,7 @@ def q_polynomial(sigma: Partition, tau: Partition, rho: Partition) -> BinomialPo
     """
     for p in (sigma, tau, rho):
         if not p.is_proper():
-            raise ValueError(f"partition {p or '()'} has unit parts")
+            raise ValueError(f"partition {p} has unit parts")
     exp = product_expansion(sigma, tau)
     kmax = sigma.size() + tau.size() - rho.size()
     coeffs = [exp.get(rho.pad(rho.size() + k), 0) for k in range(max(kmax + 1, 0))]

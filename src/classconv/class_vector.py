@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .partitions import EMPTY, Partition
+from .partitions import Partition
 
 Coeff = int | Fraction
 
@@ -41,11 +41,11 @@ class ClassVector:
     The coefficients are held as nonzero integer numerators `nums` over one
     positive denominator `den`, in lowest terms (gcd(den, *nums) = 1), so
     equal vectors hold equal fields and equality compares them (not the
-    level).  `terms`, `coefficient` and `items` read them as reduced
-    Fractions.  The integer sums (multiply, the psi sum, F) read `nums` and
-    `den` directly and build their results through the trusted constructor
-    `_of`; the public constructor converts and checks outside input, the
-    level included.
+    level).  `terms` and `items` read them as reduced Fractions.  The
+    integer sums (multiply, the psi sum, F) read `nums` and `den` directly
+    and build their results through the trusted constructor `_of`; the
+    public constructor converts and checks outside input, the level
+    included.
     """
 
     __slots__ = ("nums", "den", "level")
@@ -74,10 +74,6 @@ class ClassVector:
         return v
 
     @classmethod
-    def unit(cls, level: int | None = None) -> "ClassVector":
-        return cls({EMPTY: 1}, level)
-
-    @classmethod
     def basis(cls, rho: Partition, level: int | None = None) -> "ClassVector":
         return cls({rho: 1}, level)
 
@@ -86,35 +82,11 @@ class ClassVector:
         """The coefficients as reduced Fractions, in storage order."""
         return {p: Fraction(c, self.den) for p, c in self.nums.items()}
 
-    def coefficient(self, rho: Partition) -> Fraction:
-        return Fraction(self.nums.get(rho, 0), self.den)
-
     def support(self) -> list[Partition]:
         return sorted(self.nums, key=Partition.sort_key)
 
     def items(self) -> list[tuple[Partition, Fraction]]:
         return [(p, Fraction(self.nums[p], self.den)) for p in self.support()]
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        """The sum truncated at the lower of the two levels, if any."""
-        lv = [x for x in (self.level, other.level) if x is not None]
-        level = min(lv) if lv else None
-        den = lcm(self.den, other.den)
-        out: dict[Partition, int] = {}
-        for v in (self, other):
-            scale = den // v.den
-            for p, c in v.nums.items():
-                if level is None or p.size() <= level:
-                    out[p] = out.get(p, 0) + c * scale
-        return ClassVector._of(out, den, level)
-
-    def __rmul__(self, scalar: Coeff) -> "ClassVector":
-        s = _coeff(scalar)
-        return ClassVector._of({p: c * s.numerator for p, c in self.nums.items()},
-                               self.den * s.denominator, self.level)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClassVector) and (self.den, self.nums) == (other.den, other.nums)

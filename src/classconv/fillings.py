@@ -93,15 +93,13 @@ class Filling:
     def support(self) -> frozenset[int]:
         return frozenset(x for row in self.rows for x in row)
 
-    @property
-    def shape(self) -> Partition:
-        return Partition(len(row) for row in self.rows)
-
     def reading_order(self) -> list[int]:
         return [x for row in self.rows for x in row]
 
     def to_partial_perm(self) -> PartialPermutation:
-        """Each row (r1,...,rk) becomes the cycle r1 -> r2 -> ... -> rk -> r1."""
+        """The partial permutation of the filling, its shape the type.
+
+        Each row (r1,...,rk) becomes the cycle r1 -> r2 -> ... -> rk -> r1."""
         return PartialPermutation(_images(self.rows))
 
     def __eq__(self, other: object) -> bool:
@@ -158,25 +156,6 @@ def _row_spans(shape: Partition) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Every reading order of `size` of the sorted points: each combination
-    of them, then each permutation of that combination."""
-    for chosen in combinations(pts, size):
-        yield from permutations(chosen)
-
-
-def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
-    """All fillings of the given shape with support inside the point set."""
-    pts = list(points)
-    if (any(type(x) is not int for x in pts)
-            or pts and (min(pts) < 1 or len(set(pts)) < len(pts))):
-        raise ValueError(f"points must be distinct positive integers, got {pts}")
-    pts.sort()
-    spans = _row_spans(shape)
-    for arrangement in _arrangements(shape.size(), pts):
-        yield Filling._of(tuple(arrangement[a:b] for a, b in spans))
-
-
 def _fillings_of_cycles(cycles: list[tuple[int, ...]]) -> Iterator[Filling]:
     """Every placement of the cycles as rows, longest first: equal-length
     cycles permuted among their rows, each row started at any of its points.
@@ -190,17 +169,6 @@ def _fillings_of_cycles(cycles: list[tuple[int, ...]]) -> Iterator[Filling]:
               for ln, group in sorted(by_len.items(), reverse=True)]
     for choice in product(*groups):
         yield Filling._of(sum(choice, ()))
-
-
-def fillings_of_perm(shape: Partition, pp: PartialPermutation) -> Iterator[Filling]:
-    """All fillings of the given shape that map to the partial permutation.
-
-    Cycles of matching length may occupy any of the equal-length rows and
-    each row may start at any point of its cycle, giving the centralizer
-    order z_shape many fillings in total.
-    """
-    if pp.cycle_type() == shape:
-        yield from _fillings_of_cycles(list(pp.cycles()))
 
 
 def enumerate_F(sigma: Partition, tau: Partition,
@@ -270,8 +238,8 @@ def _s_arrangements(sigma: Partition, rho_img: dict[int, int], before: list[int]
                     moved: int) -> Iterator[tuple[int, ...]]:
     """The reading orders of the S-fillings of shape sigma on {1..r} that
     keep the module docstring's reading rule and agree with rho on exactly
-    r - moved points: each combination, then each permutation of it, in
-    the order of ``_arrangements``.
+    r - moved points: each combination of {1..r}, then each permutation
+    of it, in the order of itertools' combinations and permutations.
 
     A combination must hold before[x] for each x in it, and the fixed
     points of rho off it count as agreements.  Permutations are walked

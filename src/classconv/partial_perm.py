@@ -45,7 +45,9 @@ class PartialPermutation:
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]]) -> "PartialPermutation":
-        """Build from a list of cycles; a singleton cycle (x,) is a fixed point."""
+        """The partial permutation (d, w) whose cycles are given, d their union.
+
+        A singleton cycle (x,) is a fixed point."""
         m: dict[int, int] = {}
         for cyc in cycles:
             c = tuple(cyc)
@@ -59,10 +61,6 @@ class PartialPermutation:
     def support(self) -> frozenset[int]:
         return frozenset(self._map)
 
-    @property
-    def degree(self) -> int:
-        return len(self._map)
-
     def __call__(self, x: int) -> int:
         """The identical extension: image of x, fixing points off the support."""
         return self._map.get(x, x)
@@ -71,7 +69,8 @@ class PartialPermutation:
         return product(self, other)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition on the support, fixed points as singletons.
+        """Cycle decomposition of w on the support d, fixed points as
+        singletons: the cycles whose lengths make the type.
 
         Each cycle starts at its smallest element; cycles are sorted by
         smallest element.
@@ -79,13 +78,8 @@ class PartialPermutation:
         return tuple(_cycles(dict(self._map), sorted(self._map)))
 
     def cycle_type(self) -> Partition:
+        """The type of (d, w): the cycle type of w on d, a partition of |d|."""
         return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def conjugate(self, v: "PartialPermutation") -> "PartialPermutation":
-        """Relabel by a permutation v of {1..n}: (d, w) -> (v d, v w v^-1)."""
-        if not self.support <= v.support:
-            raise ValueError("conjugating permutation does not cover the support")
-        return PartialPermutation({v(x): v(y) for x, y in self._map.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PartialPermutation) and self._key == other._key
@@ -176,7 +170,8 @@ def permutations_of_type(points: Iterable[int], rho: Partition) -> Iterator[dict
 
 
 def enumerate_class(rho: Partition, n: int) -> Iterator[PartialPermutation]:
-    """All partial permutations in P_n with support size |rho| and type rho."""
+    """All partial permutations in P_n with support size |rho| and type rho:
+    the terms of the class sum A_{rho;n}."""
     _check_int(n, "n", nonnegative=True)
     r = rho.size()
     if r > n:

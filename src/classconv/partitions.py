@@ -86,20 +86,9 @@ class Partition:
         """The partition with all parts equal to 1 removed."""
         return Partition(x for x in self._parts if x != 1)
 
-    def union(self, other: "Partition") -> "Partition":
-        """Multiset union of the parts, re-sorted decreasingly."""
-        return Partition(sorted(self._parts + other._parts, reverse=True))
-
     def is_proper(self) -> bool:
         """True when no part equals 1."""
         return not self._parts or self._parts[-1] != 1
-
-    def contains(self, other: "Partition") -> bool:
-        """Diagram containment: other fits inside self row by row."""
-        q = other._parts
-        if len(q) > len(self._parts):
-            return False
-        return all(self._parts[i] >= q[i] for i in range(len(q)))
 
     def sort_key(self) -> tuple:
         """Canonical order: ascending size, then reverse-lexicographic."""
@@ -113,9 +102,6 @@ class Partition:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self._parts)

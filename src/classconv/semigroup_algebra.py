@@ -37,10 +37,6 @@ class _Element:
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, ambient):
-        return cls({}, ambient)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -54,9 +50,6 @@ class _Element:
         for pp, c in other.terms.items():
             out[pp] = out.get(pp, Fraction(0)) + c
         return type(self)(out, self._ambient)
-
-    def __sub__(self, other):
-        return self + (-1) * other
 
     def __rmul__(self, scalar: Coeff):
         s = _coeff(scalar)
@@ -131,11 +124,6 @@ class GroupAlgebraElement(_Element):
     def _ambient(self) -> frozenset[int]:
         return self.domain
 
-    @classmethod
-    def unit(cls, domain: Iterable[int]) -> "GroupAlgebraElement":
-        dom = frozenset(domain)
-        return cls({PartialPermutation.identity(dom): Fraction(1)}, dom)
-
     def __repr__(self) -> str:
         return f"GroupAlgebraElement({len(self.terms)} terms, |domain|={len(self.domain)})"
 
@@ -154,12 +142,15 @@ def phi_x(b: SemigroupAlgebraElement, x: Iterable[int]) -> GroupAlgebraElement:
 
 
 def forget_support(b: SemigroupAlgebraElement) -> GroupAlgebraElement:
-    """psi: (d, w) -> identical extension of w to the full ambient set."""
+    """The support-forgetting map psi: B_n -> Q[S_n].
+
+    (d, w) goes to the identical extension of w to the full ambient set."""
     return phi_x(b, range(1, b.n + 1))
 
 
 def truncate(b: SemigroupAlgebraElement, m: int) -> SemigroupAlgebraElement:
-    """theta_m: keep terms supported inside {1..m}."""
+    """The truncation theta_m: B_n -> B_m, keeping the terms supported
+    inside {1..m}."""
     _check_int(m, "truncation level", nonnegative=True)
     if m > b.n:
         raise ValueError("truncation level exceeds ambient bound")
@@ -183,7 +174,8 @@ def epsilon(d: Iterable[int], n: int) -> SemigroupAlgebraElement:
 
 
 def class_element(rho: Partition, n: int) -> SemigroupAlgebraElement:
-    """A_{rho;n} as an explicit sum of basis partial permutations."""
+    """The class sum A_{rho;n} in B_n: every partial permutation of type
+    rho in P_n, each with coefficient 1."""
     return SemigroupAlgebraElement(
         {pp: Fraction(1) for pp in enumerate_class(rho, n)}, n)
 

@@ -72,6 +72,9 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     # the strip tables drop the height sign: every strip counts +1
     ("characters.py", "flat.append(at[new] + odd * (((mask >> (t + 1)) & between).bit_count() & 1))",
      "flat.append(at[new])", "test_characters.py::test_strip_tables_match_border_strip_oracle"),
+    # CharacterTable reads the row of a conjugate lam' without eps
+    ("characters.py", "list(map(mul, eps, half[at - len(half)]))", "half[at - len(half)]",
+     "test_characters.py::test_character_table_object"),
     # each run of a strip table ends one strip early
     ("characters.py", "ends.append(len(flat))", "ends.append(len(flat) - 1)",
      "test_characters.py::test_tables_match_beta_tuple_route"),

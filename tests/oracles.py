@@ -2,19 +2,21 @@
 
 Everything here is deliberately naive: enumeration and textbook linear
 algebra over exact rationals, sharing no code with the fast path each
-route checks.  enumerate_F_naive convolves with the package's own filling
-convolution and fillings_of_shape, which are tested on their own, but not
-with enumerate_F's reading-order walk.
+route checks.  enumerate_F_naive convolves, with the package's own filling
+convolution (tested on its own), every pair of the fillings that
+fillings_of_shape lists here; it shares nothing with enumerate_F's
+reading-order walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
-from typing import Iterator
+from itertools import combinations, permutations
+from math import factorial
+from typing import Iterable, Iterator
 
-from classconv.fillings import Filling, canonical_filling, convolve, fillings_of_shape
+from classconv.fillings import Filling, canonical_filling, convolve
 from classconv.partitions import Partition, enumerate_partitions
 
 
@@ -46,6 +48,19 @@ def partitions_brute(r: int) -> set[tuple[int, ...]]:
     return out
 
 
+def dimension(lam: Partition) -> int:
+    """Number of standard Young tableaux of shape lam, by the hook length
+    formula: the reference for the dimensions the characters module reads
+    off the column of 1^n."""
+    parts = lam.parts
+    conj = conjugate_parts(parts)
+    d = factorial(lam.size())
+    for i, part in enumerate(parts):
+        for j in range(part):
+            d //= part - j + conj[j] - i - 1
+    return d
+
+
 def syt_count_brute(lam: Partition) -> int:
     """Count standard Young tableaux by checking every arrangement."""
     n = lam.size()
@@ -72,7 +87,7 @@ def skew_syt_count_brute(lam: Partition, mu: Partition) -> int:
     """Count standard tableaux of the skew shape by brute placement; 0 if mu
     is not contained in lam.  Cached: the shifted Schur test reads each pair
     once per class."""
-    if not lam.contains(mu):
+    if mu.length() > lam.length() or any(m > l for m, l in zip(mu.parts, lam.parts)):
         return 0
     cells = [(i, j) for i, ln in enumerate(lam.parts)
              for j in range(ln) if j >= (mu.parts[i] if i < mu.length() else 0)]
@@ -194,6 +209,25 @@ def rank_over_Q(rows: list[list[Fraction]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def _arrangements(size: int, pts: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Every reading order of `size` of the sorted points: each combination
+    of them, then each permutation of that combination."""
+    for chosen in combinations(pts, size):
+        yield from permutations(chosen)
+
+
+def fillings_of_shape(shape: Partition, points: Iterable[int]) -> Iterator[Filling]:
+    """All fillings of the given shape with support inside the points,
+    given distinct and in increasing order, in the order of _arrangements."""
+    rows = shape.parts
+    for arrangement in _arrangements(shape.size(), points):
+        start, out = 0, []
+        for ln in rows:
+            out.append(arrangement[start:start + ln])
+            start += ln
+        yield Filling(out)
 
 
 def enumerate_F_naive(sigma: Partition, tau: Partition,

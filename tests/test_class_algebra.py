@@ -14,11 +14,16 @@ from classconv.class_algebra import (BinomialPolynomial, ClassVector, _expand,
                                      psi_image, q_polynomial, to_C_basis)
 from classconv.filtrations import DegreeFunction
 from classconv.partitions import EMPTY, Partition, enumerate_partitions, partitions_up_to
-from classconv.semigroup_algebra import class_element, truncate
+from classconv.semigroup_algebra import class_element
 from classconv.verify import _counting_cost, oracle_convolve, product_expansion_counted
 from oracles import character_beta_tuples, conjugate_parts, falling_factorial
 
 P = lambda *parts: Partition(parts)
+
+
+def union(sigma, tau):
+    """The multiset union of the parts: the type of sigma u tau on disjoint supports."""
+    return Partition(sorted(sigma.parts + tau.parts, reverse=True))
 
 
 def test_g_basic_example():
@@ -42,7 +47,7 @@ def test_g_top_term_binomial_product():
             if sigma.size() + tau.size() > 11:
                 continue
             pairs += 1
-            top = sigma.union(tau)
+            top = union(sigma, tau)
             want = 1
             for k in set(top.parts):
                 want *= comb(sigma.multiplicity(k) + tau.multiplicity(k),
@@ -411,7 +416,7 @@ def _check_top_levels_against_characters(sigma, tau):
     for m in range(max(s, t, s + t - 1), s + t + 1):
         for mu, total in _level_sums(sigma, tau, m).items():
             m1 = mu.multiplicity(1)
-            want = sum(comb(m1, j) * got.get(Partition(mu.parts[:len(mu) - j]), 0)
+            want = sum(comb(m1, j) * got.get(Partition(mu.parts[:mu.length() - j]), 0)
                        for j in range(m1 + 1))
             assert total == want, (sigma, tau, mu)
 
@@ -636,7 +641,7 @@ def test_multiply_truncations():
     assert multiply(u, u, n=2) == ClassVector({P(1, 1): 1})
     assert multiply(u, u, n=3) == ClassVector({P(1, 1): 1, P(3): 3})
     assert multiply(u, u, n=4) == ClassVector({P(1, 1): 1, P(3): 3, P(2, 2): 2})
-    assert multiply(ClassVector.unit(), u) == u
+    assert multiply(ClassVector.basis(EMPTY), u) == u
 
 
 def test_multiply_matches_semigroup_algebra():
@@ -698,7 +703,7 @@ def test_multiply_matches_per_term_fraction_sum():
     # A(1) A(1) = A(1) + 2 A(1,1), so the A(1) terms cancel
     cancel = ClassVector({P(1): 1, EMPTY: -1})
     assert P(1) not in multiply(cancel, ClassVector.basis(P(1))).terms
-    vectors = [mixed, other, cancel, ClassVector.basis(P(2, 2)), ClassVector.unit(),
+    vectors = [mixed, other, cancel, ClassVector.basis(P(2, 2)), ClassVector.basis(EMPTY),
                ClassVector({}), ClassVector({P(2): Fraction(-1, 2), P(1): 3}, level=3)]
     for u in vectors:
         for v in vectors:
@@ -741,7 +746,7 @@ def test_f_examples():
     assert f_constant(P(3), P(2), P(4)) == 6  # one-row merge 3*1*2*1
     for sigma in partitions_up_to(4):
         for tau in partitions_up_to(4):
-            assert f_constant(sigma, tau, sigma.union(tau)) == 1
+            assert f_constant(sigma, tau, union(sigma, tau)) == 1
 
 
 def test_f_one_row_merge_formula():
@@ -785,7 +790,7 @@ def test_q_polynomial():
     assert q0.coeffs == (0, 0, 0, 2)
     assert [q0.evaluate(n) for n in (3, 4, 5)] == [2, 8, 20]
     assert q_polynomial(P(3), P(3), P(3, 3)).coeffs == (2,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^partition 2,1 has unit parts$"):
         q_polynomial(P(2, 1), P(3), P(3))
 
 
@@ -794,12 +799,12 @@ def test_binomial_polynomial_monomials():
     assert q.monomial_coeffs() == (Fraction(0), Fraction(2, 3),
                                    Fraction(-1), Fraction(1, 3))
     assert q.monomial_string() == "n^3/3-n^2+2n/3"
-    assert q.degree() == 3
+    assert len(q.coeffs) == 4
     for n in range(8):
         value = sum(c * Fraction(n) ** k for k, c in enumerate(q.monomial_coeffs()))
         assert value == q.evaluate(n)
     zero = BinomialPolynomial(P(2), (0, 0))
-    assert zero.coeffs == () and zero.degree() == -1
+    assert zero.coeffs == ()
     assert zero.monomial_string() == "0"
     # truncated, these would read as the coefficients (0, 1)
     with pytest.raises(ValueError, match=r"coefficients must be integers, got Fraction\(1, 2\)"):
@@ -851,7 +856,7 @@ def test_oracle_examples():
 
 
 def test_oracle_skips_oversized_classes():
-    assert oracle_convolve(P(4), P(2), 3).is_zero()
+    assert not oracle_convolve(P(4), P(2), 3).nums
 
 
 @settings(max_examples=50, deadline=None)
@@ -877,7 +882,7 @@ def test_to_C_basis_matches_per_term_fraction_sum():
     # (2,1) and (2) both map to C_(2) at n = 3 with binomial 1: they cancel
     cancel = ClassVector({P(2, 1): Fraction(2, 3), P(2): Fraction(-2, 3), P(3): Fraction(1, 2)})
     product = multiply(mixed, ClassVector({P(2): Fraction(1, 3), P(1): Fraction(-3, 4)}))
-    for v in [mixed, cancel, product, ClassVector({}), ClassVector.unit()]:
+    for v in [mixed, cancel, product, ClassVector({}), ClassVector.basis(EMPTY)]:
         for n in range(_top(v) + 2):
             got = to_C_basis(v, n)
             assert list(got.terms.items()) == _per_term_psi(v, n), (v, n)
@@ -888,7 +893,7 @@ def test_to_C_basis_matches_per_term_fraction_sum():
 def test_to_C_basis_refuses_level_below_n():
     # a product truncated at 3 lacks the (2,2) term that S_4 sees
     v = multiply(ClassVector.basis(P(2)), ClassVector.basis(P(2)), n=3)
-    assert convolve_C_classes(P(2), P(2), 4).coefficient(P(2, 2)) == 2
+    assert convolve_C_classes(P(2), P(2), 4).terms.get(P(2, 2), 0) == 2
     with pytest.raises(ValueError, match=r"level 3 .* n = 4"):
         to_C_basis(v, 4)
     assert to_C_basis(v, 3) == convolve_C_classes(P(2), P(2), 3)
@@ -911,7 +916,7 @@ def test_multiply_level_must_be_nonnegative_int(n):
     with pytest.raises(ValueError, match="truncation level must be None or a nonnegative"):
         multiply(u, u, n=n)
     assert multiply(u, u, n=2) == ClassVector({P(1, 1): 1})
-    assert multiply(u, u, n=0).is_zero()
+    assert not multiply(u, u, n=0).nums
 
 
 @pytest.mark.parametrize("n", [True, 4.0, Fraction(4), -1])
@@ -934,7 +939,7 @@ def test_psi_image_n_must_be_nonnegative_int(n):
 
 def test_class_vector_basics():
     v = ClassVector({P(2): Fraction(1, 2), P(1): 0})
-    assert v.coefficient(P(1)) == 0 and P(1) not in v.terms
+    assert v.terms.get(P(1), 0) == 0 and P(1) not in v.terms
     assert v.support() == [P(2)]
     with pytest.raises(ValueError):
         ClassVector({P(3): 1}, level=2)
@@ -942,13 +947,8 @@ def test_class_vector_basics():
     u = ClassVector({P(2): half, P(1): 3})
     # every coefficient reads back as a Fraction equal to the one given
     assert u.terms[P(2)] == half and type(u.terms[P(1)]) is Fraction
-    u = ClassVector({P(2): Fraction(1, 2)})
-    assert (u + u).coefficient(P(2)) == 1
-    assert (3 * u).coefficient(P(2)) == Fraction(3, 2)
-    # a sum drops the terms above the lower truncation level, as multiply does
-    w = ClassVector.basis(P(3)) + ClassVector.unit(2)
-    assert w == ClassVector.unit(2) and w.level == 2
-    assert multiply(ClassVector.basis(P(3)), ClassVector.unit(2)).is_zero()
+    # a product drops the terms above the lower truncation level
+    assert not multiply(ClassVector.basis(P(3)), ClassVector.basis(EMPTY, 2)).nums
 
 
 def _assert_canonical(v):
@@ -965,9 +965,7 @@ def test_class_vector_coefficients_must_be_int_or_fraction(c):
     # a float would be read in binary and a bool as 0 or 1
     with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
         ClassVector({P(2): c})
-    with pytest.raises(ValueError, match="coefficients must be integers or Fractions"):
-        c * ClassVector.basis(P(2))
-    assert ClassVector({P(2): Fraction(1, 10)}) == Fraction(1, 10) * ClassVector.basis(P(2))
+    assert ClassVector({P(2): Fraction(1, 10)}).terms == {P(2): Fraction(1, 10)}
 
 
 def test_class_vector_canonical_form():
@@ -979,16 +977,25 @@ def test_class_vector_canonical_form():
             ClassVector({P(2): Fraction(6, 3), P(1): Fraction(12, 3)}, level=5)]
     cancel = ClassVector({P(1): 1, EMPTY: -1})
     built = [a, b, *same, cancel, ClassVector({}), ClassVector({P(3): Fraction(0)}),
-             ClassVector.unit(), ClassVector.basis(P(2, 2))]
-    built += [a + b, b + b, a + (-1) * a, 3 * b, Fraction(3, 2) * a, 0 * a, Fraction(-1, 2) * b,
-              multiply(a, b), multiply(a, b, 2), multiply(cancel, ClassVector.basis(P(1))),
-              multiply(b, Fraction(3, 1) * b), convolve_C_classes(P(2), P(2), 4)]
+             ClassVector.basis(EMPTY), ClassVector.basis(P(2, 2))]
+    # products and psi sums whose integer sums share a factor with their
+    # denominator: b times 3 A(2) over 3, a times 6 over 6, (1/2) A(2) times
+    # 2 A(2) over 2, and (1/2) A(1) at n = 2 adds 1 C(2, 1) over 2
+    scaled = [multiply(b, ClassVector({P(2): 3})), multiply(a, ClassVector({EMPTY: 6})),
+              multiply(ClassVector({P(2): Fraction(1, 2)}), ClassVector({P(2): 2})),
+              to_C_basis(ClassVector({P(1): Fraction(1, 2)}), 2)]
+    built += scaled + [
+        multiply(a, ClassVector({})), multiply(b, ClassVector({EMPTY: 2})),
+        multiply(b, ClassVector({EMPTY: 3})), multiply(a, b), multiply(a, b, 2),
+        multiply(cancel, ClassVector.basis(P(1))), convolve_C_classes(P(2), P(2), 4)]
     built += [to_C_basis(v, n) for v in (a, b, multiply(a, b)) for n in range(5)]
     for v in built:
         _assert_canonical(v)
     assert same[0].den == 1 and same[0] == same[1] == same[2]
-    assert (b + b).den == 3 and (3 * b).den == 1 and (a + (-1) * a).is_zero()
-    assert (0 * a).den == (a + (-1) * a).den == 1
+    assert [v.den for v in scaled] == [1, 1, 1, 1]
+    assert multiply(b, ClassVector({EMPTY: 2})).den == 3
+    assert multiply(b, ClassVector({EMPTY: 3})).den == 1
+    assert multiply(a, ClassVector({})).den == 1 and not multiply(a, ClassVector({})).nums
     for u in built:
         for v in built:
             assert (u == v) == (u.terms == v.terms), (u, v)

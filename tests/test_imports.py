@@ -1,7 +1,9 @@
 """What a cold interpreter imports: the package resolves its names lazily
 and each CLI subcommand loads only the modules it runs.  Also what the
-modules define that outlives a call: the functools caches."""
+modules define that outlives a call, the functools caches, and that every
+module-level import of the package and of the tests is read."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -16,14 +18,14 @@ import pytest
 from cli_pins import NOT_FOR_MULT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
-# every name the package exports: each was exported when it imported its
-# modules eagerly
+# every name the package exports
 FORMER_NAMES = {
     "BinomialPolynomial", "ClassVector", "convolve_C_classes", "f_constant",
     "g_constant", "g_table", "multiply", "oracle_convolve", "product_expansion",
     "product_expansion_a", "psi_image", "q_polynomial", "to_C_basis",
-    "CharacterTable", "F_eval", "character", "dimension", "p_sharp", "s_star",
+    "CharacterTable", "F_eval", "character", "p_sharp", "s_star",
     "x_mu", "Filling", "canonical_filling", "convolve",
     "enumerate_F", "DegreeFunction", "check_filtration", "check_gamma_inequalities",
     "limit_ratio", "PartialPermutation", "canonical_rep", "enumerate_class",
@@ -105,3 +107,24 @@ def test_every_cache_is_listed():
                     qualified = name if owner is module else f"{owner.__name__}.{name}"
                     found.add(f"{info.name}.{qualified}")
     assert found == CACHES
+
+
+def _unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each name a module-level import of the file binds
+    and no expression of the file reads."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound += [(stmt.lineno, a.asname or a.name.split(".")[0]) for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound += [(stmt.lineno, a.asname or a.name) for a in stmt.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    paths = sorted([*(SRC / "classconv").glob("*.py"), *TESTS.glob("*.py")])
+    assert len(paths) > 20
+    unused = [(path.name, line, name) for path in paths for line, name in _unused_imports(path)]
+    assert unused == []

@@ -3,7 +3,6 @@ from itertools import permutations
 from math import factorial, perm
 
 import pytest
-from hypothesis import given, strategies as st
 
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions, partition_count,
                                   partitions_up_to)
@@ -11,10 +10,6 @@ from classconv.semigroup_algebra import SemigroupAlgebraElement, truncate
 from oracles import falling_factorial, partitions_brute
 
 P = lambda *parts: Partition(parts)
-
-partitions_st = st.builds(
-    lambda parts: Partition(sorted(parts, reverse=True)),
-    st.lists(st.integers(min_value=1, max_value=6), max_size=6))
 
 
 def test_validation():
@@ -90,12 +85,6 @@ def test_strip_ones():
     assert P(3, 1, 1).strip_ones() == P(3)
     assert P(1, 1).strip_ones() == EMPTY
     assert P(2, 2).strip_ones() == P(2, 2)
-
-
-def test_union():
-    assert P(3).union(P(2, 1)) == P(3, 2, 1)
-    assert P(2).union(P(2)) == P(2, 2)
-    assert EMPTY.union(P(3, 1)) == P(3, 1)
 
 
 def test_enumerate_partitions():
@@ -175,17 +164,6 @@ def test_centralizer_chain():
             r = rho.size()
             assert (rho.pad(n).centralizer_size() * factorial(m1)
                     == z * factorial(n - r + m1))
-
-
-@given(partitions_st, partitions_st)
-def test_union_commutative(a, b):
-    assert a.union(b) == b.union(a)
-    assert a.union(b).size() == a.size() + b.size()
-
-
-@given(partitions_st, partitions_st, partitions_st)
-def test_union_associative(a, b, c):
-    assert a.union(b).union(c) == a.union(b.union(c))
 
 
 def test_string_roundtrip():

@@ -28,6 +28,11 @@ def basis_elements(n):
     return [SemigroupAlgebraElement.basis(pp, n) for pp in enumerate_semigroup(n)]
 
 
+def group_unit(domain):
+    """The unit of Q[S_domain]: the identity of the domain, coefficient 1."""
+    return GroupAlgebraElement({PartialPermutation.identity(domain): 1}, domain)
+
+
 def test_unit_and_single_terms():
     b = SemigroupAlgebraElement.basis(PartialPermutation.from_cycles([(1, 2)]), 3)
     e = SemigroupAlgebraElement.unit(3)
@@ -55,10 +60,10 @@ def test_coefficients_must_be_int_or_fraction(c):
 def test_subtraction_and_hash():
     swap = SemigroupAlgebraElement.basis(PartialPermutation.from_cycles([(1, 2)]), 2)
     e = SemigroupAlgebraElement.unit(2)
-    assert (e + swap) - swap == e
-    assert (swap - e).terms == {PartialPermutation.from_cycles([(1, 2)]): 1,
-                                PartialPermutation(): -1}
-    assert (e - e).is_zero()
+    assert (e + swap) + (-1) * swap == e
+    assert (swap + (-1) * e).terms == {PartialPermutation.from_cycles([(1, 2)]): 1,
+                                       PartialPermutation(): -1}
+    assert (e + (-1) * e).is_zero()
     # equal elements built in different term orders hash alike
     assert hash(e + swap) == hash(swap + e) and len({e + swap, swap + e, e}) == 2
 
@@ -77,7 +82,7 @@ def test_supports_and_subsets_inside_the_ambient():
 @pytest.mark.parametrize("domain", [[True], [0, -1], [1.0]])
 def test_group_algebra_domain_points_follow_the_support_rule(domain):
     # True equals the point 1 and 0, -1 are no points of any support
-    for build in (lambda d: GroupAlgebraElement({}, d), GroupAlgebraElement.unit):
+    for build in (lambda d: GroupAlgebraElement({}, d), group_unit):
         with pytest.raises(ValueError, match="support points must be positive integers"):
             build(domain)
 
@@ -92,14 +97,14 @@ def test_ambient_mismatch():
 def test_group_algebra_arithmetic():
     dom = frozenset({1, 2})
     one, swap = PartialPermutation.identity(dom), PartialPermutation.from_cycles([(1, 2)])
-    total = GroupAlgebraElement.unit(dom) + 2 * GroupAlgebraElement({swap: 1}, dom)
+    total = group_unit(dom) + 2 * GroupAlgebraElement({swap: 1}, dom)
     assert total.terms == {one: 1, swap: 2}
     assert total * total == GroupAlgebraElement({one: 5, swap: 4}, dom)
-    zero = GroupAlgebraElement.zero(dom)
+    zero = GroupAlgebraElement({}, dom)
     assert zero.is_zero() and zero.domain == dom
     assert total + zero == total and zero * total == zero
     assert (total + (-1) * total).is_zero()
-    other = GroupAlgebraElement.unit({1, 2, 3})
+    other = group_unit({1, 2, 3})
     # match the message: the constructor would also refuse the foreign keys
     with pytest.raises(ValueError, match="mismatch"):
         total + other
@@ -121,7 +126,7 @@ def test_phi_x():
     assert full == forget_support(b)
     for d in subsets(3):
         e = epsilon(d, 3)
-        assert phi_x(e, d) == GroupAlgebraElement.unit(d)
+        assert phi_x(e, d) == group_unit(d)
         for x in subsets(3):
             if x != d:
                 assert phi_x(e, x).is_zero()
@@ -192,9 +197,9 @@ def test_truncate_homomorphism():
 
 def test_forget_support_unit_and_class():
     n = 2
-    assert forget_support(SemigroupAlgebraElement.unit(n)) == GroupAlgebraElement.unit(range(1, n + 1))
+    assert forget_support(SemigroupAlgebraElement.unit(n)) == group_unit(range(1, n + 1))
     img = forget_support(class_element(P(1), 2))
-    assert img == 2 * GroupAlgebraElement.unit({1, 2})
+    assert img == 2 * group_unit({1, 2})
 
 
 def test_forget_support_class_formula():
@@ -211,7 +216,7 @@ def test_forget_support_class_formula():
                 assert w.cycle_type() == padded
             expected_class_size = sum(
                 1 for pp in enumerate_semigroup(n)
-                if pp.degree == n and pp.cycle_type() == padded)
+                if len(pp.support) == n and pp.cycle_type() == padded)
             assert len(img.terms) == expected_class_size
 
 
@@ -245,7 +250,7 @@ def test_dimension_of_algebra_matches_semigroup_size():
 
 def _perm_index(n):
     perms = sorted(
-        (pp for pp in enumerate_semigroup(n) if pp.degree == n),
+        (pp for pp in enumerate_semigroup(n) if len(pp.support) == n),
         key=lambda pp: tuple(pp(i) for i in range(1, n + 1)))
     return {pp: i for i, pp in enumerate(perms)}
 
@@ -278,7 +283,7 @@ def test_phi_vanishing_equivalence():
         eps = [epsilon(d, n) for d in xs]
         family += eps
         family += [e * b for e, b in zip(eps, basis_elements(n)[::-1])]
-        acc = SemigroupAlgebraElement.zero(n)
+        acc = SemigroupAlgebraElement({}, n)
         for i, b in enumerate(basis_elements(n)):
             acc = acc + (2 * i + 1) * b
         family.append(acc)
