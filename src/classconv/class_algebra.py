@@ -65,9 +65,16 @@ support a product of partial permutations a b = r is a product of
 permutations, whose Cayley lengths (fewest transpositions) are deg3 of
 their types.  Since sign(r) = sign(a) sign(b) and a = r b^-1, g^mu also
 vanishes unless deg3(mu) has the parity of deg3(sigma) + deg3(tau) and is
-at least |deg3(sigma) - deg3(tau)|.  For the proper pairs that reach the
-characters deg2 is the size, so at level m the allowed mu have
-m_1(mu) <= s + t - m: they fill a rectangle in (deg3, m_1).  (The moved
+at least |deg3(sigma) - deg3(tau)|.  At level m the supports share
+d = s + t - m points, the set X.  A cycle of a or of b that misses X is
+a cycle of r, and every other cycle of r passes through X: from any
+point of a touched cycle, r or its inverse moves along that cycle until
+it reaches X.  So r has at most d cycles beyond the untouched ones, and
+since X touches at least one cycle of each factor, l(mu) <= l(sigma) +
+l(tau) + d - 2: for a proper pair, deg3(mu) >= deg3(sigma) + deg3(tau)
+- 2d + 2.  For the proper pairs that reach the characters deg2 is the
+size, so at level m the allowed mu have m_1(mu) <= s + t - m: they fill
+a rectangle in (deg3, m_1).  (The moved
 points of r, mv = |.| - m_1, lie between |mv(sigma) - mv(tau)| and
 mv(sigma) + mv(tau); with mv = size that adds nothing at m >= max(s, t).)
 Dropping unit parts keeps mu allowed (deg3 stays, deg2 drops), so the
@@ -157,17 +164,19 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     i + j factors (L - c) of the A_(1) reduction (module docstring).  Its
     terms group into chains by proper part, entry a of a chain holding the
     coefficient of A_{rho' 1^a}, and each factor maps a chain to
-    new_a = (|rho'| - c + a) old_a + a old_{a-1}.  The result is divided
-    exactly by i! j!, a remainder raising RuntimeError.  A factor 1^k
-    therefore reads no character.
+    new_a = (|rho'| - c + a) old_a + a old_{a-1}, in place in one upward
+    pass.  The result is divided exactly by i! j!, a remainder raising
+    RuntimeError, and the nonzero terms are sorted once into canonical
+    order.  A factor 1^k therefore reads no character.
 
     For a proper pair the levels m = max(s, t) .. s + t - 2 (s = |sigma|,
-    t = |tau|) read characters.  Only the mu that deg2, deg3, the sign and
-    the Cayley triangle allow (module docstring) are evaluated: one pass
-    over the classes of _level_table(m), in canonical order, skips those
-    outside the (deg3, m_1) rectangle.  Each gets T_m(mu) from the cached
-    half columns and weighted hook products, then loses C(m_1, m_1') g for each nonzero g
-    found at a lower level for the same proper part with m_1' unit parts.
+    t = |tau|) read characters.  Only the mu that deg2, deg3, the sign, the
+    Cayley triangle and the length bound allow (module docstring) are
+    evaluated: one pass over the classes of _level_table(m), in canonical
+    order, skips those outside the (deg3, m_1) rectangle.  Each gets
+    T_m(mu) from the cached half columns and weighted hook products, then
+    loses C(m_1, m_1') g for each nonzero g found at a lower level for the
+    same proper part with m_1' unit parts.
     A division that leaves a remainder raises RuntimeError instead of
     rounding.
 
@@ -185,35 +194,40 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
         s, t = sum(ps), sum(pt)
         chains: dict[tuple[int, ...], list[int]] = {}
         for rho, g in product_expansion(Partition._of(ps), Partition._of(pt)).items():
-            a = rho.parts.count(1)
-            chain = chains.setdefault(rho.parts[:len(rho.parts) - a], [])
-            chain += [0] * (a + 1 - len(chain))
-            chain[a] = g
+            parts = rho.parts
+            a = parts.count(1)
+            chain = chains.setdefault(parts[:len(parts) - a], [])
+            chain += [0] * (a - len(chain))  # keys ascend in size, so a does too
+            chain.append(g)
+        factors = [*range(s, s + i), *range(t, t + j)]
         den = factorial(i) * factorial(j)
-        terms: dict[tuple[int, ...], int] = {}
+        terms: list[tuple[int, tuple[int, ...], int]] = []
         for bar, chain in chains.items():
-            for c in [*range(s, s + i), *range(t, t + j)]:
-                shift = sum(bar) - c
-                chain.append(0)
-                for a in range(len(chain) - 1, 0, -1):
-                    chain[a] = (shift + a) * chain[a] + a * chain[a - 1]
-                chain[0] *= shift
+            r = sum(bar)
+            for c in factors:
+                shift, prev = r - c, 0
+                for a, x in enumerate(chain):
+                    chain[a] = (shift + a) * x + a * prev
+                    prev = x
+                chain.append(len(chain) * prev)
             for a, x in enumerate(chain):
-                g, rem = divmod(x, den)
-                if rem:
-                    _inexact(sigma, tau, bar + (1,) * a)
-                if g:
-                    terms[bar + (1,) * a] = g
-        # canonical order: ascending size, reverse-lexicographic within a size
-        return {Partition._of(mu): terms[mu] for mu in sorted(sorted(terms, reverse=True), key=sum)}
+                if x:
+                    g, rem = divmod(x, den)
+                    if rem:
+                        _inexact(sigma, tau, Partition._of(bar + (1,) * a))
+                    terms.append((-r - a, bar + (1,) * a, g))
+        # (-size, parts) descending is the canonical order: ascending size,
+        # reverse-lexicographic within a size
+        terms.sort(reverse=True)
+        return {Partition._of(parts): g for _, parts, g in terms}
     column = _column
     s, t = sigma.size(), tau.size()
     zz = sigma.centralizer_size() * tau.centralizer_size()
     d3s, d3t = s - sigma.length(), t - tau.length()
-    deg3s = range(abs(d3s - d3t), d3s + d3t + 1, 2)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: dict[Partition, int] = {}
     for m in range(max(s, t), s + t - 1):
+        deg3s = range(max(abs(d3s - d3t), d3s + d3t - 2 * (s + t - m) + 2), d3s + d3t + 1, 2)
         hooks, classes = _level_table(m)
         weights = [a * b * h for a, b, h in zip(column(ps + (1,) * (m - s)),
                                                 column(pt + (1,) * (m - t)), hooks)]
@@ -246,7 +260,7 @@ def _expand(sigma: Partition, tau: Partition) -> dict[Partition, int]:
     return out
 
 
-def _inexact(sigma: Partition, tau: Partition, mu: object) -> NoReturn:
+def _inexact(sigma: Partition, tau: Partition, mu: Partition) -> NoReturn:
     """Raise for a division in _expand that leaves a remainder: the route
     never rounds."""
     raise RuntimeError(f"non-integral class coefficient for {sigma}, {tau} -> {mu}: internal bug")

@@ -5,6 +5,17 @@ partial permutations, class-algebra basis elements, filling shapes and
 character labels.  The canonical enumeration order is reverse-lexicographic,
 i.e. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for size 4; every piece of
 sorted output in the package relies on that order being fixed.
+
+A partition is interned: there is one Partition object per parts tuple,
+so equality and hashing are the built-in identity ones, and a dict keyed
+by partitions never hashes or compares a tuple.  The validating
+constructor and the trusted _of both return the object held in one
+module-level table, entered through dict.setdefault, which is atomic, so
+concurrent threads that build the same partition all get the first
+object stored.  The table only grows, like the caches of the other
+modules.  Copying or unpickling a partition gives back the interned
+object.  The centralizer order z is computed once per object, on the
+first centralizer_size() call, and stored with it.
 """
 
 from __future__ import annotations
@@ -13,18 +24,22 @@ from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
 
+# the one Partition per parts tuple; only Partition._of adds to it
+_TABLE: dict[tuple[int, ...], "Partition"] = {}
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers; may be empty.
 
-    Immutable and hashable.  The empty partition is a first-class value:
+    Immutable and interned (module docstring): Partition(parts) is the one
+    object for that tuple.  The empty partition is a first-class value:
     it is the multiplicative unit of the class algebra and serializes as
     the empty string.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_z")
 
-    def __init__(self, parts: Iterable[int] = ()) -> None:
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         p = tuple(parts)
         for i, x in enumerate(p):
             if type(x) is not int:
@@ -33,15 +48,23 @@ class Partition:
                 raise ValueError(f"partition parts must be positive, got {x}")
             if i and p[i - 1] < x:
                 raise ValueError(f"parts must be weakly decreasing, got {p}")
-        self._parts = p
+        return cls._of(p)
 
     @classmethod
     def _of(cls, parts: tuple[int, ...]) -> "Partition":
-        """Trusted construction: parts must already be a weakly decreasing
-        tuple of positive ints, which is not checked."""
-        p = object.__new__(cls)
-        p._parts = parts
+        """Trusted construction: the interned object for parts, which must
+        already be a weakly decreasing tuple of positive ints (not checked)."""
+        p = _TABLE.get(parts)
+        if p is None:
+            p = object.__new__(cls)
+            p._parts, p._z = parts, 0
+            p = _TABLE.setdefault(parts, p)
         return p
+
+    def __reduce__(self) -> tuple:
+        """copy, deepcopy and pickle rebuild through the constructor, which
+        returns the interned object."""
+        return Partition, (self._parts,)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -62,7 +85,10 @@ class Partition:
         return self._parts.count(k)
 
     def centralizer_size(self) -> int:
-        """z = prod_k k^{m_k} m_k!, the centralizer order for this cycle type."""
+        """z = prod_k k^{m_k} m_k!, the centralizer order for this cycle type,
+        computed on the first call and stored."""
+        if self._z:
+            return self._z
         z = 1
         i = 0
         p = self._parts
@@ -73,6 +99,7 @@ class Partition:
             m = j - i
             z *= p[i] ** m * factorial(m)
             i = j
+        self._z = z
         return z
 
     def pad(self, n: int) -> "Partition":
@@ -80,11 +107,12 @@ class Partition:
         r = self.size()
         if type(n) is not int or n < r:
             raise ValueError(f"cannot pad a partition of {r} to size {n!r}")
-        return Partition(self._parts + (1,) * (n - r))
+        return Partition._of(self._parts + (1,) * (n - r))
 
     def strip_ones(self) -> "Partition":
         """The partition with all parts equal to 1 removed."""
-        return Partition(x for x in self._parts if x != 1)
+        p = self._parts
+        return Partition._of(p[:len(p) - p.count(1)])
 
     def is_proper(self) -> bool:
         """True when no part equals 1."""
@@ -93,12 +121,6 @@ class Partition:
     def sort_key(self) -> tuple:
         """Canonical order: ascending size, then reverse-lexicographic."""
         return (self.size(), tuple(-x for x in self._parts))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
@@ -133,7 +155,7 @@ def _gen_parts(r: int, maxpart: int) -> Iterator[tuple[int, ...]]:
 
 @cache
 def _partitions_tuple(r: int) -> tuple[Partition, ...]:
-    return tuple(Partition(p) for p in _gen_parts(r, r if r else 1))
+    return tuple(Partition._of(p) for p in _gen_parts(r, r if r else 1))
 
 
 def _check_int(value: int, what: str, nonnegative: bool = False) -> None:

@@ -194,7 +194,7 @@ def test_unit_part_reduction_raises_on_inexact_division(monkeypatch):
     _expand.cache_clear()
     monkeypatch.setattr(class_algebra, "product_expansion",
                         lambda sigma, tau: {EMPTY: Fraction(1, 2)})
-    with pytest.raises(RuntimeError, match=r"non-integral .* -> \(1,\)"):
+    with pytest.raises(RuntimeError, match=r"non-integral .* -> 1: internal bug"):
         _expand(P(1), P(1))
     assert _expand.cache_info().currsize == 0
 
@@ -231,9 +231,12 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
     # only the levels below |sigma|+|tau|-1 of a proper pair read
     # characters, and a pair with unit parts reads only its proper pair's
     # columns; (4)(3) has deg3 3 and 2, so the sign rules out (5) and
-    # (2,2,1) at level 5; (6)(2) has deg3 5 and 1, so the Cayley floor 4
-    # alone rules out (2,2,1,1) at level 6 (deg3 2, deg2 8 <= 8, even sign);
-    # a level table built on the way reads the column of 1^m for its hooks
+    # (2,2,1) at level 5; (6)(2,2) has deg3 5 and 2, so the Cayley floor 3
+    # alone rules out (2,1,1,1,1) at level 6 (deg3 1, deg2 10 <= 10, parity
+    # of deg3 7, 5 parts <= 1 + 2 + 4 - 2); at level 10 of (3,3)(3,3), d = 2
+    # shared points, the length floor l(mu) <= 2 + 2 + 2 - 2 alone rules
+    # out (2,2,2,2,1,1) (deg3 4 >= 0, deg2 12 <= 12, parity of deg3 8); a level
+    # table built on the way reads the column of 1^m for its hooks
     deg2, deg3 = DegreeFunction.deg2(), DegreeFunction.deg3()
     column = characters._column
     requested = set()
@@ -250,8 +253,8 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         product_expansion(sigma, tau)
         assert not requested, (sigma, tau)
     read = {}
-    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(3)), (P(6), P(2)),
-                       (P(3, 1), P(3, 1, 1))]:
+    for sigma, tau in [(P(3, 1), P(2, 2)), (P(4), P(3)), (P(6), P(2, 2)),
+                       (P(3, 3), P(3, 3)), (P(3, 1), P(3, 1, 1))]:
         _expand.cache_clear()
         requested.clear()
         column.cache_clear()
@@ -264,10 +267,11 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
         levels = range(max(sigma.size(), tau.size()), sigma.size() + tau.size() - 1)
         want = set()
         for m in levels:
+            longest = sigma.length() + tau.length() + sigma.size() + tau.size() - m - 2
             want |= {sigma.pad(m).parts, tau.pad(m).parts, (1,) * m}
             want |= {mu.parts for mu in enumerate_partitions(m)
                      if deg2(mu) <= cap2 and floor3 <= deg3(mu) <= cap3
-                     and (deg3(mu) - cap3) % 2 == 0}
+                     and (deg3(mu) - cap3) % 2 == 0 and mu.length() <= longest}
         assert requested == want, (sigma, tau)
         assert len(want) < sum(len(enumerate_partitions(m)) for m in levels)
         # each column _expand reads is built once, from the suffix columns it
@@ -279,7 +283,8 @@ def test_product_builds_only_factor_and_allowed_columns(monkeypatch):
             column(parts)
         again = column.cache_info()
         assert (again.hits, again.misses) == (built.hits + len(want), built.misses)
-    assert (2, 2, 1, 1) not in read[P(6), P(2)]
+    assert (2, 1, 1, 1, 1) not in read[P(6), P(2, 2)]
+    assert (2, 2, 2, 2, 1, 1) not in read[P(3, 3), P(3, 3)]
     # the proper pair of (3,1)(3,1,1) is (3)(3)
     assert (2, 1) not in read[P(3, 1), P(3, 1, 1)] and (4,) not in read[P(3, 1), P(3, 1, 1)]
 

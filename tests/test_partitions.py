@@ -1,9 +1,14 @@
+import copy
+import pickle
 import re
+import sys
+import threading
 from itertools import permutations
 from math import factorial, perm
 
 import pytest
 
+from classconv import partitions
 from classconv.partitions import (EMPTY, Partition, enumerate_partitions, partition_count,
                                   partitions_up_to)
 from classconv.semigroup_algebra import SemigroupAlgebraElement, truncate
@@ -38,6 +43,56 @@ def test_trusted_construction_matches_validated():
         assert q == p and p == q and hash(q) == hash(p)
         assert repr(q) == repr(p) and q.sort_key() == p.sort_key()
     assert len({Partition._of(p.parts) for p in shapes} | set(shapes)) == len(shapes)
+
+
+def test_one_object_per_parts_tuple():
+    p = Partition([2, 1])
+    assert p is Partition((2, 1)) is Partition._of((2, 1)) is enumerate_partitions(3)[1]
+    assert P(2, 1, 1).strip_ones() is P(2) and P(2).pad(4) is P(2, 1, 1)
+    # identity equality: a partition never equals its parts tuple
+    assert Partition((2, 1)) != (2, 1)
+    # copies and unpickled values are the interned object itself
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other is p
+
+
+def test_centralizer_size_computed_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return factorial(m)
+
+    monkeypatch.setattr(partitions, "factorial", counted)
+    p = Partition((43, 43, 7, 7, 7))  # a tuple no other test builds
+    assert p.centralizer_size() == 43 ** 2 * factorial(2) * 7 ** 3 * factorial(3)
+    assert sorted(calls) == [2, 3]
+    assert Partition((43, 43, 7, 7, 7)).centralizer_size() == p.centralizer_size()
+    assert sorted(calls) == [2, 3]
+
+
+def test_threads_building_one_partition_get_one_object():
+    # more threads than cores, switching as often as the interpreter allows
+    parts, count = (53, 47, 47, 2), 8  # a tuple no other test builds
+    start, got = threading.Barrier(count, timeout=10), []
+
+    def build():
+        start.wait()
+        got.append(Partition(parts))
+
+    threads = [threading.Thread(target=build) for _ in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == count and all(p is got[0] for p in got)
+    assert Partition._of(parts) is got[0]
 
 
 def test_size_length():
