@@ -133,7 +133,7 @@ from operator import mul
 from typing import Iterable, NoReturn
 
 from .characters import _column, _conjugate, _positions
-from .class_vector import ClassVector, _check_level
+from .class_vector import ClassVector
 from .partitions import Partition, _check_int, _ints, enumerate_partitions, partitions_up_to
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,8 @@ def multiply(u: ClassVector, v: ClassVector, n: int | None = None) -> ClassVecto
     level.  Terms that cancel to zero are dropped.  n must be None or an
     int >= 0 (ValueError otherwise).
     """
-    _check_level(n)
+    if n is not None:
+        _check_int(n, "truncation level", 0)
     levels = [x for x in (n, u.level, v.level) if x is not None]
     eff = min(levels) if levels else None
     out: dict[Partition, int] = {}
@@ -360,7 +361,7 @@ def _rescaled(sigma: Partition, tau: Partition, rho: Partition, zz: int, g: int)
 
 def psi_image(rho: Partition, n: int) -> tuple[int, Partition]:
     """Image of A_{rho;n} under support forgetting: a binomial times C_{rho;n}."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     r = rho.size()
     if r > n:
         raise ValueError(f"|rho|={r} exceeds n={n}")
@@ -378,7 +379,7 @@ class BinomialPolynomial:
     __slots__ = ("base", "coeffs")
 
     def __init__(self, base: Partition, coeffs: Iterable[int]) -> None:
-        cl = _ints(coeffs, "coefficients")
+        cl = _ints(coeffs, "coefficient")
         while cl and cl[-1] == 0:
             cl.pop()
         self.base = base
@@ -389,10 +390,8 @@ class BinomialPolynomial:
 
         n must be an int (not a bool) of at least |base| (ValueError
         otherwise)."""
-        _check_int(n, "evaluation point")
         r = self.base.size()
-        if n < r:
-            raise ValueError(f"evaluation point {n} below |base|={r}")
+        _check_int(n, "evaluation point", r)
         return sum(c * comb(n - r, k) for k, c in enumerate(self.coeffs))
 
     def monomial_coeffs(self) -> tuple[Fraction, ...]:
@@ -459,7 +458,7 @@ def q_polynomial(sigma: Partition, tau: Partition, rho: Partition) -> BinomialPo
 def convolve_C_classes(sigma: Partition, tau: Partition, n: int) -> ClassVector:
     """Convolution of conjugacy classes of S_n in the proper-class basis:
     the psi sum of the product expansion, the one to_C_basis runs."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     if not sigma.is_proper() or not tau.is_proper():
         raise ValueError("inputs must be proper partitions")
     if sigma.size() > n or tau.size() > n:
@@ -475,7 +474,7 @@ def to_C_basis(v: ClassVector, n: int) -> ClassVector:
     needs, so its level must be absent or at least n (ValueError
     otherwise); terms with |rho| > n are skipped.
     """
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     if v.level is not None and v.level < n:
         raise ValueError(f"vector truncated at level {v.level} cannot map into "
                          f"Z(Q[S_{n}]): its level is below n = {n}")

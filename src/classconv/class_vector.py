@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .partitions import Partition
+from .partitions import Partition, _check_int
 
 Coeff = int | Fraction
 
@@ -21,14 +21,6 @@ def _coeff(c: Coeff) -> Fraction:
     if type(c) is not int and not isinstance(c, Fraction):
         raise ValueError(f"coefficients must be integers or Fractions, got {c!r}")
     return Fraction(c)
-
-
-def _check_level(level: int | None) -> None:
-    """Raise ValueError unless the truncation level is None or an int (not
-    a bool) >= 0."""
-    if level is not None and (type(level) is not int or level < 0):
-        raise ValueError(f"truncation level must be None or a nonnegative integer, "
-                         f"got {level!r}")
 
 
 class ClassVector:
@@ -51,7 +43,8 @@ class ClassVector:
     __slots__ = ("nums", "den", "level")
 
     def __init__(self, terms: Mapping[Partition, Coeff], level: int | None = None) -> None:
-        _check_level(level)
+        if level is not None:
+            _check_int(level, "truncation level", 0)
         fracs = {p: f for p, c in terms.items() if (f := _coeff(c))}
         if level is not None:
             for p in fracs:

@@ -68,18 +68,13 @@ class Filling:
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
         rs = tuple(tuple(row) for row in rows)
-        seen: set[int] = set()
         for i, row in enumerate(rs):
             if not row:
                 raise ValueError("rows must be nonempty")
             if i and len(rs[i - 1]) < len(row):
                 raise ValueError("row lengths must be weakly decreasing")
-            for x in row:
-                if type(x) is not int or x < 1:
-                    raise ValueError(f"entries must be positive integers, got {x!r}")
-                if x in seen:
-                    raise ValueError(f"entry {x} repeated")
-                seen.add(x)
+        # the entries follow the point rule of the cycles the rows are read as
+        PartialPermutation.from_cycles(rs)
         self.rows = rs
 
     @classmethod

@@ -47,14 +47,14 @@ class DegreeFunction:
     @classmethod
     def theta_J(cls, J) -> "DegreeFunction":
         """Size plus the multiplicities of part lengths in J."""
-        J = frozenset(_ints(J, "theta_J lengths"))
+        J = frozenset(_ints(J, "theta_J length"))
         return cls("theta_J{" + ",".join(str(k) for k in sorted(J)) + "}",
                    lambda k: k + (k in J))
 
     @classmethod
     def additive(cls, gamma: Sequence[int]) -> "DegreeFunction":
         """theta(rho) = sum_k gamma_k m_k(rho) with gamma_k = gamma[k-1]."""
-        g = tuple(_ints(gamma, "gamma entries"))
+        g = tuple(_ints(gamma, "gamma entry"))
 
         def gamma_k(k: int) -> int:
             if k > len(g):
@@ -122,13 +122,6 @@ class GammaViolation:
         return f"rule {self.rule} at ({idx}): {self.lhs} > {self.rhs}"
 
 
-def _check_K(K: int) -> None:
-    """Raise ValueError unless K is an int (not a bool) of at least 1."""
-    _check_int(K, "K")
-    if K < 1:
-        raise ValueError("K must be at least 1")
-
-
 def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolation]:
     """Check the numbered inequality families on gamma_1..gamma_K.
 
@@ -138,8 +131,8 @@ def check_gamma_inequalities(gamma: Sequence[int], K: int) -> list[GammaViolatio
     gamma_{k+1} <= k gamma_2; and its doubling special case
     gamma_{2k+1} <= 2 gamma_{k+1}.
     """
-    g = _ints(gamma, "gamma entries")
-    _check_K(K)
+    g = _ints(gamma, "gamma entry")
+    _check_int(K, "K", 1)
     if len(g) < K:
         raise ValueError(f"need at least K={K} entries, got {len(g)}")
 
@@ -175,8 +168,8 @@ def limit_ratio(gamma: Sequence[int], K: int) -> Fraction:
     Only a proxy: the true quantity is the infimum over all k, which this
     artifact never claims to reach.
     """
-    g = _ints(gamma, "gamma entries")
-    _check_K(K)
+    g = _ints(gamma, "gamma entry")
+    _check_int(K, "K", 1)
     if len(g) < K + 1:
         raise ValueError(f"need at least K+1={K + 1} entries, got {len(g)}")
     return min(Fraction(g[k], k) for k in range(1, K + 1))

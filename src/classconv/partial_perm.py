@@ -32,8 +32,7 @@ class PartialPermutation:
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
         m = dict(mapping)
         for x in (*m, *m.values()):
-            if type(x) is not int or x < 1:
-                raise ValueError(f"support points must be positive integers, got {x!r}")
+            _check_int(x, "support point", 1)
         if set(m.values()) != set(m):
             raise ValueError("mapping is not a bijection of its support")
         self._map = m
@@ -47,13 +46,18 @@ class PartialPermutation:
     def from_cycles(cls, cycles: Iterable[Iterable[int]]) -> "PartialPermutation":
         """The partial permutation (d, w) whose cycles are given, d their union.
 
-        A singleton cycle (x,) is a fixed point."""
+        A singleton cycle (x,) is a fixed point.  Each point is checked and
+        marked as it is read: a point repeated within a cycle is refused like
+        one repeated across cycles, and a point that is no int, an unhashable
+        one included, raises ValueError."""
         m: dict[int, int] = {}
         for cyc in cycles:
             c = tuple(cyc)
             for x in c:
+                _check_int(x, "support point", 1)
                 if x in m:
-                    raise ValueError(f"point {x} appears in more than one cycle")
+                    raise ValueError(f"point {x} appears more than once")
+                m[x] = x
             m.update(_images((c,)))
         return cls(m)
 
@@ -172,7 +176,7 @@ def permutations_of_type(points: Iterable[int], rho: Partition) -> Iterator[dict
 def enumerate_class(rho: Partition, n: int) -> Iterator[PartialPermutation]:
     """All partial permutations in P_n with support size |rho| and type rho:
     the terms of the class sum A_{rho;n}."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     r = rho.size()
     if r > n:
         return
@@ -183,7 +187,7 @@ def enumerate_class(rho: Partition, n: int) -> Iterator[PartialPermutation]:
 
 def enumerate_semigroup(n: int) -> Iterator[PartialPermutation]:
     """Every element of P_n: all supports, all bijections."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     for k in range(n + 1):
         for d in combinations(range(1, n + 1), k):
             for images in _itertools_perms(d):
@@ -192,7 +196,7 @@ def enumerate_semigroup(n: int) -> Iterator[PartialPermutation]:
 
 def semigroup_size(n: int) -> int:
     """|P_n| = sum_k C(n,k) k!, via the recurrence s_n = n s_{n-1} + 1."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     s = 1
     for k in range(1, n + 1):
         s = k * s + 1

@@ -16,6 +16,11 @@ object stored.  The table only grows, like the caches of the other
 modules.  Copying or unpickling a partition gives back the interned
 object.  The centralizer order z is computed once per object, on the
 first centralizer_size() call, and stored with it.
+
+_check_int is the integer rule of the package: every int argument that
+any module takes (a size, a level, an n, a part, a point, an entry) is
+checked by it, with the one message form "{what} must be {kind}, got
+{value!r}".
 """
 
 from __future__ import annotations
@@ -42,10 +47,7 @@ class Partition:
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         p = tuple(parts)
         for i, x in enumerate(p):
-            if type(x) is not int:
-                raise ValueError(f"partition parts must be integers, got {x!r}")
-            if x < 1:
-                raise ValueError(f"partition parts must be positive, got {x}")
+            _check_int(x, "partition part", 1)
             if i and p[i - 1] < x:
                 raise ValueError(f"parts must be weakly decreasing, got {p}")
         return cls._of(p)
@@ -80,8 +82,7 @@ class Partition:
 
     def multiplicity(self, k: int) -> int:
         """Number of parts equal to k, for k >= 1."""
-        if type(k) is not int or k < 1:
-            raise ValueError("part size must be a positive integer")
+        _check_int(k, "part size", 1)
         return self._parts.count(k)
 
     def centralizer_size(self) -> int:
@@ -105,8 +106,7 @@ class Partition:
     def pad(self, n: int) -> "Partition":
         """The partition of n obtained by appending parts of size 1."""
         r = self.size()
-        if type(n) is not int or n < r:
-            raise ValueError(f"cannot pad a partition of {r} to size {n!r}")
+        _check_int(n, "padded size", r)
         return Partition._of(self._parts + (1,) * (n - r))
 
     def strip_ones(self) -> "Partition":
@@ -158,33 +158,26 @@ def _partitions_tuple(r: int) -> tuple[Partition, ...]:
     return tuple(Partition._of(p) for p in _gen_parts(r, r if r else 1))
 
 
-def _check_int(value: int, what: str, nonnegative: bool = False) -> None:
-    """Raise ValueError unless value is an int, as Partition requires of
-    its parts, and, if nonnegative is set, at least 0: a bool would be read
-    as 0 or 1 (a cache too keys True as 1), and a float would fail later
-    with TypeError."""
-    if type(value) is not int or nonnegative and value < 0:
-        kind = "a nonnegative integer" if nonnegative else "an integer"
+def _check_int(value: int, what: str, low: int | None = None) -> None:
+    """Raise ValueError unless value is an int and, if low is given, at
+    least low: a bool would be read as 0 or 1 (a cache too keys True as 1),
+    a float would fail later with TypeError, and a size below its bound
+    would read as nothing at all."""
+    if type(value) is not int or low is not None and value < low:
+        kind = ("an integer" if low is None else "a nonnegative integer" if low == 0
+                else "a positive integer" if low == 1 else f"an integer of at least {low}")
         raise ValueError(f"{what} must be {kind}, got {value!r}")
-
-
-def _check_size(r: int) -> None:
-    """Raise ValueError unless r is an int of at least 0: a negative size
-    would otherwise read as no partitions at all."""
-    _check_int(r, "partition size")
-    if r < 0:
-        raise ValueError("cannot partition a negative integer")
 
 
 def enumerate_partitions(r: int) -> list[Partition]:
     """All partitions of r, reverse-lexicographically, each exactly once."""
-    _check_size(r)
+    _check_int(r, "partition size", 0)
     return list(_partitions_tuple(r))
 
 
 def partitions_up_to(r: int) -> list[Partition]:
     """All partitions of 0, 1, ..., r in canonical order."""
-    _check_size(r)
+    _check_int(r, "partition size", 0)
     out: list[Partition] = []
     for k in range(r + 1):
         out.extend(_partitions_tuple(k))
@@ -193,17 +186,17 @@ def partitions_up_to(r: int) -> list[Partition]:
 
 def partition_count(r: int) -> int:
     """p(r), the number of partitions of r."""
-    _check_size(r)
+    _check_int(r, "partition size", 0)
     return len(_partitions_tuple(r))
 
 
 def _ints(values: Iterable[int], what: str) -> list[int]:
     """The values as a list, each an int: a float, Fraction or bool entry
-    raises ValueError instead of being truncated or read as 0 or 1."""
+    raises ValueError instead of being truncated or read as 0 or 1.  what
+    names one entry."""
     out = list(values)
     for x in out:
-        if type(x) is not int:
-            raise ValueError(f"{what} must be integers, got {x!r}")
+        _check_int(x, what)
     return out
 
 

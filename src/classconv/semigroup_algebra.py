@@ -76,7 +76,7 @@ class SemigroupAlgebraElement(_Element):
     __slots__ = ("terms", "n")
 
     def __init__(self, terms: Mapping[PartialPermutation, Coeff], n: int) -> None:
-        _check_int(n, "n", nonnegative=True)
+        _check_int(n, "n", 0)
         self.terms = _clean(terms)
         self.n = n
         full = frozenset(range(1, n + 1))
@@ -151,7 +151,7 @@ def forget_support(b: SemigroupAlgebraElement) -> GroupAlgebraElement:
 def truncate(b: SemigroupAlgebraElement, m: int) -> SemigroupAlgebraElement:
     """The truncation theta_m: B_n -> B_m, keeping the terms supported
     inside {1..m}."""
-    _check_int(m, "truncation level", nonnegative=True)
+    _check_int(m, "truncation level", 0)
     if m > b.n:
         raise ValueError("truncation level exceeds ambient bound")
     cut = frozenset(range(1, m + 1))
@@ -182,13 +182,13 @@ def class_element(rho: Partition, n: int) -> SemigroupAlgebraElement:
 
 def center_dimension(n: int) -> int:
     """dim Z(B_n) = sum_k C(n,k) p(k)."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     return sum(comb(n, k) * partition_count(k) for k in range(n + 1))
 
 
 def center_dimension_by_pairs(n: int) -> int:
     """Independent count of pairs (d, lambda |- |d|) with d inside {1..n}."""
-    _check_int(n, "n", nonnegative=True)
+    _check_int(n, "n", 0)
     count = 0
     for k in range(n + 1):
         for _d in combinations(range(1, n + 1), k):

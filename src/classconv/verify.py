@@ -348,7 +348,9 @@ def suite_fillings(max_size: int = FILLINGS_DEFAULT_MAX) -> list[Check]:
 
 
 def suite_homomorphism(max_factor: int = 4) -> list[Check]:
-    """F-multiplicativity, F(x_mu) = s*_mu and the vanishing of s*.
+    """F-multiplicativity, F(x_mu) = s*_mu and the vanishing theorem of s*:
+    s*_mu(lambda) = 0 exactly when the diagram of mu is not inside that of
+    lambda (Okounkov-Olshanski), read off every pair |mu| <= |lambda| <= 5.
 
     F is evaluated at every |lambda| <= 2 max_factor, so every level of
     each product is checked.
@@ -383,13 +385,13 @@ def suite_homomorphism(max_factor: int = 4) -> list[Check]:
                 bad.append((mu, lam))
     checks.append(_failures("F(x_mu) = s*_mu for |mu| <= 3, |lambda| <= 5", bad))
     bad = []
-    for mu in partitions_up_to(5):
-        if not mu.size():
-            continue
-        for lam in partitions_up_to(mu.size() - 1):
-            if s_star(mu, lam) != 0:
+    for lam in partitions_up_to(5):
+        for mu in partitions_up_to(lam.size()):
+            inside = mu.length() <= lam.length() and all(a <= b for a, b in zip(mu, lam))
+            if (s_star(mu, lam) == 0) == inside:
                 bad.append((mu, lam))
-    checks.append(_failures("s*_mu(lambda) = 0 for |mu| > |lambda|, |mu| <= 5", bad))
+    checks.append(_failures(
+        "s*_mu(lambda) = 0 exactly when mu is not inside lambda, |mu| <= |lambda| <= 5", bad))
     return checks
 
 
@@ -470,10 +472,11 @@ def suite_semigroup(max_n: int = 3) -> list[Check]:
     ok = counts == [1, 2, 5, 16, 65]
     checks.append(Check("semigroup sizes s_0..s_4 = 1,2,5,16,65 by enumeration",
                         ok, "" if ok else f"got {counts}"))
-    rec = all(semigroup_size(n) == n * semigroup_size(n - 1) + 1 for n in range(1, 9))
-    formula = all(semigroup_size(n) == counts[n] for n in range(5))
-    checks.append(Check("recurrence s_n = n s_{n-1} + 1 and formula agree",
-                        rec and formula))
+    # semigroup_size runs the recurrence; |P_n| = sum_k C(n,k) k! is the formula
+    bad = [n for n in range(9)
+           if semigroup_size(n) != sum(comb(n, k) * factorial(k) for k in range(n + 1))]
+    checks.append(Check("recurrence s_n = n s_{n-1} + 1 and formula agree", not bad,
+                        "" if not bad else f"failed at {bad}"))
     bad = [n for n in range(7) if center_dimension(n) != center_dimension_by_pairs(n)]
     checks.append(Check("dim Z(B_n) formula matches pair counting, n <= 6", not bad,
                         "" if not bad else f"failed at {bad}"))

@@ -87,7 +87,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("class_algebra.py", "(1 + (_conjugate(mask) != mask)) * (factorial(m) // d)",
      "2 * (factorial(m) // d)", "test_class_algebra.py::test_level_table_hooks_and_classes"),
     # multiply takes any truncation level, a float or a negative one included
-    ("class_algebra.py", "    _check_level(n)\n", "",
+    ("class_algebra.py",
+     '    if n is not None:\n        _check_int(n, "truncation level", 0)\n', "",
      "test_class_algebra.py::test_multiply_level_must_be_nonnegative_int"),
     # every construction makes a new object: a partition no longer equals itself rebuilt
     ("partitions.py", "            p = _TABLE.setdefault(parts, p)\n", "",
@@ -99,21 +100,21 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("partitions.py", "out = list(values)", "out = [int(x) for x in values]",
      "test_filtrations.py::test_gamma_entries_must_be_integers"),
     # partition enumeration reads a bool size as 0 or 1 and fails on a float
-    ("partitions.py", "if type(value) is not int or nonnegative and value < 0:",
-     "if nonnegative and value < 0:",
+    ("partitions.py", "if type(value) is not int or low is not None and value < low:",
+     "if low is not None and value < low:",
      "test_partitions.py::test_partition_sizes_must_be_integers"),
     # the ambient n of P_n, B_n and Z(B_n) may be negative: semigroup_size(-1) == 1
-    ("partitions.py", " or nonnegative and value < 0", "",
+    ("partitions.py", " or low is not None and value < low", "",
      "test_semigroup_algebra.py::test_ambient_n_must_be_nonnegative_int"),
     # Partition.pad reads True as 1 and fails on a float with TypeError
-    ("partitions.py", "if type(n) is not int or n < r:", "if n < r:",
+    ("partitions.py", '        _check_int(n, "padded size", r)\n', "",
      "test_partitions.py::test_sizes_and_levels_refuse_bools_and_floats"),
     # a group algebra takes any hashable as a domain point: [True], [0, -1]
     ("semigroup_algebra.py", "self.domain = PartialPermutation.identity(domain).support",
      "self.domain = frozenset(domain)",
      "test_semigroup_algebra.py::test_group_algebra_domain_points_follow_the_support_rule"),
-    # the gamma checks read K = True as 1 and fail on a float K with TypeError
-    ("filtrations.py", '    _check_int(K, "K")\n', "",
+    # the gamma inequalities read K = True as 1 and fail on a float K with TypeError
+    ("filtrations.py", '_check_int(K, "K", 1)\n    if len(g) < K:', "if len(g) < K:",
      "test_filtrations.py::test_K_and_evaluation_point_must_be_integers"),
     # class-vector and semigroup coefficients take floats and bools
     ("class_vector.py", "if type(c) is not int and not isinstance(c, Fraction):", "if False:",
@@ -132,9 +133,15 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ("verify.py", "if len(counts) != size or len(set(counts)) != 1:", "if False:",
      "test_class_algebra.py::test_guards_raise_on_a_spoiled_centralizer[oracle]"),
     # partitions_up_to(-1) is [], so g_table(-2) is {} and its scans pass vacuously
-    ("partitions.py", "_check_size(r)\n    out: list[Partition] = []",
+    ("partitions.py", '_check_int(r, "partition size", 0)\n    out: list[Partition] = []',
      '_check_int(r, "partition size")\n    out: list[Partition] = []',
      "test_partitions.py::test_enumerate_partitions"),
+    # from_cycles reads a point repeated within a cycle, (2, 2), as a fixed point
+    ("partial_perm.py", "                m[x] = x\n", "",
+     "test_partial_perm.py::test_from_cycles_singletons_are_fixed_points"),
+    # every lower bound reads as 0: evaluate takes a point below |base|
+    ("partitions.py", "low is not None and value < low", "low is not None and value < 0",
+     "test_class_algebra.py::test_binomial_polynomial_equality_and_domain"),
     # a suite that ran no check is ok
     ("verify.py", "return bool(self.checks) and all(", "return all(",
      "test_acceptance.py::test_a_suite_that_runs_no_check_is_not_ok"),

@@ -101,6 +101,11 @@ BUMPED_MULTIPLY = _wrap(ca, "multiply",
     ("homomorphism", {"max_factor": 2}, _wrap(verify, "s_star",
                                               lambda real: lambda mu, lam: real(mu, lam) + 1),
      "FAIL F(x_mu) = s*_mu for |mu| <= 3, |lambda| <= 5 (failed [(Partition(()), Partition(())), "),
+    # one value of s* off the vanishing theorem, at |mu| = |lambda|
+    ("homomorphism", {"max_factor": 2}, _wrap(verify, "s_star", lambda real: lambda mu, lam: (
+        real(mu, lam) + ((mu, lam) == (P(4), P(2, 2))))),
+     "FAIL s*_mu(lambda) = 0 exactly when mu is not inside lambda, |mu| <= |lambda| <= 5 "
+     "(failed [(Partition((4,)), Partition((2, 2)))])"),
     ("semigroup", {"max_n": 1}, _wrap(verify, "phi_x", lambda real: lambda e, x: 2 * real(e, x)),
      "FAIL phi_x multiplicative on all basis pairs, n <= 1 (failed [(0, frozenset()), "),
     # phi_x vanishing at the empty set only
@@ -109,7 +114,8 @@ BUMPED_MULTIPLY = _wrap(ca, "multiply",
      "FAIL phi-vanishing equivalence over structured elements, n <= 1 "
      "(failed [(0, frozenset()), "),
 ], ids=["section6", "section11-a", "section11-A-row", "section11-C", "section11-q", "fillings",
-        "homomorphism-product", "homomorphism-s_star", "semigroup-product",
+        "homomorphism-product", "homomorphism-s_star", "homomorphism-vanishing",
+        "semigroup-product",
         "semigroup-vanishing"])
 def test_each_suite_fails_on_a_spoiled_route(monkeypatch, suite, options, spoiler,
                                               first_failure):
@@ -123,5 +129,5 @@ def test_a_suite_that_runs_no_check_is_not_ok():
     # a negative bound once read as no partitions, so suites passed on nothing
     result = verify.run_suite("oracle", max_total=-1)
     assert result.checks == [] and not result.ok
-    with pytest.raises(ValueError, match="cannot partition a negative integer"):
+    with pytest.raises(ValueError, match="partition size must be a nonnegative integer, got -1"):
         verify.run_suite("filtrations", bound=-1)

@@ -812,7 +812,7 @@ def test_binomial_polynomial_monomials():
     assert zero.coeffs == ()
     assert zero.monomial_string() == "0"
     # truncated, these would read as the coefficients (0, 1)
-    with pytest.raises(ValueError, match=r"coefficients must be integers, got Fraction\(1, 2\)"):
+    with pytest.raises(ValueError, match=r"coefficient must be an integer, got Fraction\(1, 2\)"):
         BinomialPolynomial(P(3), [Fraction(1, 2), 1.9])
 
 
@@ -823,7 +823,7 @@ def test_binomial_polynomial_equality_and_domain():
     assert q != BinomialPolynomial(P(3), (1, 2))
     assert q != (1, 3)
     assert q.evaluate(3) == 1
-    with pytest.raises(ValueError, match=r"evaluation point 2 below \|base\|=3"):
+    with pytest.raises(ValueError, match=r"evaluation point must be an integer of at least 3, got 2"):
         q.evaluate(2)
 
 
@@ -910,7 +910,7 @@ NOT_LEVELS = [2.5, 2.0, -3, True, False, Fraction(2)]
 
 @pytest.mark.parametrize("level", NOT_LEVELS)
 def test_class_vector_level_must_be_nonnegative_int(level):
-    with pytest.raises(ValueError, match="truncation level must be None or a nonnegative"):
+    with pytest.raises(ValueError, match="truncation level must be a nonnegative integer, got "):
         ClassVector({P(1): 1}, level=level)
     assert ClassVector({}, level=0).level == 0
 
@@ -918,7 +918,7 @@ def test_class_vector_level_must_be_nonnegative_int(level):
 @pytest.mark.parametrize("n", NOT_LEVELS)
 def test_multiply_level_must_be_nonnegative_int(n):
     u = ClassVector.basis(P(2))
-    with pytest.raises(ValueError, match="truncation level must be None or a nonnegative"):
+    with pytest.raises(ValueError, match="truncation level must be a nonnegative integer, got "):
         multiply(u, u, n=n)
     assert multiply(u, u, n=2) == ClassVector({P(1, 1): 1})
     assert not multiply(u, u, n=0).nums

@@ -44,7 +44,7 @@ def test_validation():
         Filling([[]])
     with pytest.raises(ValueError):
         Filling([[0]])
-    for rows in ([[1.9, 2.2]], [[1, 2.0]], [["3"]]):
+    for rows in ([[1.9, 2.2]], [[1, 2.0]], [["3"]], [[[1]]]):
         with pytest.raises(ValueError):
             Filling(rows)
 

@@ -136,9 +136,9 @@ def test_gamma_inequalities_violations():
     with pytest.raises(ValueError):
         check_gamma_inequalities((1, 2), 8)
     for K in (0, -1):
-        with pytest.raises(ValueError, match="K must be at least 1"):
+        with pytest.raises(ValueError, match=f"K must be a positive integer, got {K}"):
             check_gamma_inequalities((), K)
-        with pytest.raises(ValueError, match="K must be at least 1"):
+        with pytest.raises(ValueError, match=f"K must be a positive integer, got {K}"):
             check_gamma_inequalities((1, 2, 3), K)
 
 
@@ -155,13 +155,13 @@ def test_limit_ratio():
 
 def test_gamma_entries_must_be_integers():
     # truncated, [2.5, 2.2] would read as the passing [2, 2]
-    with pytest.raises(ValueError, match="gamma entries must be integers, got 2.5"):
+    with pytest.raises(ValueError, match="gamma entry must be an integer, got 2.5"):
         check_gamma_inequalities([2.5, 2.2], 2)
     with pytest.raises(ValueError, match=r"got Fraction\(3, 2\)"):
         limit_ratio((1, Fraction(3, 2)), 1)
-    with pytest.raises(ValueError, match="gamma entries must be integers, got 1.0"):
+    with pytest.raises(ValueError, match="gamma entry must be an integer, got 1.0"):
         DegreeFunction.additive((0, 1.0))
-    with pytest.raises(ValueError, match="theta_J lengths must be integers, got '2'"):
+    with pytest.raises(ValueError, match="theta_J length must be an integer, got '2'"):
         DegreeFunction.theta_J({"2"})
 
 
@@ -169,24 +169,24 @@ def test_K_and_evaluation_point_must_be_integers():
     # True equals 1, so K = True would check gamma_1 alone and give the
     # proxy for K = 1; a float would fail later with TypeError
     for K in (True, 2.0):
-        with pytest.raises(ValueError, match=f"K must be an integer, got {K!r}"):
+        with pytest.raises(ValueError, match=f"K must be a positive integer, got {K!r}"):
             check_gamma_inequalities((1, 2, 3), K)
-        with pytest.raises(ValueError, match=f"K must be an integer, got {K!r}"):
+        with pytest.raises(ValueError, match=f"K must be a positive integer, got {K!r}"):
             limit_ratio((1, 2, 3), K)
     q = BinomialPolynomial(Partition(()), (1, 1))
     assert q.evaluate(1) == 2
     for n in (True, 3.0):
-        with pytest.raises(ValueError, match=f"evaluation point must be an integer, got {n!r}"):
+        with pytest.raises(ValueError, match=f"evaluation point must be a nonnegative integer, got {n!r}"):
             q.evaluate(n)
 
 
 def test_bool_entries_rejected():
     # read as 1, additive((True, 2)) would be labelled additive(True,2)
-    with pytest.raises(ValueError, match="gamma entries must be integers, got True"):
+    with pytest.raises(ValueError, match="gamma entry must be an integer, got True"):
         DegreeFunction.additive((True, 2))
-    with pytest.raises(ValueError, match="gamma entries must be integers, got False"):
+    with pytest.raises(ValueError, match="gamma entry must be an integer, got False"):
         check_gamma_inequalities([2, False], 1)
-    with pytest.raises(ValueError, match="theta_J lengths must be integers, got True"):
+    with pytest.raises(ValueError, match="theta_J length must be an integer, got True"):
         DegreeFunction.theta_J({True})
 
 

@@ -1,7 +1,8 @@
 """What a cold interpreter imports: the package resolves its names lazily
 and each CLI subcommand loads only the modules it runs.  Also what the
-modules define that outlives a call, the functools caches, and that every
-module-level import of the package and of the tests is read."""
+modules define that outlives a call, the functools caches, that every
+module-level import of the package and of the tests is read, and that one
+function holds the package's integer rule."""
 
 import ast
 import json
@@ -128,3 +129,31 @@ def test_every_module_level_import_is_used():
     assert len(paths) > 20
     unused = [(path.name, line, name) for path in paths for line, name in _unused_imports(path)]
     assert unused == []
+
+
+def _int_type_tests(path: Path) -> list[str]:
+    """The qualified name of the function around each `type(...) is not int`
+    comparison in the file."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Compare) and isinstance(child.left, ast.Call)
+                    and isinstance(child.left.func, ast.Name) and child.left.func.id == "type"
+                    and any(isinstance(op, ast.IsNot) for op in child.ops)
+                    and any(isinstance(c, ast.Name) and c.id == "int"
+                            for c in child.comparators)):
+                found.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}".lstrip(".") if named else owner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_one_integer_rule():
+    # every int argument goes through partitions._check_int; the other test
+    # is _coeff's, which also takes a Fraction
+    sites = sorted(f"{path.stem}.{owner}" for path in (SRC / "classconv").glob("*.py")
+                   for owner in _int_type_tests(path))
+    assert sites == ["class_vector._coeff", "partitions._check_int"]

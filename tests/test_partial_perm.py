@@ -133,6 +133,9 @@ def test_semigroup_sizes():
         assert semigroup_size(n) == counts[n]
     for n in range(1, 10):
         assert semigroup_size(n) == n * semigroup_size(n - 1) + 1
+    # the closed form |P_n| = sum_k C(n,k) k!
+    for n in range(9):
+        assert semigroup_size(n) == sum(comb(n, k) * factorial(k) for k in range(n + 1))
 
 
 def test_permutations_of_type_counts():
@@ -153,7 +156,11 @@ def test_from_cycles_singletons_are_fixed_points():
     assert PartialPermutation.from_cycles([(5,), (1, 3)]) == PartialPermutation({1: 3, 3: 1, 5: 5})
     assert PartialPermutation.from_cycles([(), (2,)]) == PartialPermutation.identity({2})
     for cycles in ([(1, 2), (2,)], [(2,), (2,)]):
-        with pytest.raises(ValueError, match="point 2 appears in more than one cycle"):
+        with pytest.raises(ValueError, match="point 2 appears more than once"):
+            PartialPermutation.from_cycles(cycles)
+    # a repeat within one cycle is refused like one across cycles
+    for cycles in ([(1, 1)], [(1, 1, 1)], [(2, 3), (1, 1)]):
+        with pytest.raises(ValueError, match="point 1 appears more than once"):
             PartialPermutation.from_cycles(cycles)
 
 

@@ -83,7 +83,7 @@ def test_supports_and_subsets_inside_the_ambient():
 def test_group_algebra_domain_points_follow_the_support_rule(domain):
     # True equals the point 1 and 0, -1 are no points of any support
     for build in (lambda d: GroupAlgebraElement({}, d), group_unit):
-        with pytest.raises(ValueError, match="support points must be positive integers"):
+        with pytest.raises(ValueError, match="support point must be a positive integer, got "):
             build(domain)
 
 
